@@ -1,16 +1,13 @@
 """Workbench for graphs decomposable into equal-size induced matchings."""
 
 from .core import (
-    DecompositionSummary,
     Graph,
     GraphError,
     MatchingDecomposition,
     ParameterError,
     PreconditionError,
-    RSParameters,
     VerificationReport,
     Violation,
-    decomposition_stats,
     induced_matching_check,
     is_bipartite,
     verify_decomposition,
@@ -47,14 +44,13 @@ from .search import (
 from .rsg_format import RsgParseError, emit_rsg, parse_rsg
 
 __all__ = [
-    "APFreeSet", "AuditReport", "BoundVerdict", "Budget", "DecompositionSummary",
-    "DistanceCertificate", "Graph", "GraphError", "INDETERMINATE",
-    "MatchingDecomposition", "ParameterError", "PreconditionError", "RSParameters",
-    "ResourceLimitError", "RsgParseError", "SAT", "SearchOutcome", "UNSAT",
-    "VerificationReport", "Violation", "ap_free_set", "cayley_rs",
-    "decomposition_stats", "disjoint_union", "distance_certificate",
-    "double_cover", "emit_rsg", "exists_rs", "expansion_audit",
-    "feasibility_verdict", "has_three_term_progression", "hypercube_rs",
-    "induced_matching_check", "is_bipartite", "kneser_rs", "max_r",
-    "max_t_on_graph", "parse_rsg", "verify_decomposition",
+    "APFreeSet", "AuditReport", "BoundVerdict", "Budget", "DistanceCertificate",
+    "Graph", "GraphError", "INDETERMINATE", "MatchingDecomposition",
+    "ParameterError", "PreconditionError", "ResourceLimitError",
+    "RsgParseError", "SAT", "SearchOutcome", "UNSAT", "VerificationReport",
+    "Violation", "ap_free_set", "cayley_rs", "disjoint_union",
+    "distance_certificate", "double_cover", "emit_rsg", "exists_rs",
+    "expansion_audit", "feasibility_verdict", "has_three_term_progression",
+    "hypercube_rs", "induced_matching_check", "is_bipartite", "kneser_rs",
+    "max_r", "max_t_on_graph", "parse_rsg", "verify_decomposition",
 ]

@@ -158,50 +158,34 @@ class DistanceCertificate:
 def distance_certificate(dec: MatchingDecomposition) -> DistanceCertificate:
     """Hamming-distance certificate over the characteristic vectors of V_1..V_t.
 
-    Requires a verified decomposition with all |V_i| = 2r (needed so the
-    all-zero vector can join the code).  Asserts pairwise distance >= 2r over
-    all 0 <= i < j <= t and evaluates both sides of the double count exactly.
+    Requires a verified decomposition; verification makes every |V_i| = 2r,
+    so the all-zero vector can join the code.  Asserts pairwise distance
+    >= 2r over all 0 <= i < j <= t and evaluates both sides of the double
+    count exactly, from the verifier's cached report alone.
+
+    The distance sum is Plotkin's (1960) column count: stack the t + 1
+    vectors as rows; column v holds d_v ones (each edge at v lies in exactly
+    one matching, and no matching covers v twice), so it adds d_v (t+1-d_v)
+    to the sum over all pairs of rows.  For the minimum, d(0, V_i) = 2r and
+    d(V_i, V_j) = 4r - 2|V_i cap V_j| (the report's maximum intersection is 0
+    when t < 2, which leaves 2r).
     """
     report = verify_decomposition(dec)
     if not report.passed:
         raise PreconditionError("distance_certificate requires a verified decomposition")
-    g = dec.graph
-    t = dec.t
-    r = dec.r
-    vsets = dec.endpoint_sets()
-    for i, vs in enumerate(vsets):
-        if len(vs) != 2 * r:
-            raise PreconditionError(
-                f"|V_{i}| = {len(vs)} != 2r = {2 * r}; the all-zero extension needs full matchings"
-            )
-
-    masks = [0]
-    for vs in vsets:
-        m = 0
-        for v in vs:
-            m |= 1 << v
-        masks.append(m)
-
-    min_dist = None
-    dist_sum = 0
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            d = bin(masks[i] ^ masks[j]).count("1")
-            dist_sum += d
-            if min_dist is None or d < min_dist:
-                min_dist = d
-    if min_dist is None:
-        min_dist = 2 * r  # t = 0: vacuous
+    n, t, r = dec.graph.n, dec.t, dec.r
+    dist_sum = sum(count * d * (t + 1 - d) for d, count in report.degree_histogram.items())
+    min_dist = min(2 * r, 4 * r - 2 * report.max_pair_intersection)
 
     lhs = 2 * r * math.comb(t + 1, 2)
     if t % 2 == 1:
-        cap = Fraction(g.n * (t + 1) ** 2, 4)
+        cap = Fraction(n * (t + 1) ** 2, 4)
     else:
-        cap = Fraction(g.n * t * (t + 2), 4)
+        cap = Fraction(n * t * (t + 2), 4)
     slack = dist_sum - lhs
     passed = min_dist >= 2 * r and slack >= 0 and dist_sum <= cap
     return DistanceCertificate(
-        n=g.n, r=r, t=t,
+        n=n, r=r, t=t,
         min_pairwise_distance=min_dist,
         double_count_lhs=lhs,
         pair_distance_sum=dist_sum,
@@ -304,7 +288,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
 
     assertions = []
 
-    bad = [v for v in range(n) if bin(incidence[v]).count("1") != deg[v]]
+    bad = [v for v in range(n) if incidence[v].bit_count() != deg[v]]
     assertions.append((
         "incidence-degree",
         PASS if not bad else FAIL,
@@ -379,9 +363,9 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
         av = incidence[v]
         for u, k in dist.items():
             if k % 2 == 1:
-                overlap = bin(incidence[u] & av).count("1")
+                overlap = (incidence[u] & av).bit_count()
             else:
-                overlap = bin(incidence[u] & ~av & full_mask).count("1")
+                overlap = (incidence[u] & ~av & full_mask).bit_count()
             if overlap > k:
                 bfs_violations.append((v, u, k, overlap))
     assertions.append((

@@ -97,7 +97,7 @@ def hypercube_rs(k: int, augmented: bool = False) -> MatchingDecomposition:
             mi = [
                 (v, v | bit)
                 for v in range(n)
-                if not v & bit and bin(v).count("1") % 2 == parity
+                if not v & bit and v.bit_count() % 2 == parity
             ]
             mi.sort()
             matchings.append(mi)
@@ -108,7 +108,7 @@ def hypercube_rs(k: int, augmented: bool = False) -> MatchingDecomposition:
             mi = [
                 (v, v ^ ones)
                 for v in range(n)
-                if v < v ^ ones and bin(v).count("1") % 2 == parity
+                if v < v ^ ones and v.bit_count() % 2 == parity
             ]
             mi.sort()
             matchings.append(mi)

@@ -3,16 +3,22 @@
 A decomposition claims that the edge set of a graph splits into t pairwise
 edge-disjoint induced matchings of a common size r.  Nothing in this module
 trusts that claim: `verify_decomposition` re-checks every invariant and
-returns a report with explicit witnesses, and `induced_matching_check` is the
-single-matching primitive behind it.
+returns a report with explicit witnesses.  `induced_matching_check` checks a
+single candidate matching on its own.
+
+The report is computed once per decomposition and cached on it, the same way
+`Graph.adjacency` is cached on a graph: a `MatchingDecomposition` is frozen,
+its graph's edges are a frozenset and `make` stores the matchings as tuples,
+so repeat verification of one object (by a construction, then a bound, then
+an audit) costs nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 Edge = tuple[int, int]
 
@@ -63,11 +69,15 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.degrees[v]
 
     @cached_property
     def degrees(self):
-        return [len(a) for a in self.adjacency]
+        """Vertex degrees, counted from the edge list without building `adjacency`."""
+        deg = [0] * self.n
+        for v, d in Counter(chain.from_iterable(self.edges)).items():
+            deg[v] = d
+        return deg
 
 
 def is_bipartite(g: Graph):
@@ -121,18 +131,10 @@ class MatchingDecomposition:
             out.append(s)
         return out
 
-
-@dataclass(frozen=True)
-class RSParameters:
-    n: int
-    r: int
-    t: int
-    c: Fraction
-
-    @classmethod
-    def of(cls, n: int, r: int, t: int) -> "RSParameters":
-        c = Fraction(r, n) if n else Fraction(0)
-        return cls(n, r, t, c)
+    @cached_property
+    def _report(self) -> "VerificationReport":
+        """The verifier's report, computed once; read it through `verify_decomposition`."""
+        return _verify(self)
 
 
 @dataclass(frozen=True)
@@ -212,13 +214,24 @@ def verify_decomposition(dec: MatchingDecomposition) -> VerificationReport:
     edge-local consequences used throughout: d_u + d_v <= t + 1 on every edge,
     and |V_i cap V_j| <= r for i != j.  Witnesses are the lexicographically
     first offenders.  Stats are reported whether or not the verdict is pass.
+    The report is computed on the first call and cached on dec.
     """
+    return dec._report
+
+
+def _verify(dec: MatchingDecomposition) -> VerificationReport:
+    # One pass over per-vertex matching incidence: memory O(n + |E| + t), and
+    # work sum_v c_v^2 for the pair intersections, c_v = #{i : v in V_i}.
     g = dec.graph
     t = dec.t
     r = dec.r
     violations = []
 
-    owner = {}
+    owner = {}          # edge -> first matching listing it
+    relisted = set()    # (edge, i): matching i lists an edge listed before
+    incidence = {}      # v -> ascending i with v in V_i
+    phantom = set()     # (v, i): v is in V_i only through edges absent from the graph
+    not_matching = {}   # i -> first edge of matching i sharing an endpoint
     for i, m in enumerate(dec.matchings):
         if len(m) != r:
             violations.append(
@@ -237,57 +250,70 @@ def verify_decomposition(dec: MatchingDecomposition) -> VerificationReport:
         for e in m:
             if e in owner:
                 j = owner[e]
+                relisted.add((e, i))
                 violations.append(
                     Violation("not-edge-disjoint", (j, i) if j != i else (i,), e,
                               f"edge {e} appears in matchings {j} and {i}")
                 )
             else:
                 owner[e] = i
-
-    missing = sorted(g.edges - set(owner))
-    if missing:
-        violations.append(
-            Violation("not-a-partition", (), missing[0],
-                      f"{len(missing)} edges of the graph are not covered, first {missing[0]}")
-        )
-
-    vsets = dec.endpoint_sets()
-    for i, m in enumerate(dec.matchings):
-        present = [e for e in m if e in g.edges]
         covered = set()
-        matching_ok = True
-        for u, v in sorted(present):
+        for u, v in sorted(e for e in m if e in g.edges):
             if u in covered or v in covered:
-                violations.append(
-                    Violation("not-a-matching", (i,), (u, v),
-                              f"edge ({u}, {v}) shares an endpoint with an earlier edge of matching {i}")
-                )
-                matching_ok = False
+                not_matching[i] = (u, v)
                 break
             covered.add(u)
             covered.add(v)
-        if matching_ok:
-            eset = set(present)
-            witness = None
-            for u in sorted(covered):
-                for w in g.adjacency[u]:
-                    if u < w and w in covered and (u, w) not in eset:
-                        if witness is None or (u, w) < witness:
-                            witness = (u, w)
-            if witness is not None:
-                violations.append(
-                    Violation("not-induced", (i,), witness,
-                              f"edge {witness} of the graph joins two covered vertices of matching {i}")
-                )
+        vertices = {x for e in m for x in e}
+        for x in vertices:
+            incidence.setdefault(x, []).append(i)
+        if bad_member is not None:
+            phantom.update((x, i) for x in vertices - covered)
 
+    missing = g.edges - owner.keys()
+    if missing:
+        first = min(missing)
+        violations.append(
+            Violation("not-a-partition", (), first,
+                      f"{len(missing)} edges of the graph are not covered, first {first}")
+        )
+
+    # A graph edge joining two vertices covered by matching i, but not listed
+    # by i, breaks the inducedness of i.  Edges run in sorted order, so the
+    # first hit per matching is its lexicographically first witness.
     deg = g.degrees
     max_sum = 0
     degsum_witness = None
-    for u, v in sorted(g.edges):
-        s = deg[u] + deg[v]
-        max_sum = max(max_sum, s)
+    not_induced = {}
+    last_u = None
+    for e in sorted(g.edges):
+        u, w = e
+        s = deg[u] + deg[w]
+        if s > max_sum:
+            max_sum = s
         if s > t + 1 and degsum_witness is None:
-            degsum_witness = (u, v)
+            degsum_witness = e
+        if u != last_u:
+            last_u, covers_u = u, set(incidence.get(u, ()))
+        for i in covers_u.intersection(incidence.get(w, ())):
+            if (i != owner.get(e) and (e, i) not in relisted and i not in not_induced
+                    and (u, i) not in phantom and (w, i) not in phantom):
+                not_induced[i] = e
+
+    for i in sorted(not_matching.keys() | not_induced.keys()):
+        if i in not_matching:
+            u, v = not_matching[i]
+            violations.append(
+                Violation("not-a-matching", (i,), (u, v),
+                          f"edge ({u}, {v}) shares an endpoint with an earlier edge of matching {i}")
+            )
+        else:
+            witness = not_induced[i]
+            violations.append(
+                Violation("not-induced", (i,), witness,
+                          f"edge {witness} of the graph joins two covered vertices of matching {i}")
+            )
+
     if degsum_witness is not None:
         u, v = degsum_witness
         violations.append(
@@ -295,16 +321,26 @@ def verify_decomposition(dec: MatchingDecomposition) -> VerificationReport:
                       f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
         )
 
+    # |V_i cap V_j| for every j > i sharing a vertex with V_i, by counting the
+    # incidence lists of V_i's vertices.  Reversed, each list ends in the
+    # smallest matching not yet handled, which at step i is i itself.
+    for covering in incidence.values():
+        covering.reverse()
     max_inter = 0
-    for i in range(t):
-        for j in range(i + 1, t):
-            inter = len(vsets[i] & vsets[j])
-            max_inter = max(max_inter, inter)
-            if inter > r:
-                violations.append(
-                    Violation("endpoint-intersection", (i, j), (inter,),
-                              f"|V_{i} cap V_{j}| = {inter} > r = {r}")
-                )
+    for i, m in enumerate(dec.matchings):
+        vertices = {x for e in m for x in e}
+        for x in vertices:
+            incidence[x].pop()
+        shared = Counter(chain.from_iterable(incidence[x] for x in vertices))
+        top = max(shared.values(), default=0)
+        max_inter = max(max_inter, top)
+        if top > r:
+            for j in sorted(shared):
+                if shared[j] > r:
+                    violations.append(
+                        Violation("endpoint-intersection", (i, j), (shared[j],),
+                                  f"|V_{i} cap V_{j}| = {shared[j]} > r = {r}")
+                    )
 
     isolated = deg.count(0)
     notes = []
@@ -318,30 +354,4 @@ def verify_decomposition(dec: MatchingDecomposition) -> VerificationReport:
         max_pair_intersection=max_inter,
         isolated_vertices=isolated,
         notes=tuple(notes),
-    )
-
-
-@dataclass(frozen=True)
-class DecompositionSummary:
-    params: RSParameters
-    degree_min: int
-    degree_max: int
-    max_pair_intersection: int
-
-
-def decomposition_stats(dec: MatchingDecomposition) -> DecompositionSummary:
-    """Exact parameters of a verified decomposition; refuses unverified input."""
-    report = verify_decomposition(dec)
-    if not report.passed:
-        first = report.violations[0]
-        raise PreconditionError(
-            f"decomposition fails verification: {first.invariant} ({first.detail})"
-        )
-    g = dec.graph
-    deg = g.degrees
-    return DecompositionSummary(
-        params=RSParameters.of(g.n, dec.r, dec.t),
-        degree_min=min(deg) if deg else 0,
-        degree_max=max(deg) if deg else 0,
-        max_pair_intersection=report.max_pair_intersection,
     )

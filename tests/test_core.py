@@ -11,11 +11,12 @@ from rsgraphs import (
     GraphError,
     MatchingDecomposition,
     PreconditionError,
-    decomposition_stats,
+    distance_certificate,
     hypercube_rs,
     induced_matching_check,
     is_bipartite,
     kneser_rs,
+    parse_rsg,
     verify_decomposition,
 )
 
@@ -165,25 +166,47 @@ class TestVerifyDecomposition:
         assert report.isolated_vertices == 2
         assert report.notes
 
+    def test_huge_header_builds_no_adjacency(self):
+        # degrees come from the edge list: no per-vertex sets for 2M isolated vertices
+        dec = parse_rsg("rsg 2000000 0 0\n")
+        assert verify_decomposition(dec).passed
+        assert "adjacency" not in dec.graph.__dict__
+
 
 class TestDecompositionStats:
+    """Exact parameters of a decomposition, read from its verification report."""
+
+    def stats(self, dec):
+        report = verify_decomposition(dec)
+        assert report.passed
+        hist = report.degree_histogram
+        n = sum(hist.values())
+        assert sum(d * count for d, count in hist.items()) == 2 * dec.r * dec.t
+        return n, hist
+
     def test_kneser2(self):
-        s = decomposition_stats(kneser_rs(2))
-        assert (s.params.n, s.params.r, s.params.t) == (10, 3, 5)
-        assert s.params.c == Fraction(3, 10)
+        dec = kneser_rs(2)
+        n, _ = self.stats(dec)
+        assert (n, dec.r, dec.t) == (10, 3, 5)
+        assert Fraction(dec.r, n) == Fraction(3, 10)
 
     def test_hypercube4_augmented(self):
-        s = decomposition_stats(hypercube_rs(4, augmented=True))
-        assert (s.params.n, s.params.r, s.params.t) == (16, 4, 10)
-        assert s.params.c == Fraction(1, 4)
-        assert s.degree_min == s.degree_max == 5
+        dec = hypercube_rs(4, augmented=True)
+        n, hist = self.stats(dec)
+        assert (n, dec.r, dec.t) == (16, 4, 10)
+        assert Fraction(dec.r, n) == Fraction(1, 4)
+        assert min(hist) == max(hist) == 5
 
     def test_empty_decomposition(self):
         dec = MatchingDecomposition.make(Graph.from_edges(4, []), [], 0)
-        s = decomposition_stats(dec)
-        assert (s.params.n, s.params.r, s.params.t) == (4, 0, 0)
-        assert s.params.c == 0
+        n, hist = self.stats(dec)
+        assert (n, dec.r, dec.t) == (4, 0, 0)
+        assert hist == {0: 4}
 
     def test_refuses_unverified(self):
+        dec = triangle_dec(r=2)
+        report = verify_decomposition(dec)
+        assert not report.passed
+        assert report.violations[0].invariant == "size-mismatch"
         with pytest.raises(PreconditionError):
-            decomposition_stats(triangle_dec(r=2))
+            distance_certificate(dec)

@@ -1,0 +1,311 @@
+"""The one-pass verifier and the arithmetic distance certificate against pairwise oracles.
+
+`pairwise_verify` and `hamming_certificate` are the package's original
+implementations, kept verbatim as test-only references (the oracle builds the
+degree list from `adjacency`, as `Graph.degrees` then did, and certifies with
+`pairwise_verify`).  The first intersects the endpoint sets of every pair of
+matchings and scans each matching's adjacency for chords; the second sums the
+Hamming distances of every pair of characteristic vectors.  The package must
+agree with them field for field, witnesses and violation order included, on
+valid decompositions and on mutants of them.
+"""
+
+import math
+from collections import Counter
+from fractions import Fraction
+from functools import cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rsgraphs import (
+    Graph,
+    MatchingDecomposition,
+    PreconditionError,
+    ap_free_set,
+    cayley_rs,
+    distance_certificate,
+    hypercube_rs,
+    kneser_rs,
+    verify_decomposition,
+)
+from rsgraphs import core
+from rsgraphs.bounds import DistanceCertificate
+from rsgraphs.core import VerificationReport, Violation
+
+
+def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
+    g = dec.graph
+    t = dec.t
+    r = dec.r
+    violations = []
+
+    owner = {}
+    for i, m in enumerate(dec.matchings):
+        if len(m) != r:
+            violations.append(
+                Violation("size-mismatch", (i,), (len(m),),
+                          f"matching {i} has {len(m)} edges, declared r = {r}")
+            )
+        bad_member = None
+        for e in m:
+            if e not in g.edges and (bad_member is None or e < bad_member):
+                bad_member = e
+        if bad_member is not None:
+            violations.append(
+                Violation("edge-not-in-graph", (i,), bad_member,
+                          f"matching {i} lists {bad_member}, which is not an edge of the graph")
+            )
+        for e in m:
+            if e in owner:
+                j = owner[e]
+                violations.append(
+                    Violation("not-edge-disjoint", (j, i) if j != i else (i,), e,
+                              f"edge {e} appears in matchings {j} and {i}")
+                )
+            else:
+                owner[e] = i
+
+    missing = sorted(g.edges - set(owner))
+    if missing:
+        violations.append(
+            Violation("not-a-partition", (), missing[0],
+                      f"{len(missing)} edges of the graph are not covered, first {missing[0]}")
+        )
+
+    vsets = dec.endpoint_sets()
+    for i, m in enumerate(dec.matchings):
+        present = [e for e in m if e in g.edges]
+        covered = set()
+        matching_ok = True
+        for u, v in sorted(present):
+            if u in covered or v in covered:
+                violations.append(
+                    Violation("not-a-matching", (i,), (u, v),
+                              f"edge ({u}, {v}) shares an endpoint with an earlier edge of matching {i}")
+                )
+                matching_ok = False
+                break
+            covered.add(u)
+            covered.add(v)
+        if matching_ok:
+            eset = set(present)
+            witness = None
+            for u in sorted(covered):
+                for w in g.adjacency[u]:
+                    if u < w and w in covered and (u, w) not in eset:
+                        if witness is None or (u, w) < witness:
+                            witness = (u, w)
+            if witness is not None:
+                violations.append(
+                    Violation("not-induced", (i,), witness,
+                              f"edge {witness} of the graph joins two covered vertices of matching {i}")
+                )
+
+    deg = [len(a) for a in g.adjacency]
+    max_sum = 0
+    degsum_witness = None
+    for u, v in sorted(g.edges):
+        s = deg[u] + deg[v]
+        max_sum = max(max_sum, s)
+        if s > t + 1 and degsum_witness is None:
+            degsum_witness = (u, v)
+    if degsum_witness is not None:
+        u, v = degsum_witness
+        violations.append(
+            Violation("degree-sum", (), degsum_witness,
+                      f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
+        )
+
+    max_inter = 0
+    for i in range(t):
+        for j in range(i + 1, t):
+            inter = len(vsets[i] & vsets[j])
+            max_inter = max(max_inter, inter)
+            if inter > r:
+                violations.append(
+                    Violation("endpoint-intersection", (i, j), (inter,),
+                              f"|V_{i} cap V_{j}| = {inter} > r = {r}")
+                )
+
+    isolated = deg.count(0)
+    notes = []
+    if isolated:
+        notes.append(f"{isolated} isolated vertices present; they count toward n")
+
+    return VerificationReport(
+        violations=tuple(violations),
+        degree_histogram=dict(Counter(deg)),
+        max_edge_degree_sum=max_sum,
+        max_pair_intersection=max_inter,
+        isolated_vertices=isolated,
+        notes=tuple(notes),
+    )
+
+
+def hamming_certificate(dec: MatchingDecomposition) -> DistanceCertificate:
+    report = pairwise_verify(dec)
+    if not report.passed:
+        raise PreconditionError("distance_certificate requires a verified decomposition")
+    g = dec.graph
+    t = dec.t
+    r = dec.r
+    vsets = dec.endpoint_sets()
+    for i, vs in enumerate(vsets):
+        if len(vs) != 2 * r:
+            raise PreconditionError(
+                f"|V_{i}| = {len(vs)} != 2r = {2 * r}; the all-zero extension needs full matchings"
+            )
+
+    masks = [0]
+    for vs in vsets:
+        m = 0
+        for v in vs:
+            m |= 1 << v
+        masks.append(m)
+
+    min_dist = None
+    dist_sum = 0
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            d = bin(masks[i] ^ masks[j]).count("1")
+            dist_sum += d
+            if min_dist is None or d < min_dist:
+                min_dist = d
+    if min_dist is None:
+        min_dist = 2 * r  # t = 0: vacuous
+
+    lhs = 2 * r * math.comb(t + 1, 2)
+    if t % 2 == 1:
+        cap = Fraction(g.n * (t + 1) ** 2, 4)
+    else:
+        cap = Fraction(g.n * t * (t + 2), 4)
+    slack = dist_sum - lhs
+    passed = min_dist >= 2 * r and slack >= 0 and dist_sum <= cap
+    return DistanceCertificate(
+        n=g.n, r=r, t=t,
+        min_pairwise_distance=min_dist,
+        double_count_lhs=lhs,
+        pair_distance_sum=dist_sum,
+        column_product_cap=cap,
+        slack=slack,
+        passed=passed,
+    )
+
+
+def cayley(modulus):
+    return cayley_rs(modulus, ap_free_set("greedy-base3", (modulus - 1) // 3))
+
+
+BASES = {
+    "kneser1": lambda: kneser_rs(1),
+    "kneser2": lambda: kneser_rs(2),
+    "kneser3": lambda: kneser_rs(3),
+    "q2": lambda: hypercube_rs(2),
+    "q3": lambda: hypercube_rs(3),
+    "q4aug": lambda: hypercube_rs(4, augmented=True),
+    "q5": lambda: hypercube_rs(5),
+    "cayley7": lambda: cayley(7),
+    "cayley13": lambda: cayley(13),
+    "cayley31": lambda: cayley(31),
+}
+
+
+@cache
+def base(name):
+    return BASES[name]()
+
+
+MUTATIONS = ("moved", "deleted", "chord", "relisted", "wrong-r", "foreign")
+
+
+def mutate(data, kind, n, edges, matchings, r):
+    """Apply one mutation in place to the edge set and matching lists; return the new r."""
+    t = len(matchings)
+    full = [i for i in range(t) if matchings[i]]
+    if kind == "wrong-r":
+        return max(0, r + data.draw(st.sampled_from((-1, 1))))
+    if kind == "foreign":
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        if absent:
+            matchings[data.draw(st.integers(0, t - 1))].append(data.draw(st.sampled_from(absent)))
+        return r
+    if kind == "chord":
+        i = data.draw(st.integers(0, t - 1))
+        covered = sorted({x for e in matchings[i] for x in e})
+        chords = [(u, v) for u in covered for v in covered if u < v and (u, v) not in edges]
+        if chords:
+            e = data.draw(st.sampled_from(chords))
+            edges.add(e)
+            matchings[data.draw(st.integers(0, t - 1))].append(e)
+        return r
+    if not full:
+        return r
+    i = data.draw(st.sampled_from(full))
+    e = data.draw(st.sampled_from(matchings[i]))
+    if kind == "moved":
+        matchings[i].remove(e)
+        matchings[data.draw(st.integers(0, t - 1))].append(e)
+    elif kind == "deleted":
+        matchings[i].remove(e)
+        if data.draw(st.booleans()):
+            edges.discard(e)
+    else:  # relisted: a second matching, or the same one, lists the edge again
+        matchings[data.draw(st.integers(0, t - 1))].append(e)
+    return r
+
+
+class TestAgainstPairwiseOracle:
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_valid_instances(self, name):
+        dec = base(name)
+        report = verify_decomposition(dec)
+        assert report.passed
+        assert report.to_dict() == pairwise_verify(dec).to_dict()
+        assert distance_certificate(dec).to_dict() == hamming_certificate(dec).to_dict()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutants(self, data):
+        src = base(data.draw(st.sampled_from(sorted(BASES))))
+        n = src.graph.n
+        edges = set(src.graph.edges)
+        matchings = [list(m) for m in src.matchings]
+        r = src.r
+        for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+            r = mutate(data, kind, n, edges, matchings, r)
+        dec = MatchingDecomposition.make(Graph.from_edges(n, edges), matchings, r)
+        expected = pairwise_verify(dec)
+        report = verify_decomposition(dec)
+        assert report.to_dict() == expected.to_dict()
+        if expected.passed:
+            assert distance_certificate(dec).to_dict() == hamming_certificate(dec).to_dict()
+        else:
+            with pytest.raises(PreconditionError):
+                distance_certificate(dec)
+
+
+class TestReportCache:
+    def test_second_call_returns_the_same_report(self):
+        dec = kneser_rs(2)
+        assert verify_decomposition(dec) is verify_decomposition(dec)
+
+    def test_certificate_of_a_construction_verifies_once(self, monkeypatch):
+        calls = []
+        uncached = core._verify
+        monkeypatch.setattr(core, "_verify", lambda dec: calls.append(dec) or uncached(dec))
+        dec = cayley(31)
+        assert distance_certificate(dec).passed
+        assert len(calls) == 1 and calls[0] is dec
+
+
+class TestLargeSparse:
+    def test_disjoint_one_edge_matchings(self):
+        n, t = 10 ** 6, 5000
+        edges = [(2 * i, 2 * i + 1) for i in range(t)]
+        dec = MatchingDecomposition.make(Graph.from_edges(n, edges), [[e] for e in edges], 1)
+        report = verify_decomposition(dec)
+        assert report.passed
+        assert report.max_pair_intersection == 0
+        assert report.isolated_vertices == n - 2 * t
+        assert "adjacency" not in dec.graph.__dict__
