@@ -8,7 +8,6 @@ from .core import (
     PreconditionError,
     VerificationReport,
     Violation,
-    induced_matching_check,
     is_bipartite,
     verify_decomposition,
 )
@@ -51,6 +50,6 @@ __all__ = [
     "Violation", "ap_free_set", "cayley_rs", "disjoint_union",
     "distance_certificate", "double_cover", "emit_rsg", "exists_rs",
     "expansion_audit", "feasibility_verdict", "has_three_term_progression",
-    "hypercube_rs", "induced_matching_check", "is_bipartite", "kneser_rs",
+    "hypercube_rs", "is_bipartite", "kneser_rs",
     "max_r", "max_t_on_graph", "parse_rsg", "verify_decomposition",
 ]

@@ -151,9 +151,9 @@ def cmd_bound(args) -> int:
 
 def _budget_from(args) -> Budget:
     budget = Budget.default()
-    if getattr(args, "max_nodes", None):
+    if args.max_nodes is not None:
         budget = Budget(max_nodes=args.max_nodes, max_seconds=budget.max_seconds)
-    if getattr(args, "timeout", None):
+    if args.timeout is not None:
         budget = Budget(max_nodes=budget.max_nodes, max_seconds=args.timeout)
     return budget
 

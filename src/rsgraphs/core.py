@@ -3,8 +3,8 @@
 A decomposition claims that the edge set of a graph splits into t pairwise
 edge-disjoint induced matchings of a common size r.  Nothing in this module
 trusts that claim: `verify_decomposition` re-checks every invariant and
-returns a report with explicit witnesses.  `induced_matching_check` checks a
-single candidate matching on its own.
+returns a report with explicit witnesses.  It is the package's one batch
+inducedness check; `search` keeps its own incremental one.
 
 The report is computed once per decomposition and cached on it, the same way
 `Graph.adjacency` is cached on a graph: a `MatchingDecomposition` is frozen,
@@ -178,33 +178,6 @@ class VerificationReport:
             },
             "notes": list(self.notes),
         }
-
-
-def induced_matching_check(g: Graph, m):
-    """Check that edge list m is an induced matching of g.
-
-    Returns None on pass, otherwise a witness: either an edge of g joining two
-    covered vertices outside m, or the second of two edges sharing an endpoint.
-    Raises GraphError if m contains an edge absent from g.
-    """
-    edges = []
-    for u, v in m:
-        e = _norm_edge(u, v, g.n)
-        if e not in g.edges:
-            raise GraphError(f"edge {e} is not an edge of the graph")
-        edges.append(e)
-    covered = set()
-    for u, v in sorted(edges):
-        if u in covered or v in covered:
-            return (u, v)
-        covered.add(u)
-        covered.add(v)
-    eset = set(edges)
-    for u in sorted(covered):
-        for w in sorted(g.adjacency[u]):
-            if u < w and w in covered and (u, w) not in eset:
-                return (u, w)
-    return None
 
 
 def verify_decomposition(dec: MatchingDecomposition) -> VerificationReport:

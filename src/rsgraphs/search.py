@@ -1,8 +1,16 @@
 """Exact decision procedures for small induced-matching decomposition questions.
 
 `exists_rs` searches over decompositions directly: edges only ever enter the
-graph as members of some matching, so inducedness, the per-edge degree-sum cap
-and the endpoint-intersection cap can all be maintained incrementally.
+graph as members of some matching, so the search state needs only three
+tests per candidate edge (see `_State.try_add`).  Each keeps every matching a
+matching and induced in the current graph, and the other invariants follow:
+
+  * if M_i is induced and owns edge (u, v), no other matching covers both u
+    and v, so A_u and A_v (the matchings covering each end) meet only in i
+    and d_u + d_v = |A_u| + |A_v| <= t + 1;
+  * each M_i edge has at most one endpoint in V_j (j != i), otherwise it
+    would join two covered vertices of M_j, so |V_i cap V_j| <= |M_i| <= r;
+  * V_i always has room for the rest of M_i, since n >= 2r is checked first.
 
 Symmetry reduction (all reachable up to relabeling, so UNSAT stays exhaustive):
   * the first matching is pinned to (0,1), (2,3), ..., (2r-2, 2r-1);
@@ -40,14 +48,20 @@ class Budget:
     max_nodes: int = DEFAULT_NODE_BUDGET
     max_seconds: float = DEFAULT_TIME_BUDGET
 
+    def __post_init__(self):
+        if self.max_nodes < 0 or not self.max_seconds >= 0:   # refuses NaN too
+            raise ParameterError(f"budget must be non-negative, got max_nodes = {self.max_nodes}, "
+                                 f"max_seconds = {self.max_seconds}")
+
     @classmethod
     def default(cls) -> "Budget":
         env = os.environ.get("RSG_DEFAULT_BUDGET")
         if env:
             try:
-                return cls(max_nodes=int(env))
+                max_nodes = int(env)
             except ValueError:
                 raise ParameterError(f"RSG_DEFAULT_BUDGET must be an integer node count, got {env!r}")
+            return cls(max_nodes=max_nodes)
         return cls()
 
 
@@ -79,98 +93,48 @@ class _Found(Exception):
 
 
 class _State:
-    """Incremental decomposition state over n vertex labels and t matching slots."""
+    """Incremental decomposition state over n vertex labels and t matching slots.
 
-    def __init__(self, n, r, t):
-        self.n = n
-        self.r = r
-        self.t = t
-        self.incidence = [0] * n       # bitmask of matchings at each vertex
-        self.deg = [0] * n
-        self.adj = [set() for _ in range(n)]
-        self.owner = {}                # edge -> matching index
-        self.inter = [[0] * t for _ in range(t)]
+    Every set is an int bitmask: `incidence[v]` holds the matchings covering
+    v, `nbr[v]` the neighbours of v and `members[i]` the vertices of V_i.
+    The three tests of `try_add` keep each matching an induced matching of
+    the graph built so far, which is all the search has to maintain: the
+    degree-sum and endpoint-intersection caps follow (module docstring).
+    """
+
+    def __init__(self, n, t):
+        self.incidence = [0] * n
+        self.nbr = [0] * n
+        self.members = [0] * t
         self.used = 0                  # labels 0..used-1 have appeared
 
     def try_add(self, i, x, y):
         """Add edge (x, y) to matching i if all invariants survive; return success."""
-        if (x, y) in self.owner:
-            return False
         bit = 1 << i
         ax, ay = self.incidence[x], self.incidence[y]
         if (ax | ay) & bit:
             return False               # endpoint already matched in M_i
         if ax & ay:
-            return False               # edge would sit inside some other V_j
-        for w in self.adj[x]:
-            if self.incidence[w] & bit:
-                return False           # x joins V_i while adjacent to it
-        for w in self.adj[y]:
-            if self.incidence[w] & bit:
-                return False
-        cap = self.t + 1
-        dx, dy = self.deg[x] + 1, self.deg[y] + 1
-        if dx + dy > cap:
-            return False
-        for w in self.adj[x]:
-            if dx + self.deg[w] > cap:
-                return False
-        for w in self.adj[y]:
-            if dy + self.deg[w] > cap:
-                return False
-        # endpoint-intersection cap: x and y each newly join V_i
-        combined = ax | ay
-        j = 0
-        a = combined
-        while a:
-            if a & 1:
-                gain = ((ax >> j) & 1) + ((ay >> j) & 1)
-                if self.inter[i][j] + gain > self.r:
-                    return False
-            a >>= 1
-            j += 1
-        # commit
-        j = 0
-        a = combined
-        while a:
-            if a & 1:
-                gain = ((ax >> j) & 1) + ((ay >> j) & 1)
-                self.inter[i][j] += gain
-                self.inter[j][i] += gain
-            a >>= 1
-            j += 1
-        self.owner[(x, y)] = i
-        self.adj[x].add(y)
-        self.adj[y].add(x)
-        self.deg[x] = dx
-        self.deg[y] = dy
+            return False               # edge would sit inside some V_j (or already exists)
+        nbr = self.nbr
+        if (nbr[x] | nbr[y]) & self.members[i]:
+            return False               # an endpoint joins V_i while adjacent to it
         self.incidence[x] = ax | bit
         self.incidence[y] = ay | bit
+        nbr[x] |= 1 << y
+        nbr[y] |= 1 << x
+        self.members[i] |= (1 << x) | (1 << y)
         if y >= self.used:
             self.used = y + 1
         return True
 
     def remove(self, i, x, y, prev_used):
         bit = 1 << i
-        ax = self.incidence[x] & ~bit
-        ay = self.incidence[y] & ~bit
-        combined = ax | ay
-        j = 0
-        a = combined
-        while a:
-            if a & 1:
-                gain = ((ax >> j) & 1) + ((ay >> j) & 1)
-                self.inter[i][j] -= gain
-                self.inter[j][i] -= gain
-            a >>= 1
-            j += 1
-        del self.owner[(x, y)]
-        self.adj[x].discard(y)
-        self.adj[y].discard(x)
-        self.deg[x] -= 1
-        self.deg[y] -= 1
-        self.incidence[x] = ax
-        self.incidence[y] = ay
+        self.incidence[x] ^= bit
+        self.incidence[y] ^= bit
+        self.nbr[x] ^= 1 << y
+        self.nbr[y] ^= 1 << x
+        self.members[i] ^= (1 << x) | (1 << y)
         self.used = prev_used
 
 
@@ -209,7 +173,7 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
             note=f"r = {r} > max_r({n}, {t}) = {max_r(n, t)}; hard cap shortcut",
         )
 
-    state = _State(n, r, t)
+    state = _State(n, t)
     seed = [(2 * j, 2 * j + 1) for j in range(r)]
     for x, y in seed:
         if not state.try_add(0, x, y):
@@ -218,9 +182,8 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
     matchings = [list(seed)]
     nodes = 0
     deadline = started + budget.max_seconds
-    solution = []
 
-    def candidates(after, i):
+    def candidates(after):
         """Edges > after in lex order, respecting the smallest-unused-label rule."""
         u = state.used
         lo_x, lo_y = after if after is not None else (-1, -1)
@@ -234,20 +197,8 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
                 if x + 1 < n and (after is None or (x, x + 1) > after):
                     yield (x, x + 1)
                 return
-            hi = min(u, n - 1)
-            for y in range(y_start, hi + 1):
+            for y in range(y_start, top + 1):
                 yield (x, y)
-
-    def room_left(i, needed):
-        # quick vertex-availability cut: enough vertices can still join V_i
-        bit = 1 << i
-        free = 0
-        for v in range(n):
-            if not state.incidence[v] & bit and state.deg[v] < t:
-                free += 1
-                if free >= 2 * needed:
-                    return True
-        return free >= 2 * needed
 
     def extend(i, cur, last, first_floor):
         nonlocal nodes
@@ -258,10 +209,8 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
             extend(i + 1, [], None, cur[0] if matching_order_pruning else None)
             matchings.pop()
             return
-        if not room_left(i, r - len(cur)):
-            return
         start = last if last is not None else first_floor
-        for x, y in candidates(start, i):
+        for x, y in candidates(start):
             nodes += 1
             if nodes >= budget.max_nodes:
                 raise _BudgetExceeded
@@ -303,35 +252,27 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
 def _enumerate_induced_matchings(g: Graph, r: int):
     """All induced matchings of g with exactly r edges, as sorted edge tuples."""
     edges = sorted(g.edges)
+    nbr = [0] * g.n
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    # an edge may join the matching iff the closed neighbourhood of its ends
+    # misses every vertex covered so far: no shared endpoint, no edge between
+    reach = [nbr[u] | nbr[v] | (1 << u) | (1 << v) for u, v in edges]
     out = []
-
-    def compatible(e, covered):
-        x, y = e
-        if x in covered or y in covered:
-            return False
-        for w in g.adjacency[x]:
-            if w in covered:
-                return False
-        for w in g.adjacency[y]:
-            if w in covered:
-                return False
-        return True
 
     def rec(start, cur, covered):
         if len(cur) == r:
             out.append(tuple(cur))
             return
         for idx in range(start, len(edges)):
-            e = edges[idx]
-            if compatible(e, covered):
-                x, y = e
+            if not reach[idx] & covered:
+                x, y = e = edges[idx]
                 cur.append(e)
-                covered.update(e)
-                rec(idx + 1, cur, covered)
+                rec(idx + 1, cur, covered | (1 << x) | (1 << y))
                 cur.pop()
-                covered.difference_update(e)
 
-    rec(0, [], set())
+    rec(0, [], 0)
     return out
 
 

@@ -123,6 +123,28 @@ class TestSearch:
                               "--no-eq1-shortcut")
         assert code == EX_INDETERMINATE
 
+    def test_zero_node_budget(self, capsys):
+        code, stdout, _ = run(capsys, "search", "--n", "12", "--r", "3", "--t", "7",
+                              "--max-nodes", "0")
+        assert code == EX_INDETERMINATE
+        assert "nodes=1 " in stdout
+
+    def test_zero_timeout(self, capsys):
+        code, _, _ = run(capsys, "search", "--n", "12", "--r", "3", "--t", "7",
+                         "--timeout", "0")
+        assert code == EX_INDETERMINATE
+
+    @pytest.mark.parametrize("flag", ["--max-nodes", "--timeout"])
+    def test_negative_budget_usage(self, capsys, flag):
+        code, _, err = run(capsys, "search", "--n", "12", "--r", "3", "--t", "7", flag, "-1")
+        assert code == EX_USAGE
+        assert "non-negative" in err
+
+    def test_negative_default_budget_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("RSG_DEFAULT_BUDGET", "-5")
+        code, _, _ = run(capsys, "search", "--n", "6", "--r", "2", "--t", "3")
+        assert code == EX_USAGE
+
     def test_certificate_file(self, tmp_path, capsys):
         out = tmp_path / "cert.rsg"
         code, _, _ = run(capsys, "search", "--n", "6", "--r", "2", "--t", "3",

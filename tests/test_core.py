@@ -13,7 +13,6 @@ from rsgraphs import (
     PreconditionError,
     distance_certificate,
     hypercube_rs,
-    induced_matching_check,
     is_bipartite,
     kneser_rs,
     parse_rsg,
@@ -64,28 +63,43 @@ class TestGraph:
         assert is_bipartite(triangle()) is None
 
 
+def inducedness_witness(g, m):
+    """Check edge list m alone through the verifier, as a one-matching decomposition.
+
+    Returns None when m is an induced matching of g, otherwise the verifier's
+    `not-a-matching` or `not-induced` witness.
+    """
+    report = verify_decomposition(MatchingDecomposition.make(g, [m], len(m)))
+    for v in report.violations:
+        if v.invariant in ("not-a-matching", "not-induced"):
+            return v.witness
+    return None
+
+
 class TestInducedMatchingCheck:
     def test_single_edge_in_triangle_passes(self):
-        assert induced_matching_check(triangle(), [(0, 1)]) is None
+        assert inducedness_witness(triangle(), [(0, 1)]) is None
 
     def test_path_middle_edge_witness(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert induced_matching_check(g, [(0, 1), (2, 3)]) == (1, 2)
+        assert inducedness_witness(g, [(0, 1), (2, 3)]) == (1, 2)
 
     def test_petersen_slice_is_induced(self):
         # the three disjoint pairs missing one fixed element form an induced matching
         dec = kneser_rs(2)
         for m in dec.matchings:
-            assert induced_matching_check(dec.graph, m) is None
+            assert inducedness_witness(dec.graph, m) is None
 
-    def test_edge_not_in_graph_raises(self):
+    def test_edge_not_in_graph_is_witnessed(self):
         g = Graph.from_edges(4, [(0, 1)])
-        with pytest.raises(GraphError):
-            induced_matching_check(g, [(2, 3)])
+        report = verify_decomposition(MatchingDecomposition.make(g, [[(2, 3)]], 1))
+        assert [(v.invariant, v.witness) for v in report.violations
+                if v.invariant == "edge-not-in-graph"] == [("edge-not-in-graph", (2, 3))]
+        assert inducedness_witness(g, [(2, 3)]) is None
 
     def test_shared_endpoint_is_witnessed(self):
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
-        assert induced_matching_check(g, [(0, 1), (0, 2)]) == (0, 2)
+        assert inducedness_witness(g, [(0, 1), (0, 2)]) == (0, 2)
 
     def test_exhaustive_agreement_n5(self):
         # every graph on 5 vertices, every candidate matching of <= 2 edges
@@ -97,7 +111,7 @@ class TestInducedMatchingCheck:
             g = Graph.from_edges(5, edges)
             for size in (1, 2):
                 for m in itertools.combinations(edges, size):
-                    got = induced_matching_check(g, list(m)) is None
+                    got = inducedness_witness(g, list(m)) is None
                     assert got == brute_force_induced_matching(g, m)
 
     @settings(max_examples=300, deadline=None)
@@ -110,7 +124,7 @@ class TestInducedMatchingCheck:
         size = data.draw(st.integers(1, min(3, len(edges))))
         m = data.draw(st.lists(st.sampled_from(sorted(g.edges)), min_size=size,
                                max_size=size, unique=True))
-        got = induced_matching_check(g, m) is None
+        got = inducedness_witness(g, m) is None
         assert got == brute_force_induced_matching(g, m)
 
 

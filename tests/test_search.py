@@ -1,14 +1,18 @@
 """Search tests: soundness of certificates, agreement with the hard cap,
-and cross-checks between the pruned and unpruned explorations."""
+cross-checks between the pruned and unpruned explorations, pinned node
+counts, and the incremental search state against the verifier."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsgraphs import (
     Budget,
     Graph,
     INDETERMINATE,
+    MatchingDecomposition,
     ParameterError,
     SAT,
     UNSAT,
@@ -19,6 +23,7 @@ from rsgraphs import (
     max_t_on_graph,
     verify_decomposition,
 )
+from rsgraphs.search import _State
 
 FAST = Budget(max_nodes=500_000, max_seconds=20.0)
 
@@ -104,6 +109,69 @@ class TestSearchConsistency:
                         continue
                     out = exists_rs(n, r, t, eq1_shortcut=False, budget=FAST)
                     assert out.verdict != SAT, (n, r, t)
+
+
+class TestSearchSpace:
+    """Node counts pinned so that a change to pruning or ordering states its effect."""
+
+    @pytest.mark.parametrize("args, kwargs, nodes", [
+        ((8, 2, 8), {}, 59_835),
+        ((7, 2, 5), {"eq1_shortcut": False}, 1_754),
+        ((6, 2, 4), {"eq1_shortcut": False}, 142),
+    ])
+    def test_unsat_node_count(self, args, kwargs, nodes):
+        out = exists_rs(*args, **kwargs)
+        assert (out.verdict, out.nodes_explored) == (UNSAT, nodes)
+
+
+def _masks(n, t, matchings):
+    """The masks a `_State` should hold for these matchings, rebuilt from scratch."""
+    incidence, nbr, members = [0] * n, [0] * n, [0] * t
+    for i, m in enumerate(matchings):
+        for x, y in m:
+            incidence[x] |= 1 << i
+            incidence[y] |= 1 << i
+            nbr[x] |= 1 << y
+            nbr[y] |= 1 << x
+            members[i] |= (1 << x) | (1 << y)
+    used = max((y + 1 for m in matchings for _, y in m), default=0)
+    return incidence, nbr, members, used
+
+
+class TestStateOracle:
+    """`_State`'s three mask tests against the verifier, the package's root of trust."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_try_add_and_remove_match_verifier(self, data):
+        n = data.draw(st.integers(2, 8))
+        t = data.draw(st.integers(1, 4))
+        pairs = list(itertools.combinations(range(n), 2))
+        state = _State(n, t)
+        matchings = [[] for _ in range(t)]
+        added = []
+        for _ in range(data.draw(st.integers(1, 40))):
+            if added and data.draw(st.booleans()):
+                i, x, y, prev_used = added.pop()
+                state.remove(i, x, y, prev_used)
+                matchings[i].remove((x, y))
+                assert (state.incidence, state.nbr, state.members, state.used) == \
+                    _masks(n, t, matchings)
+                continue
+            i = data.draw(st.integers(0, t - 1))
+            x, y = data.draw(st.sampled_from(pairs))
+            trial = [list(m) + [(x, y)] * (j == i) for j, m in enumerate(matchings)]
+            graph = Graph.from_edges(n, [e for m in trial for e in m])
+            report = verify_decomposition(MatchingDecomposition.make(graph, trial, 0))
+            expected = not any(v.invariant in ("not-a-matching", "not-induced", "not-edge-disjoint")
+                               for v in report.violations)
+            prev_used = state.used
+            assert state.try_add(i, x, y) == expected, (matchings, i, (x, y))
+            if expected:
+                matchings[i].append((x, y))
+                added.append((i, x, y, prev_used))
+            assert (state.incidence, state.nbr, state.members, state.used) == \
+                _masks(n, t, matchings)
 
 
 class TestMaxTOnGraph:
