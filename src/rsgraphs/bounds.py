@@ -10,7 +10,7 @@ as checkable assertions rather than asymptotics.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -254,6 +254,152 @@ class AuditReport:
         }
 
 
+# The claim check runs its BFS from this many sources at a time: its memory is
+# a few |F|-long lists of SOURCE_BLOCK-bit ints, whatever the size of F.
+SOURCE_BLOCK = 256
+
+
+def _bfs(nbrs, source):
+    """Distance from source to every vertex it reaches, in BFS discovery order."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in nbrs[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def _claim_violations(nbrs, incidence):
+    """Every failing distance claim (v, u, k, overlap) on the graph nbrs.
+
+    Vertices are indices into nbrs (lists of neighbour indices) and
+    incidence (the matching set A_v of each vertex as a bitmask).  For u at
+    distance k from v the claim is |A_u cap A_v| <= k for odd k and
+    |A_u minus A_v| <= k for even k.  Violations come ordered by source v,
+    then by discovery order of a BFS from v that walks nbrs in list order.
+    """
+    degree = [a.bit_count() for a in incidence]
+    covering = [[m for m in range(a.bit_length()) if a >> m & 1] for a in incidence]
+    columns = max(incidence, default=0).bit_length()
+    side = [None] * len(nbrs)
+    local = [0] * len(nbrs)            # each vertex's index in its part
+    hit_sources = []
+    for root in range(len(nbrs)):
+        if side[root] is not None:
+            continue
+        # the sides of a bipartite component alternate by level; a lone vertex
+        # or a component with an odd cycle is one part, its own partner
+        parts = ([], [])
+        for u, k in _bfs(nbrs, root).items():
+            side[u] = k % 2
+            parts[k % 2].append(u)
+        if not parts[1] or any(side[u] == side[w] for part in parts for u in part for w in nbrs[u]):
+            parts = (parts[0] + parts[1],)
+        for part in parts:
+            for i, u in enumerate(part):
+                local[u] = i
+        hit_sources += _component_hits(parts, nbrs, local, covering, degree, columns)
+
+    # slow path, for the few sources with a failing claim: recheck every
+    # vertex in discovery order to list the witnesses
+    violations = []
+    for v in sorted(set(hit_sources)):
+        av = incidence[v]
+        for u, k in _bfs(nbrs, v).items():
+            overlap = (incidence[u] & (av if k % 2 else ~av)).bit_count()
+            if overlap > k:
+                violations.append((v, u, k, overlap))
+    return violations
+
+
+def _overlap_planes(targets, covering, degree, col):
+    """For each target u, c_u(v) = |A_u cap A_v| over a block's sources v, as bit-planes.
+
+    col[m] holds the block's sources covered by matching m; c_u is the sum of
+    col[m] over m in A_u, kept as bitsets planes[p] = bit p of c_u.
+    """
+    out = []
+    for u in targets:
+        planes = [0] * degree[u].bit_length()
+        for m in covering[u]:
+            carry, p = col[m], 0
+            while carry:
+                planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                p += 1
+        out.append(planes)
+    return out
+
+
+def _component_hits(parts, nbrs, local, covering, degree, columns):
+    """Sources of one component of F with a failing claim.
+
+    parts is the component's two sides when it is bipartite, else the whole
+    component as one part.  Level k from a source in parts[s] lies in
+    parts[(s + k) % len(parts)], so each BFS level walks one part.  Claims
+    across the two sides are at odd k and symmetric in u and v: they are
+    checked from the sources in parts[0] only, and a failing one marks its
+    target as a failing source too.
+    """
+    part_nbrs = [[[local[w] for w in nbrs[u]] for u in part] for part in parts]
+    part_degree = [[degree[u] for u in part] for part in parts]
+    depth = max(map(max, part_degree))
+    sides = len(parts)
+    found = []
+    for s, sources in enumerate(parts):
+        skip = 0 if s == 1 else None           # the part whose claims were checked from parts[0]
+        for lo in range(0, len(sources), SOURCE_BLOCK):
+            block = sources[lo:lo + SOURCE_BLOCK]
+            ones = (1 << len(block)) - 1
+            col = [0] * columns                # col[m]: the block's sources in V_m
+            for j, v in enumerate(block):
+                for m in covering[v]:
+                    col[m] |= 1 << j
+            planes = [_overlap_planes(part, covering, degree, col) if q != skip else None
+                      for q, part in enumerate(parts)]
+            front = [[0] * len(part) for part in parts]
+            unseen = [[ones] * len(part) for part in parts]
+            for j in range(len(block)):
+                front[s][lo + j] = 1 << j
+                unseen[s][lo + j] = ones ^ 1 << j
+            hits = 0
+            # overlaps are at most min(d_u, d_v), so no claim at k >= d_u can fail
+            for k in range(1, depth):
+                q = (s + k) % sides
+                prev = front[(s + k - 1) % sides]
+                open_ = unseen[q]
+                new = [0] * len(open_)
+                for i, ws in enumerate(part_nbrs[q]):
+                    reached = 0
+                    for w in ws:
+                        reached |= prev[w]
+                    reached &= open_[i]
+                    if not reached:
+                        continue
+                    new[i] = reached
+                    open_[i] ^= reached
+                    d = part_degree[q][i]
+                    if k < d and q != skip:
+                        # over: sources with c > bound, the carry out of
+                        # c + (2^P - 1 - bound) over the P planes
+                        bound = k if k % 2 else d - k - 1
+                        over = 0
+                        for p, x in enumerate(planes[q][i]):
+                            over = over & x if bound >> p & 1 else over | x
+                        bad = reached & (over if k % 2 else ~over)
+                        if bad:
+                            hits |= bad
+                            if q != s:
+                                found.append(parts[q][i])
+                if not any(new):
+                    break
+                front[q] = new
+            found.extend(v for j, v in enumerate(block) if hits >> j & 1)
+    return found
+
+
 def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     """Run the r = n/4 proof machinery as concrete checks on one decomposition.
 
@@ -263,7 +409,21 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     from the degree-sum >= t subgraph and report whether anything survives;
     (d) for u, v in the surviving subgraph F at odd distance k the matching
     incidence sets satisfy |A_u cap A_v| <= k, at even k |A_u minus A_v| <= k;
-    (e) informational layer sizes against binomial floors.
+    (e) informational layer sizes against binomial floors, from a BFS out of
+    the first F vertex.
+
+    (d) runs a BFS from SOURCE_BLOCK sources of F at once, block after block,
+    which bounds its memory.  Each F vertex holds an int bitset of the block's
+    sources that reached it, and level k + 1 at u is the OR of level k over
+    u's F-neighbours, minus the sources seen before.  F is bipartite (it lies
+    in the audited graph), so a level from sources on one side lies wholly on
+    one side.  For each target u the overlaps |A_u cap A_v| with the block's
+    sources v are summed as bit-planes of the matching columns in A_u, so
+    each (u, k) claim is one compare against a constant.  The overlap is at
+    most min(d_u, d_v), so no claim at k >= D, the largest |A_v| on F, can
+    fail and the BFS stops at depth D - 1.  A source with a failing claim is
+    walked again by a plain BFS, which lists its witnesses in the order of a
+    per-source check: by source, then by discovery order.
     """
     report = verify_decomposition(dec)
     if not report.passed:
@@ -324,50 +484,39 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     s_prime = Fraction(e1, n) if n else Fraction(0)
     threshold = Fraction(t, 8)
 
-    # H: edges with degree sum >= t; then iteratively strip H-degree < t/8
-    h_adj = [set() for _ in range(n)]
+    # H: edges with degree sum >= t, neighbour lists only for vertices with an
+    # H edge; then iteratively strip H-degree < t/8
+    h_adj = defaultdict(list)
     for u, v in g.edges:
         if deg[u] + deg[v] >= t:
-            h_adj[u].add(v)
-            h_adj[v].add(u)
-    alive = set(v for v in range(n) if h_adj[v])
+            h_adj[u].append(v)
+            h_adj[v].append(u)
+    alive = set(h_adj)
     changed = True
     while changed:
         changed = False
         for v in sorted(alive):
             d = sum(1 for w in h_adj[v] if w in alive)
-            if Fraction(d) < threshold:
+            if 8 * d < t:
                 alive.discard(v)
                 changed = True
     f_vertices = sorted(alive)
-    f_degrees = {v: sum(1 for w in h_adj[v] if w in alive) for v in f_vertices}
-    achieved = min(f_degrees.values()) if f_degrees else 0
+    index = {v: i for i, v in enumerate(f_vertices)}
+    # F-index neighbour lists, each in the iteration order of a set of the
+    # vertex's H-neighbours filled in edge order: this fixes the BFS order in
+    # which bfs_violations are listed
+    nbrs = [[index[w] for w in set(h_adj[v]) if w in alive] for v in f_vertices]
+    f_incidence = [incidence[v] for v in f_vertices]
+    achieved = min(map(len, nbrs), default=0)
+    # nothing below reads the audited graph: drop it (and a double cover
+    # built above) before the claim check allocates its bitsets
+    del dec, g, deg, incidence, h_adj, index, alive
 
     # (d) BFS distance claims inside F
-    full_mask = (1 << t) - 1
-    bfs_violations = []
-    index_in_f = {v: i for i, v in enumerate(f_vertices)}
-    first_layers = None
-    for v in f_vertices:
-        dist = {v: 0}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in h_adj[u]:
-                if w in alive and w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if first_layers is None:
-            sizes = Counter(dist.values())
-            first_layers = [sizes[i] for i in range(max(sizes) + 1)] if sizes else []
-        av = incidence[v]
-        for u, k in dist.items():
-            if k % 2 == 1:
-                overlap = (incidence[u] & av).bit_count()
-            else:
-                overlap = (incidence[u] & ~av & full_mask).bit_count()
-            if overlap > k:
-                bfs_violations.append((v, u, k, overlap))
+    bfs_violations = [
+        (f_vertices[v], f_vertices[u], k, overlap)
+        for v, u, k, overlap in _claim_violations(nbrs, f_incidence)
+    ]
     assertions.append((
         "bfs-distance-claims",
         PASS if not bfs_violations else FAIL,
@@ -376,11 +525,12 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     ))
 
     layers = []
-    if first_layers:
+    if f_vertices:
+        sizes = Counter(_bfs(nbrs, 0).values())
         s_int = t // 8
-        for i, size in enumerate(first_layers):
+        for i in range(max(sizes) + 1):
             floor_val = math.comb(s_int, i) if i <= s_int else 0
-            layers.append(LayerRow(i, size, floor_val, size >= floor_val))
+            layers.append(LayerRow(i, sizes[i], floor_val, sizes[i] >= floor_val))
 
     return AuditReport(
         n=n, r=r, t=t, doubled=doubled,

@@ -15,7 +15,7 @@ an audit) costs nothing.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -81,17 +81,28 @@ class Graph:
 
 
 def is_bipartite(g: Graph):
-    """Return a 0/1 coloring list if g is bipartite, else None."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
+    """Return a 0/1 coloring list if g is bipartite, else None.
+
+    Adjacency lists come from the edge list and cover only vertices with an
+    edge, so an isolated vertex costs one list entry and keeps color 0.  Each
+    component's coloring is fixed by giving its smallest vertex color 0.
+    """
+    adj = defaultdict(list)
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    color = [0] * g.n
+    seen = set()
+    for start in sorted(adj):
+        if start in seen:
             continue
-        color[start] = 0
+        seen.add(start)
         queue = [start]
         while queue:
             u = queue.pop()
-            for w in g.adjacency[u]:
-                if color[w] < 0:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
                     color[w] = 1 - color[u]
                     queue.append(w)
                 elif color[w] == color[u]:

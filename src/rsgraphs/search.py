@@ -182,6 +182,9 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
     matchings = [list(seed)]
     nodes = 0
     deadline = started + budget.max_seconds
+    # the clock is read every 4096 nodes; a deadline already passed stops the
+    # search at its first node, as max_nodes = 0 does
+    max_nodes = 1 if time.monotonic() >= deadline else budget.max_nodes
 
     def candidates(after):
         """Edges > after in lex order, respecting the smallest-unused-label rule."""
@@ -212,7 +215,7 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
         start = last if last is not None else first_floor
         for x, y in candidates(start):
             nodes += 1
-            if nodes >= budget.max_nodes:
+            if nodes >= max_nodes:
                 raise _BudgetExceeded
             if not nodes % 4096 and time.monotonic() > deadline:
                 raise _BudgetExceeded
@@ -294,11 +297,12 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
     pool = _enumerate_induced_matchings(g, r)
     nodes = 0
     deadline = started + budget.max_seconds
+    max_nodes = 1 if time.monotonic() >= deadline else budget.max_nodes   # as in exists_rs
 
     def tick():
         nonlocal nodes
         nodes += 1
-        if nodes >= budget.max_nodes or (not nodes % 4096 and time.monotonic() > deadline):
+        if nodes >= max_nodes or (not nodes % 4096 and time.monotonic() > deadline):
             raise _BudgetExceeded
 
     if exact_cover:

@@ -1,0 +1,349 @@
+"""The bit-parallel expansion audit against the per-source audit it replaced.
+
+`per_source_audit` is the package's earlier `expansion_audit`, kept verbatim
+as a test-only reference, with its H-and-strip step factored out as
+`per_source_core` and its BFS claim loop as `per_source_claims`.  That loop runs one dict-and-deque BFS from every
+vertex of F and tests every reached pair.  The package must agree with it
+field for field, witnesses and their order included.
+
+The oracle costs seconds per instance from about a thousand audited vertices
+up, so the largest sweep instances are compared through SHA-256 digests of
+the oracle's `to_dict()` JSON, recorded from `per_source_audit`; every other
+instance is compared live.
+"""
+
+import hashlib
+import json
+import math
+from collections import Counter, deque
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rsgraphs import (
+    MatchingDecomposition,
+    Graph,
+    PreconditionError,
+    ap_free_set,
+    cayley_rs,
+    disjoint_union,
+    double_cover,
+    expansion_audit,
+    hypercube_rs,
+    is_bipartite,
+    kneser_rs,
+    verify_decomposition,
+)
+from rsgraphs import bounds
+from rsgraphs.bounds import FAIL, NOT_APPLICABLE, PASS, AuditReport, LayerRow
+from rsgraphs.search import _State
+
+
+def per_source_claims(f_vertices, h_adj, alive, incidence, t):
+    full_mask = (1 << t) - 1
+    bfs_violations = []
+    first_layers = None
+    for v in f_vertices:
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in h_adj[u]:
+                if w in alive and w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if first_layers is None:
+            sizes = Counter(dist.values())
+            first_layers = [sizes[i] for i in range(max(sizes) + 1)] if sizes else []
+        av = incidence[v]
+        for u, k in dist.items():
+            if k % 2 == 1:
+                overlap = (incidence[u] & av).bit_count()
+            else:
+                overlap = (incidence[u] & ~av & full_mask).bit_count()
+            if overlap > k:
+                bfs_violations.append((v, u, k, overlap))
+    return bfs_violations, first_layers
+
+
+def per_source_core(g, deg, t):
+    n = g.n
+    threshold = Fraction(t, 8)
+    h_adj = [set() for _ in range(n)]
+    for u, v in g.edges:
+        if deg[u] + deg[v] >= t:
+            h_adj[u].add(v)
+            h_adj[v].add(u)
+    alive = set(v for v in range(n) if h_adj[v])
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(alive):
+            d = sum(1 for w in h_adj[v] if w in alive)
+            if Fraction(d) < threshold:
+                alive.discard(v)
+                changed = True
+    return h_adj, alive
+
+
+def per_source_audit(dec: MatchingDecomposition) -> AuditReport:
+    report = verify_decomposition(dec)
+    if not report.passed:
+        raise PreconditionError("expansion_audit requires a verified decomposition")
+
+    doubled = False
+    if is_bipartite(dec.graph) is None:
+        dec = double_cover(dec)
+        doubled = True
+
+    g = dec.graph
+    n, t, r = g.n, dec.t, dec.r
+    deg = g.degrees
+
+    incidence = [0] * n
+    for i, m in enumerate(dec.matchings):
+        bit = 1 << i
+        for u, v in m:
+            incidence[u] |= bit
+            incidence[v] |= bit
+
+    assertions = []
+
+    bad = [v for v in range(n) if incidence[v].bit_count() != deg[v]]
+    assertions.append((
+        "incidence-degree",
+        PASS if not bad else FAIL,
+        "|A_v| = d_v for every vertex" if not bad else f"first offender vertex {bad[0]}",
+    ))
+
+    classes = Counter()
+    for u, v in g.edges:
+        classes[deg[u] + deg[v] - t] += 1
+    e1 = classes.get(1, 0)
+    e0 = classes.get(0, 0)
+    over = [i for i in classes if i > 1]
+    assertions.append((
+        "degree-sum-classes",
+        PASS if not over else FAIL,
+        "no edge exceeds degree sum t + 1" if not over else f"classes above +1 present: {sorted(over)}",
+    ))
+
+    quarter = 4 * r == n
+    if quarter:
+        ok = 4 * (2 * e1 + e0) >= n * t
+        assertions.append((
+            "cauchy-schwarz",
+            PASS if ok else FAIL,
+            f"2*E1 + E0 = {2 * e1 + e0} vs nt/4 = {Fraction(n * t, 4)}",
+        ))
+    else:
+        assertions.append((
+            "cauchy-schwarz", NOT_APPLICABLE, f"r = {r} != n/4 = {Fraction(n, 4)}",
+        ))
+
+    s = Fraction(e1 + e0, n) if n else Fraction(0)
+    s_prime = Fraction(e1, n) if n else Fraction(0)
+    threshold = Fraction(t, 8)
+
+    h_adj, alive = per_source_core(g, deg, t)
+    f_vertices = sorted(alive)
+    f_degrees = {v: sum(1 for w in h_adj[v] if w in alive) for v in f_vertices}
+    achieved = min(f_degrees.values()) if f_degrees else 0
+
+    bfs_violations, first_layers = per_source_claims(f_vertices, h_adj, alive, incidence, t)
+    assertions.append((
+        "bfs-distance-claims",
+        PASS if not bfs_violations else FAIL,
+        "incidence overlaps bounded by distance on F"
+        if not bfs_violations else f"{len(bfs_violations)} offending pairs, first {bfs_violations[0]}",
+    ))
+
+    layers = []
+    if first_layers:
+        s_int = t // 8
+        for i, size in enumerate(first_layers):
+            floor_val = math.comb(s_int, i) if i <= s_int else 0
+            layers.append(LayerRow(i, size, floor_val, size >= floor_val))
+
+    return AuditReport(
+        n=n, r=r, t=t, doubled=doubled,
+        edge_classes=dict(classes),
+        e1=e1, e0=e0, s=s, s_prime=s_prime,
+        f_min_degree_threshold=threshold,
+        f_vertex_count=len(f_vertices),
+        f_achieved_min_degree=achieved,
+        assertions=tuple(assertions),
+        bfs_violations=tuple(bfs_violations),
+        layers=tuple(layers),
+    )
+
+
+def sweep():
+    """The acceptance sweep (tests/test_acceptance.py) and its covers, by name."""
+    base = (
+        [(f"kneser{k}", lambda k=k: kneser_rs(k)) for k in range(1, 5)]
+        + [(f"q{k}", lambda k=k: hypercube_rs(k)) for k in range(2, 11)]
+        + [(f"q{k}aug", lambda k=k: hypercube_rs(k, augmented=True)) for k in (2, 4, 6, 8, 10)]
+    )
+    covers = [(f"cover-{name}", lambda make=make: double_cover(make())) for name, make in base]
+    extra = [
+        ("cayley41", lambda: cayley_rs(41, ap_free_set("greedy-base3", 13))),
+        ("union-kneser2x3", lambda: disjoint_union(kneser_rs(2), 3)),
+    ]
+    return dict(base + covers + extra)
+
+
+SWEEP = sweep()
+
+# sha256 of json.dumps(per_source_audit(dec).to_dict(), sort_keys=True)
+ORACLE_DIGESTS = {
+    "q10": "c15a1f903a7018b493cdd80bc4a832fefc96d9d8af08ff2d15f44a12c7875199",
+    "cover-q9": "ae9d81db502f3ef402b52a1678440344e178269cda9c944ad991eae0f071f761",
+    "cover-q10": "9df259af6ac501ff41a20f1377672679fcf34bd5547c74d74cf464c2b2ed7976",
+    "q10aug": "100541d369a326b9e3beb8e6a160600d3069c3634770628a519b90e4e9c7de32",
+    "cover-q10aug": "1a0d488d9482edda61e4d1d735fd619ce9f75118643b5e39479576f5a64930fb",
+}
+
+
+def digest(report):
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+class TestSweep:
+    @pytest.mark.parametrize("name", sorted(set(SWEEP) - set(ORACLE_DIGESTS)))
+    def test_against_oracle(self, name):
+        dec = SWEEP[name]()
+        assert expansion_audit(dec).to_dict() == per_source_audit(dec).to_dict()
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_DIGESTS))
+    def test_against_recorded_oracle(self, name):
+        assert digest(expansion_audit(SWEEP[name]())) == ORACLE_DIGESTS[name]
+
+    def test_kneser5(self):
+        dec = kneser_rs(5)
+        assert expansion_audit(dec).to_dict() == per_source_audit(dec).to_dict()
+
+
+def random_decomposition(n, r, t, rng):
+    """Up to t induced matchings of size r on n vertices, grown edge by edge at random."""
+    state = _State(n, t)
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    matchings = []
+    for i in range(t):
+        rng.shuffle(pairs)
+        cur = []
+        for x, y in pairs:
+            if state.try_add(i, x, y):
+                cur.append((x, y))
+                if len(cur) == r:
+                    break
+        if len(cur) < r:
+            break
+        matchings.append(cur)
+    graph = Graph.from_edges(n, [e for m in matchings for e in m])
+    return MatchingDecomposition.make(graph, matchings, r)
+
+
+class TestRandomDecompositions:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 14), data=st.data(), rng=st.randoms(use_true_random=False))
+    def test_against_oracle(self, n, data, rng):
+        r = data.draw(st.integers(1, n // 2))
+        t = data.draw(st.integers(1, 12))
+        dec = random_decomposition(n, r, t, rng)
+        assert verify_decomposition(dec).passed
+        assert expansion_audit(dec).to_dict() == per_source_audit(dec).to_dict()
+
+
+class TestWitnessOrder:
+    """bfs_violations are listed in BFS discovery order, so the claim BFS must
+    walk each F vertex's neighbours in the order the oracle's H sets list them."""
+
+    def check(self, dec):
+        got = []
+        real = bounds._claim_violations
+        bounds._claim_violations = lambda nbrs, incidence: got.append(nbrs) or real(nbrs, incidence)
+        try:
+            expansion_audit(dec)
+        finally:
+            bounds._claim_violations = real
+        if is_bipartite(dec.graph) is None:
+            dec = double_cover(dec)
+        h_adj, alive = per_source_core(dec.graph, dec.graph.degrees, dec.t)
+        f_vertices = sorted(alive)
+        index = {v: i for i, v in enumerate(f_vertices)}
+        (nbrs,) = got
+        want = [[index[w] for w in h_adj[v] if w in alive] for v in f_vertices]
+        assert nbrs == want
+
+    @pytest.mark.parametrize("name", ["cover-kneser4", "q8aug", "cayley41", "union-kneser2x3"])
+    def test_sweep(self, name):
+        self.check(SWEEP[name]())
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 14), data=st.data(), rng=st.randoms(use_true_random=False))
+    def test_random(self, n, data, rng):
+        r = data.draw(st.integers(1, n // 2))
+        self.check(random_decomposition(n, r, data.draw(st.integers(1, 12)), rng))
+
+
+def oracle_claims(nbrs, incidence):
+    size = len(nbrs)
+    t = max(incidence, default=0).bit_length()
+    violations, _ = per_source_claims(range(size), nbrs, set(range(size)), incidence, t)
+    return violations
+
+
+def run_claims(nbrs, incidence, block):
+    """`bounds._claim_violations` with SOURCE_BLOCK = block, and the sources its bitset pass flagged."""
+    flagged = set()
+    real, saved = bounds._component_hits, bounds.SOURCE_BLOCK
+    bounds.SOURCE_BLOCK = block
+    bounds._component_hits = lambda *args: flagged.update(found := real(*args)) or found
+    try:
+        return bounds._claim_violations(nbrs, incidence), flagged
+    finally:
+        bounds.SOURCE_BLOCK, bounds._component_hits = saved, real
+
+
+class TestClaimRoutine:
+    """`bounds._claim_violations` on hand-made incidence lists that break the claims.
+
+    The bitset pass must flag exactly the sources with a failing claim: the
+    slow path would hide a false alarm, so the flags are checked directly.
+    """
+
+    # a 6-cycle 0..5 with pendant 6 on 0, a triangle 7-8-9 with pendant 10, and
+    # an isolated vertex 11; A_v over five matchings, chosen so that claims
+    # fail at odd and even distances from several sources
+    NBRS = [[1, 5, 6], [0, 2], [1, 3], [2, 4], [3, 5], [4, 0], [0],
+            [8, 9], [7, 9, 10], [7, 8], [8], []]
+    INCIDENCE = [0b11111, 0b00011, 0b11100, 0b11011, 0b00001, 0b11110, 0b10101,
+                 0b01111, 0b00110, 0b11001, 0b01110, 0b00100]
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 256])
+    def test_violations_and_order_match_oracle(self, block):
+        got, flagged = run_claims(self.NBRS, self.INCIDENCE, block)
+        want = oracle_claims(self.NBRS, self.INCIDENCE)
+        assert got == want
+        assert flagged == {v for v, _, _, _ in want}
+        assert len(flagged) >= 4
+        assert {k % 2 for _, _, k, _ in want} == {0, 1}
+        assert max(k for _, _, k, _ in want) >= 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), block=st.sampled_from([1, 3, 256]))
+    def test_random_graphs(self, data, block):
+        n = data.draw(st.integers(1, 12))
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        nbrs = [[] for _ in range(n)]
+        for x, y in edges:
+            nbrs[x].append(y)
+            nbrs[y].append(x)
+        incidence = data.draw(st.lists(st.integers(0, 2 ** 8 - 1), min_size=n, max_size=n))
+        got, flagged = run_claims(nbrs, incidence, block)
+        want = oracle_claims(nbrs, incidence)
+        assert got == want
+        assert flagged == {v for v, _, _, _ in want}

@@ -17,6 +17,7 @@ from rsgraphs import (
     hypercube_rs,
     kneser_rs,
     max_r,
+    parse_rsg,
     verify_decomposition,
 )
 from rsgraphs.bounds import FAIL, NOT_APPLICABLE, PASS
@@ -191,6 +192,14 @@ class TestExpansionAudit:
             report = expansion_audit(dec)
             assert self._assertion(report, "degree-sum-classes") == PASS
             assert self._assertion(report, "bfs-distance-claims") == PASS
+
+    def test_huge_header_builds_no_adjacency(self):
+        # the bipartiteness walk and H keep lists only for vertices with an edge
+        dec = parse_rsg("rsg 200000 0 0\n")
+        report = expansion_audit(dec)
+        assert report.passed and not report.doubled
+        assert report.f_vertex_count == 0
+        assert "adjacency" not in dec.graph.__dict__
 
     def test_unverified_rejected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

@@ -130,9 +130,10 @@ class TestSearch:
         assert "nodes=1 " in stdout
 
     def test_zero_timeout(self, capsys):
-        code, _, _ = run(capsys, "search", "--n", "12", "--r", "3", "--t", "7",
-                         "--timeout", "0")
+        code, stdout, _ = run(capsys, "search", "--n", "12", "--r", "3", "--t", "7",
+                              "--timeout", "0")
         assert code == EX_INDETERMINATE
+        assert "nodes=1 " in stdout
 
     @pytest.mark.parametrize("flag", ["--max-nodes", "--timeout"])
     def test_negative_budget_usage(self, capsys, flag):

@@ -80,6 +80,11 @@ class TestExistsRS:
         out = exists_rs(7, 2, 6, eq1_shortcut=False, budget=Budget(max_nodes=50, max_seconds=30))
         assert out.verdict == INDETERMINATE
 
+    def test_zero_time_budget_stops_at_first_node(self):
+        out = exists_rs(12, 3, 7, budget=Budget(max_seconds=0))
+        assert out.verdict == INDETERMINATE
+        assert out.nodes_explored == 1
+
     def test_kneser_tightness_witness_k1(self):
         # the smallest tight point: n = 3, t = 3, r = formula value 1
         out = exists_rs(3, 1, 3)
@@ -191,6 +196,13 @@ class TestMaxTOnGraph:
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         out = max_t_on_graph(g, 2)
         assert out.verdict == SAT and out.t == 0
+
+    def test_zero_time_budget_stops_at_first_node(self):
+        for exact_cover in (False, True):
+            out = max_t_on_graph(kneser_rs(2).graph, 3, budget=Budget(max_seconds=0),
+                                 exact_cover=exact_cover)
+            assert out.verdict == INDETERMINATE
+            assert out.nodes_explored == 1
 
     def test_packing_on_petersen(self):
         out = max_t_on_graph(kneser_rs(2).graph, 3)
