@@ -7,7 +7,7 @@ returns a report with explicit witnesses.  It is the package's one batch
 inducedness check; `search` keeps its own incremental one.
 
 The report is computed once per decomposition and cached on it, the same way
-`Graph.adjacency` is cached on a graph: a `MatchingDecomposition` is frozen,
+`Graph.degrees` is cached on a graph: a `MatchingDecomposition` is frozen,
 its graph's edges are a frozenset and `make` stores the matchings as tuples,
 so repeat verification of one object (by a construction, then a bound, then
 an audit) costs nothing.
@@ -57,14 +57,6 @@ class Graph:
         edges = frozenset(_norm_edge(u, v, n) for u, v in edge_iter)
         return cls(n, edges)
 
-    @cached_property
-    def adjacency(self):
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
@@ -73,7 +65,7 @@ class Graph:
 
     @cached_property
     def degrees(self):
-        """Vertex degrees, counted from the edge list without building `adjacency`."""
+        """Vertex degrees, counted from the edge list."""
         deg = [0] * self.n
         for v, d in Counter(chain.from_iterable(self.edges)).items():
             deg[v] = d

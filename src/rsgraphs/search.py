@@ -18,6 +18,32 @@ Symmetry reduction (all reachable up to relabeling, so UNSAT stays exhaustive):
   * edges within a matching are generated in increasing lexicographic order
     and the first edges of successive matchings strictly increase.
 Every SAT certificate is re-verified before being returned.
+
+The search is a loop over an explicit stack, so its depth is not bounded by
+Python's recursion limit.  Every matching holds exactly r edges, so depth d
+(edges placed, the pinned first matching included) fixes the matching index
+i = d // r.  The path holds each placed edge with the label counter before
+it; beside it, each open depth keeps a cursor: the row x, the next y, the
+row's remaining mask of passing y and the depth's fixed values.
+While a depth is open its state only changes below it and is restored on
+return, so on entry it computes B_i = V_i | N(V_i) once: the three tests of
+`try_add` fail for (x, y) exactly when x or y lies in B_i or y lies in some
+V_j with j in A_x.  A row x in B_i fails whole, and the passing y of any
+other row are one mask (`_State.row_mask`), walked by lowest set bit.
+
+Nodes are counted as before, one per candidate edge generated, passing or
+not, so a candidate skipped by a mask still counts: node counts, budget
+stops and the pinned counts in the tests describe the same search space as
+a per-candidate loop.  A node budget stops at exactly its node; the clock is
+read whenever the count crosses a multiple of 4096.
+
+`max_t_on_graph` indexes the graph's edges in sorted order and holds each
+induced matching and the used edges as int edge masks.  `_cover` branches on
+the lowest uncovered edge, the lowest zero bit of the used mask; `_pack`
+keeps the count of free edges for its bound.  The pool of induced matchings
+is enumerated first, by a walk that carries the mask of later edges
+compatible with the matching so far and drops a branch once too few are
+left; it reads the clock every 4096 steps, so a time budget also bounds it.
 """
 
 from __future__ import annotations
@@ -42,6 +68,8 @@ INDETERMINATE = "INDETERMINATE"
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_TIME_BUDGET = 60.0
 
+CLOCK_PERIOD = 4096            # nodes (or pool steps) between reads of the clock
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -64,6 +92,12 @@ class Budget:
             return cls(max_nodes=max_nodes)
         return cls()
 
+    def exhausted(self, timed_out: bool, nodes: int) -> str:
+        """The INDETERMINATE note: which budget ran out, after how many nodes."""
+        if timed_out:
+            return f"time budget exhausted ({self.max_seconds:g} s, {nodes} nodes)"
+        return f"node budget exhausted ({nodes} nodes)"
+
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -85,10 +119,6 @@ class SearchOutcome:
 
 
 class _BudgetExceeded(Exception):
-    pass
-
-
-class _Found(Exception):
     pass
 
 
@@ -116,17 +146,21 @@ class _State:
             return False               # endpoint already matched in M_i
         if ax & ay:
             return False               # edge would sit inside some V_j (or already exists)
-        nbr = self.nbr
-        if (nbr[x] | nbr[y]) & self.members[i]:
+        if (self.nbr[x] | self.nbr[y]) & self.members[i]:
             return False               # an endpoint joins V_i while adjacent to it
-        self.incidence[x] = ax | bit
-        self.incidence[y] = ay | bit
-        nbr[x] |= 1 << y
-        nbr[y] |= 1 << x
+        self.add(i, x, y)
+        return True
+
+    def add(self, i, x, y):
+        """Add edge (x, y) to matching i; the caller has made `try_add`'s tests."""
+        bit = 1 << i
+        self.incidence[x] |= bit
+        self.incidence[y] |= bit
+        self.nbr[x] |= 1 << y
+        self.nbr[y] |= 1 << x
         self.members[i] |= (1 << x) | (1 << y)
         if y >= self.used:
             self.used = y + 1
-        return True
 
     def remove(self, i, x, y, prev_used):
         bit = 1 << i
@@ -136,6 +170,35 @@ class _State:
         self.nbr[y] ^= 1 << x
         self.members[i] ^= (1 << x) | (1 << y)
         self.used = prev_used
+
+    def blocked(self, i):
+        """B_i = V_i | N(V_i): an endpoint in it fails test 1 or test 3 of `try_add`."""
+        nbr = self.nbr
+        rest = b = self.members[i]
+        while rest:
+            low = rest & -rest
+            b |= nbr[low.bit_length() - 1]
+            rest ^= low
+        return b
+
+    def row_mask(self, x, lo, hi, blocked):
+        """The y in lo..hi (x < lo) for which `try_add(i, x, y)` would succeed, as a mask.
+
+        `blocked` is `self.blocked(i)`.  Test 2 fails exactly when y lies in
+        some V_j with j in A_x, so the mask costs min(|A_x|, hi - lo + 1) steps.
+        """
+        if blocked >> x & 1:
+            return 0
+        rest = self.incidence[x]
+        if hi - lo < rest.bit_count():
+            inc = self.incidence
+            return sum(1 << y for y in range(lo, hi + 1) if not inc[y] & rest) & ~blocked
+        members = self.members
+        while rest:
+            low = rest & -rest
+            blocked |= members[low.bit_length() - 1]
+            rest ^= low
+        return ((1 << (hi + 1)) - 1) >> lo << lo & ~blocked
 
 
 def _trivial_outcome(n, r, t, started):
@@ -179,69 +242,109 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
         if not state.try_add(0, x, y):
             return SearchOutcome(UNSAT, wall_time=time.monotonic() - started,
                                  note="canonical first matching infeasible")
-    matchings = [list(seed)]
-    nodes = 0
     deadline = started + budget.max_seconds
-    # the clock is read every 4096 nodes; a deadline already passed stops the
-    # search at its first node, as max_nodes = 0 does
-    max_nodes = 1 if time.monotonic() >= deadline else budget.max_nodes
+    # a deadline already passed stops the search at its first node, as
+    # max_nodes = 0 and max_nodes = 1 do
+    timed_out = time.monotonic() >= deadline
+    max_nodes = 1 if timed_out else max(budget.max_nodes, 1)
 
-    def candidates(after):
-        """Edges > after in lex order, respecting the smallest-unused-label rule."""
+    # placed edges, one per depth d, as (x, y, prev_used); the seed fills
+    # depths 0..r-1 and is never removed
+    path = [(x, y, None) for x, y in seed]
+    cursors = []                       # suspended cursor of each depth from r to the open one
+    nodes = 0
+    clock_at = CLOCK_PERIOD            # the node at which the clock is read next
+    limit = min(clock_at, max_nodes)
+    d = r
+    verdict = None
+    while verdict is None:
+        if d == t * r:
+            verdict = SAT
+            break
+        # open depth d: candidates are the edges after `lo` in lex order
+        i = d // r
+        if d % r:
+            lo = path[d - 1]
+        elif matching_order_pruning:
+            lo = path[d - r]
+        else:
+            lo = None
+        x, y = (lo[0], lo[1] + 1) if lo else (0, 1)
         u = state.used
-        lo_x, lo_y = after if after is not None else (-1, -1)
         top = min(u, n - 1)
-        for x in range(max(lo_x, 0), top + 1):
-            y_start = x + 1
-            if x == lo_x:
-                y_start = max(y_start, lo_y + 1)
+        blocked = state.blocked(i)
+        ok = -1                        # row x not yet masked
+        while True:
+            # find the next passing candidate (cx, take) of this depth and
+            # the number k of candidates generated up to it
+            cx, take = x, -1
+            if x > top:
+                if not cursors:
+                    verdict = UNSAT
+                    break
+                d -= 1
+                px, py, prev_used = path.pop()
+                i, x, y, ok, top, u, blocked = cursors.pop()
+                state.remove(i, px, py, prev_used)
+                continue
             if x == u:
-                # both endpoints new: forced to be the two smallest unused labels
-                if x + 1 < n and (after is None or (x, x + 1) > after):
-                    yield (x, x + 1)
-                return
-            for y in range(y_start, top + 1):
-                yield (x, y)
-
-    def extend(i, cur, last, first_floor):
-        nonlocal nodes
-        if len(cur) == r:
-            matchings.append(list(cur))
-            if len(matchings) == t:
-                raise _Found
-            extend(i + 1, [], None, cur[0] if matching_order_pruning else None)
-            matchings.pop()
-            return
-        start = last if last is not None else first_floor
-        for x, y in candidates(start):
-            nodes += 1
-            if nodes >= max_nodes:
-                raise _BudgetExceeded
-            if not nodes % 4096 and time.monotonic() > deadline:
-                raise _BudgetExceeded
+                # both endpoints new: forced to be the two smallest unused
+                # labels; lo's labels are used, so (x, x + 1) comes after lo
+                k = 0
+                if x + 1 < n:
+                    k, take = 1, x + 1
+                x = top + 1
+            else:
+                if ok < 0:
+                    ok = state.row_mask(x, y, top, blocked) if y <= top else 0
+                if ok:
+                    low = ok & -ok
+                    take = low.bit_length() - 1
+                    k = take - y + 1
+                    ok ^= low
+                    y = take + 1
+                else:
+                    k = top - y + 1 if y <= top else 0
+                    x += 1
+                    y = x + 1
+                    ok = -1
+            if k and nodes + k >= limit:
+                # a budget check falls among these k nodes: the clock at
+                # clock_at (a multiple of CLOCK_PERIOD), then max_nodes
+                if clock_at < max_nodes and nodes + k >= clock_at:
+                    if time.monotonic() > deadline:
+                        nodes = clock_at
+                        timed_out = True
+                        verdict = INDETERMINATE
+                        break
+                    clock_at = ((nodes + k) // CLOCK_PERIOD + 1) * CLOCK_PERIOD
+                    limit = min(clock_at, max_nodes)
+                if nodes + k >= max_nodes:
+                    nodes = max_nodes
+                    verdict = INDETERMINATE
+                    break
+            nodes += k
+            if take < 0:
+                continue
             prev_used = state.used
-            if state.try_add(i, x, y):
-                cur.append((x, y))
-                extend(i, cur, (x, y), first_floor)
-                cur.pop()
-                state.remove(i, x, y, prev_used)
+            if cx == u:
+                if not state.try_add(i, cx, take):
+                    continue
+            else:
+                state.add(i, cx, take)
+            path.append((cx, take, prev_used))
+            cursors.append((i, x, y, ok, top, u, blocked))
+            d += 1
+            break
 
-    verdict = UNSAT
     note = ""
-    try:
-        if t == 1:
-            raise _Found
-        extend(1, [], None, seed[0] if matching_order_pruning else None)
-    except _Found:
-        verdict = SAT
-    except _BudgetExceeded:
-        verdict = INDETERMINATE
-        note = f"budget exhausted ({nodes} nodes)"
-
     certificate = None
-    if verdict == SAT:
-        edges = [e for m in matchings for e in m]
-        graph = Graph.from_edges(n, edges)
+    if verdict == INDETERMINATE:
+        note = budget.exhausted(timed_out, nodes)
+    elif verdict == SAT:
+        placed = [(x, y) for x, y, _ in path]
+        matchings = [placed[j:j + r] for j in range(0, t * r, r)]
+        graph = Graph.from_edges(n, placed)
         certificate = MatchingDecomposition.make(graph, matchings, r)
         report = verify_decomposition(certificate)
         if not report.passed:
@@ -252,31 +355,132 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
     )
 
 
-def _enumerate_induced_matchings(g: Graph, r: int):
-    """All induced matchings of g with exactly r edges, as sorted edge tuples."""
+def _enumerate_induced_matchings(g: Graph, r: int, deadline: float):
+    """All induced matchings of g with exactly r edges, as sorted edge tuples.
+
+    The clock is read every `CLOCK_PERIOD` steps; `_BudgetExceeded` is
+    raised once the `deadline` has passed.
+    """
     edges = sorted(g.edges)
     nbr = [0] * g.n
-    for u, v in edges:
+    touch = [0] * g.n                  # edge-index mask of the edges at each vertex
+    for idx, (u, v) in enumerate(edges):
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
-    # an edge may join the matching iff the closed neighbourhood of its ends
-    # misses every vertex covered so far: no shared endpoint, no edge between
-    reach = [nbr[u] | nbr[v] | (1 << u) | (1 << v) for u, v in edges]
-    out = []
+        touch[u] |= 1 << idx
+        touch[v] |= 1 << idx
+    # an edge may join a matching holding (u, v) iff it misses the closed
+    # neighbourhoods of u and v: no shared endpoint, no edge between
+    everything = (1 << len(edges)) - 1
+    compatible = []
+    for u, v in edges:
+        near = nbr[u] | nbr[v] | (1 << u) | (1 << v)
+        clash = 0
+        while near:
+            low = near & -near
+            clash |= touch[low.bit_length() - 1]
+            near ^= low
+        compatible.append(everything & ~clash)
 
-    def rec(start, cur, covered):
+    out = []
+    cur = []
+    stack = []                         # the untried later candidates of each open depth
+    avail = everything                 # later edges compatible with all of cur
+    steps = 0
+    while True:
+        steps += 1
+        if not steps % CLOCK_PERIOD and time.monotonic() > deadline:
+            raise _BudgetExceeded
         if len(cur) == r:
             out.append(tuple(cur))
-            return
-        for idx in range(start, len(edges)):
-            if not reach[idx] & covered:
-                x, y = e = edges[idx]
-                cur.append(e)
-                rec(idx + 1, cur, covered | (1 << x) | (1 << y))
-                cur.pop()
+        elif avail.bit_count() >= r - len(cur):
+            low = avail & -avail
+            idx = low.bit_length() - 1
+            avail ^= low
+            stack.append(avail)
+            cur.append(edges[idx])
+            avail &= compatible[idx]
+            continue
+        if not stack:
+            return out
+        avail = stack.pop()
+        cur.pop()
 
-    rec(0, [], 0)
-    return out
+
+def _cover(edge_count, masks, by_edge, max_nodes, deadline):
+    """Cover every edge by edge-disjoint pool matchings, branching on the lowest uncovered edge.
+
+    Returns (verdict, chosen pool indices, nodes, timed_out).
+    """
+    full = (1 << edge_count) - 1
+    used = 0
+    chosen = []
+    stack = []                         # (candidates, next position) of each depth above
+    nodes = 0
+    cands = None                       # candidates of the open depth, once picked
+    while used != full:
+        if cands is None:
+            low = ~used & (used + 1)   # the lowest uncovered edge
+            cands, pos = by_edge[low.bit_length() - 1], 0
+        if pos == len(cands):
+            if not stack:
+                return UNSAT, chosen, nodes, False
+            cands, pos = stack.pop()
+            used ^= masks[chosen.pop()]
+            continue
+        idx = cands[pos]
+        pos += 1
+        nodes += 1
+        if nodes >= max_nodes:
+            return INDETERMINATE, chosen, nodes, False
+        if not nodes % CLOCK_PERIOD and time.monotonic() > deadline:
+            return INDETERMINATE, chosen, nodes, True
+        if not used & masks[idx]:
+            stack.append((cands, pos))
+            chosen.append(idx)
+            used |= masks[idx]
+            cands = None
+    return SAT, chosen, nodes, False
+
+
+def _pack(edge_count, r, masks, max_nodes, deadline):
+    """Branch and bound for the most edge-disjoint pool matchings, in pool order.
+
+    Returns (SAT or INDETERMINATE, best pool indices, nodes, timed_out).
+    """
+    best = []
+    chosen = []
+    stack = []                         # next pool index of each depth above
+    used = 0
+    free = edge_count                  # edges not yet used
+    nodes = 0
+    size = len(masks)
+    idx = size if free // r <= 0 else 0
+    while True:
+        if idx == size:
+            if not stack:
+                return SAT, best, nodes, False
+            idx = stack.pop()
+            used ^= masks[chosen.pop()]
+            free += r
+            continue
+        nodes += 1
+        if nodes >= max_nodes:
+            return INDETERMINATE, best, nodes, False
+        if not nodes % CLOCK_PERIOD and time.monotonic() > deadline:
+            return INDETERMINATE, best, nodes, True
+        m = masks[idx]
+        idx += 1
+        if used & m:
+            continue
+        stack.append(idx)
+        chosen.append(idx - 1)
+        used |= m
+        free -= r
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(chosen) + free // r <= len(best):
+            idx = size                 # bound: the rest cannot beat best
 
 
 def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
@@ -286,6 +490,8 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
     With `exact_cover`, the union must equal E(g), forcing t = |E|/r; the
     procedure then decides decomposability.  Without it, the certificate's
     graph is the packed subgraph and the outcome carries the maximal t.
+    A deadline that passes while the pool of induced matchings is being
+    enumerated stops the procedure at node 1.
     """
     if r < 1:
         raise ParameterError("r must be >= 1")
@@ -294,92 +500,46 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
     if exact_cover and len(g.edges) % r:
         raise ParameterError(f"exact cover impossible: r = {r} does not divide |E| = {len(g.edges)}")
 
-    pool = _enumerate_induced_matchings(g, r)
-    nodes = 0
     deadline = started + budget.max_seconds
-    max_nodes = 1 if time.monotonic() >= deadline else budget.max_nodes   # as in exists_rs
-
-    def tick():
-        nonlocal nodes
-        nodes += 1
-        if nodes >= max_nodes or (not nodes % 4096 and time.monotonic() > deadline):
-            raise _BudgetExceeded
+    try:
+        pool = _enumerate_induced_matchings(g, r, deadline)
+    except _BudgetExceeded:
+        pool, verdict, picked, nodes, timed_out = [], INDETERMINATE, [], 1, True
+    else:
+        index = {e: k for k, e in enumerate(sorted(g.edges))}
+        masks = [sum(1 << index[e] for e in m) for m in pool]
+        late = time.monotonic() >= deadline
+        max_nodes = 1 if late else budget.max_nodes          # as in exists_rs
+        if exact_cover:
+            by_edge = [[] for _ in index]
+            for idx, m in enumerate(pool):
+                for e in m:
+                    by_edge[index[e]].append(idx)
+            verdict, picked, nodes, timed_out = _cover(len(index), masks, by_edge, max_nodes, deadline)
+        else:
+            verdict, picked, nodes, timed_out = _pack(len(index), r, masks, max_nodes, deadline)
+        timed_out = timed_out or late
+    chosen = [pool[idx] for idx in picked]
+    note = budget.exhausted(timed_out, nodes) if verdict == INDETERMINATE else ""
 
     if exact_cover:
-        target = len(g.edges) // r
-        by_edge = {}
-        for idx, m in enumerate(pool):
-            for e in m:
-                by_edge.setdefault(e, []).append(idx)
-        chosen = []
-        used_edges = set()
-
-        def cover():
-            if len(used_edges) == len(g.edges):
-                raise _Found
-            uncovered = min(e for e in g.edges if e not in used_edges)
-            for idx in by_edge.get(uncovered, ()):
-                m = pool[idx]
-                tick()
-                if used_edges.isdisjoint(m):
-                    chosen.append(m)
-                    used_edges.update(m)
-                    cover()
-                    chosen.pop()
-                    used_edges.difference_update(m)
-
-        verdict = UNSAT
-        note = ""
-        try:
-            cover()
-        except _Found:
-            verdict = SAT
-        except _BudgetExceeded:
-            verdict = INDETERMINATE
-            note = f"budget exhausted ({nodes} nodes)"
         certificate = None
         achieved = None
         if verdict == SAT:
             certificate = MatchingDecomposition.make(g, chosen, r)
             if not verify_decomposition(certificate).passed:
                 raise AssertionError("exact cover certificate fails verification")
-            achieved = target
+            achieved = len(g.edges) // r
         return SearchOutcome(verdict, certificate=certificate, nodes_explored=nodes,
                              wall_time=time.monotonic() - started, t=achieved, note=note)
 
-    best = []
-    chosen = []
-    used_edges = set()
-
-    def pack(start):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        free = len(g.edges) - len(used_edges)
-        if len(chosen) + free // r <= len(best):
-            return
-        for idx in range(start, len(pool)):
-            m = pool[idx]
-            tick()
-            if used_edges.isdisjoint(m):
-                chosen.append(m)
-                used_edges.update(m)
-                pack(idx + 1)
-                chosen.pop()
-                used_edges.difference_update(m)
-
-    verdict = SAT
-    note = ""
-    try:
-        pack(0)
-    except _BudgetExceeded:
-        verdict = INDETERMINATE
-        note = f"budget exhausted ({nodes} nodes); best found t = {len(best)}"
-
-    packed_edges = [e for m in best for e in m]
+    if verdict == INDETERMINATE:
+        note += f"; best found t = {len(chosen)}"
+    packed_edges = [e for m in chosen for e in m]
     sub = Graph.from_edges(g.n, packed_edges)
-    certificate = MatchingDecomposition.make(sub, best, r)
+    certificate = MatchingDecomposition.make(sub, chosen, r)
     if not verify_decomposition(certificate).passed:
         raise AssertionError("packing certificate fails verification")
-    return SearchOutcome(verdict, certificate=certificate, nodes_explored=nodes,
-                         wall_time=time.monotonic() - started, t=len(best), note=note)
+    return SearchOutcome(verdict, certificate=certificate,
+                         nodes_explored=nodes, wall_time=time.monotonic() - started,
+                         t=len(chosen), note=note)

@@ -122,9 +122,13 @@ class TestAcceptance:
         if c6.n != 6 or any(c6.degree(v) != 2 for v in range(6)):
             failures.append("cover of the triangle is not 2-regular on 6 vertices")
         else:
+            nbrs = {v: [] for v in range(6)}
+            for u, v in c6.edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
             seen, frontier = {0}, [0]
             while frontier:
-                frontier = [w for v in frontier for w in c6.adjacency[v]
+                frontier = [w for v in frontier for w in nbrs[v]
                             if w not in seen and not seen.add(w)]
             if len(seen) != 6:
                 failures.append("cover of the triangle is not a single 6-cycle")

@@ -1,5 +1,6 @@
 """Bound engine and audit tests; all comparisons are exact rational."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -194,12 +195,19 @@ class TestExpansionAudit:
             assert self._assertion(report, "bfs-distance-claims") == PASS
 
     def test_huge_header_builds_no_adjacency(self):
-        # the bipartiteness walk and H keep lists only for vertices with an edge
-        dec = parse_rsg("rsg 200000 0 0\n")
-        report = expansion_audit(dec)
+        # the bipartiteness walk and H keep lists only for vertices with an
+        # edge: no per-vertex set (over 200 bytes each) or list
+        n = 200_000
+        dec = parse_rsg(f"rsg {n} 0 0\n")
+        tracemalloc.start()
+        try:
+            report = expansion_audit(dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert report.passed and not report.doubled
         assert report.f_vertex_count == 0
-        assert "adjacency" not in dec.graph.__dict__
+        assert peak < 32 * n
 
     def test_unverified_rejected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

@@ -1,6 +1,10 @@
-"""End-to-end CLI tests driven through main(), checking the exit-code contract."""
+"""End-to-end CLI tests, driven through main() and once as a child process, checking the
+exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -128,12 +132,25 @@ class TestSearch:
                               "--max-nodes", "0")
         assert code == EX_INDETERMINATE
         assert "nodes=1 " in stdout
+        assert "note: node budget exhausted (1 nodes)" in stdout
 
     def test_zero_timeout(self, capsys):
         code, stdout, _ = run(capsys, "search", "--n", "12", "--r", "3", "--t", "7",
                               "--timeout", "0")
         assert code == EX_INDETERMINATE
         assert "nodes=1 " in stdout
+        assert "note: time budget exhausted (0 s, 1 nodes)" in stdout
+
+    def test_deep_search_process(self):
+        # deeper than Python's recursion limit; run as its own process, as a user would
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rsgraphs.cli", "search", "--n", "4000", "--r", "1", "--t", "1200"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EX_OK
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("verdict: SAT  nodes=1199 ")
 
     @pytest.mark.parametrize("flag", ["--max-nodes", "--timeout"])
     def test_negative_budget_usage(self, capsys, flag):

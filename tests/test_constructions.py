@@ -24,8 +24,17 @@ from rsgraphs import (
 )
 
 
+def adjacency(g):
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def girth(g):
     """Shortest cycle length via BFS from every vertex (None if forest)."""
+    adj = adjacency(g)
     best = None
     for s in range(g.n):
         dist = {s: 0}
@@ -33,7 +42,7 @@ def girth(g):
         queue = [s]
         while queue:
             u = queue.pop(0)
-            for w in g.adjacency[u]:
+            for w in adj[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u

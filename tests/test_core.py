@@ -1,6 +1,7 @@
 """Verifier unit tests, including exhaustive agreement with a brute-force oracle."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -181,10 +182,17 @@ class TestVerifyDecomposition:
         assert report.notes
 
     def test_huge_header_builds_no_adjacency(self):
-        # degrees come from the edge list: no per-vertex sets for 2M isolated vertices
-        dec = parse_rsg("rsg 2000000 0 0\n")
-        assert verify_decomposition(dec).passed
-        assert "adjacency" not in dec.graph.__dict__
+        # degrees come from the edge list: a few n-long lists, no per-vertex
+        # set (over 200 bytes each) or list for 200,000 isolated vertices
+        n = 200_000
+        tracemalloc.start()
+        try:
+            passed = verify_decomposition(parse_rsg(f"rsg {n} 0 0\n")).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed
+        assert peak < 32 * n
 
 
 class TestDecompositionStats:

@@ -3,6 +3,7 @@ cross-checks between the pruned and unpruned explorations, pinned node
 counts, and the incremental search state against the verifier."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,11 +80,20 @@ class TestExistsRS:
     def test_budget_indeterminate(self):
         out = exists_rs(7, 2, 6, eq1_shortcut=False, budget=Budget(max_nodes=50, max_seconds=30))
         assert out.verdict == INDETERMINATE
+        assert out.note == "node budget exhausted (50 nodes)"
 
     def test_zero_time_budget_stops_at_first_node(self):
         out = exists_rs(12, 3, 7, budget=Budget(max_seconds=0))
         assert out.verdict == INDETERMINATE
         assert out.nodes_explored == 1
+        assert out.note == "time budget exhausted (0 s, 1 nodes)"
+
+    def test_deep_search_needs_no_recursion(self):
+        # 1,199 edges placed one below the other: deeper than the recursion limit
+        out = exists_rs(4000, 1, 1200)
+        assert (out.verdict, out.nodes_explored) == (SAT, 1_199)
+        assert out.certificate.t == 1200
+        assert verify_decomposition(out.certificate).passed
 
     def test_kneser_tightness_witness_k1(self):
         # the smallest tight point: n = 3, t = 3, r = formula value 1
@@ -127,6 +137,14 @@ class TestSearchSpace:
     def test_unsat_node_count(self, args, kwargs, nodes):
         out = exists_rs(*args, **kwargs)
         assert (out.verdict, out.nodes_explored) == (UNSAT, nodes)
+
+    @pytest.mark.parametrize("args, verdict, nodes", [
+        ((11, 3, 6), UNSAT, 2_051_456),
+        ((12, 3, 7), SAT, 1_269_991),
+    ])
+    def test_ladder_node_count(self, args, verdict, nodes):
+        out = exists_rs(*args)
+        assert (out.verdict, out.nodes_explored) == (verdict, nodes)
 
 
 def _masks(n, t, matchings):
@@ -203,6 +221,18 @@ class TestMaxTOnGraph:
                                  exact_cover=exact_cover)
             assert out.verdict == INDETERMINATE
             assert out.nodes_explored == 1
+
+    def test_pool_enumeration_honours_time_budget(self):
+        # this graph has 6.4M induced matchings of size 4: the deadline must
+        # stop their enumeration, not wait for the first search node
+        g = hypercube_rs(6, augmented=True).graph
+        for exact_cover in (False, True):
+            started = time.monotonic()
+            out = max_t_on_graph(g, 4, budget=Budget(max_nodes=1, max_seconds=0),
+                                 exact_cover=exact_cover)
+            assert time.monotonic() - started < 1.0
+            assert (out.verdict, out.nodes_explored) == (INDETERMINATE, 1)
+            assert out.note.startswith("time budget exhausted (0 s, 1 nodes)")
 
     def test_packing_on_petersen(self):
         out = max_t_on_graph(kneser_rs(2).graph, 3)

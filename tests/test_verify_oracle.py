@@ -2,15 +2,17 @@
 
 `pairwise_verify` and `hamming_certificate` are the package's original
 implementations, kept verbatim as test-only references (the oracle builds the
-degree list from `adjacency`, as `Graph.degrees` then did, and certifies with
-`pairwise_verify`).  The first intersects the endpoint sets of every pair of
-matchings and scans each matching's adjacency for chords; the second sums the
-Hamming distances of every pair of characteristic vectors.  The package must
-agree with them field for field, witnesses and violation order included, on
-valid decompositions and on mutants of them.
+degree list from per-vertex neighbour sets, as `Graph.degrees` then did, and
+certifies with `pairwise_verify`; `adjacency` builds those sets here, as the
+test-only `Graph.adjacency` did).  The first intersects the endpoint sets of
+every pair of matchings and scans each matching's adjacency for chords; the
+second sums the Hamming distances of every pair of characteristic vectors.
+The package must agree with them field for field, witnesses and violation
+order included, on valid decompositions and on mutants of them.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -34,8 +36,17 @@ from rsgraphs.bounds import DistanceCertificate
 from rsgraphs.core import VerificationReport, Violation
 
 
+def adjacency(g):
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
     g = dec.graph
+    adj = adjacency(g)
     t = dec.t
     r = dec.r
     violations = []
@@ -92,7 +103,7 @@ def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
             eset = set(present)
             witness = None
             for u in sorted(covered):
-                for w in g.adjacency[u]:
+                for w in adj[u]:
                     if u < w and w in covered and (u, w) not in eset:
                         if witness is None or (u, w) < witness:
                             witness = (u, w)
@@ -102,7 +113,7 @@ def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
                               f"edge {witness} of the graph joins two covered vertices of matching {i}")
                 )
 
-    deg = [len(a) for a in g.adjacency]
+    deg = [len(a) for a in adj]
     max_sum = 0
     degsum_witness = None
     for u, v in sorted(g.edges):
@@ -304,8 +315,13 @@ class TestLargeSparse:
         n, t = 10 ** 6, 5000
         edges = [(2 * i, 2 * i + 1) for i in range(t)]
         dec = MatchingDecomposition.make(Graph.from_edges(n, edges), [[e] for e in edges], 1)
-        report = verify_decomposition(dec)
+        tracemalloc.start()
+        try:
+            report = verify_decomposition(dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert report.passed
         assert report.max_pair_intersection == 0
         assert report.isolated_vertices == n - 2 * t
-        assert "adjacency" not in dec.graph.__dict__
+        assert peak < 32 * n           # a few n-long lists, no per-vertex set or list
