@@ -42,15 +42,25 @@ def _frac(x: Fraction) -> str:
     return str(x)
 
 
-def _load(path: str):
+def _read_text(path: str) -> str:
+    """The file's text; a byte that is not UTF-8 is a parse error on its line."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
     try:
-        return parse_rsg(text)
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, with lines split as parse_rsg splits them
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise RsgParseError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8")
+
+
+def _load(path: str):
+    try:
+        return parse_rsg(_read_text(path))
     except RsgParseError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EX_PARSE)
@@ -58,8 +68,12 @@ def _load(path: str):
 
 def _write_output(text: str, path):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            raise SystemExit(EX_USAGE)
     else:
         sys.stdout.write(text)
 

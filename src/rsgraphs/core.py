@@ -57,12 +57,6 @@ class Graph:
         edges = frozenset(_norm_edge(u, v, n) for u, v in edge_iter)
         return cls(n, edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     @cached_property
     def degrees(self):
         """Vertex degrees, counted from the edge list."""
@@ -123,16 +117,19 @@ class MatchingDecomposition:
     def t(self) -> int:
         return len(self.matchings)
 
-    def endpoint_sets(self):
-        """V_i = set of vertices covered by matching i (repeats included only once)."""
-        out = []
-        for m in self.matchings:
-            s = set()
-            for u, v in m:
-                s.add(u)
-                s.add(v)
-            out.append(s)
-        return out
+    @cached_property
+    def covering(self):
+        """A_v: each vertex of a listed edge -> ascending indices of the matchings listing it.
+
+        Edges absent from the graph count too.  The map is sized by the edge
+        lists, whatever n and t are.  It is computed once and shared: do not mutate it.
+        """
+        covering = defaultdict(list)
+        for i, m in enumerate(self.matchings):
+            for x in {x for e in m for x in e}:
+                covering[x].append(i)
+        covering.default_factory = None     # a vertex outside the map raises KeyError
+        return covering
 
     @cached_property
     def _report(self) -> "VerificationReport":
@@ -196,16 +193,16 @@ def verify_decomposition(dec: MatchingDecomposition) -> VerificationReport:
 
 
 def _verify(dec: MatchingDecomposition) -> VerificationReport:
-    # One pass over per-vertex matching incidence: memory O(n + |E| + t), and
-    # work sum_v c_v^2 for the pair intersections, c_v = #{i : v in V_i}.
+    # One pass over the matching incidence dec.covering: memory O(n + |E| + t),
+    # and work sum_v c_v^2 for the pair intersections, c_v = #{i : v in V_i}.
     g = dec.graph
     t = dec.t
     r = dec.r
+    covering = dec.covering
     violations = []
 
     owner = {}          # edge -> first matching listing it
     relisted = set()    # (edge, i): matching i lists an edge listed before
-    incidence = {}      # v -> ascending i with v in V_i
     phantom = set()     # (v, i): v is in V_i only through edges absent from the graph
     not_matching = {}   # i -> first edge of matching i sharing an endpoint
     for i, m in enumerate(dec.matchings):
@@ -240,11 +237,8 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
                 break
             covered.add(u)
             covered.add(v)
-        vertices = {x for e in m for x in e}
-        for x in vertices:
-            incidence.setdefault(x, []).append(i)
         if bad_member is not None:
-            phantom.update((x, i) for x in vertices - covered)
+            phantom.update((x, i) for e in m for x in e if x not in covered)
 
     missing = g.edges - owner.keys()
     if missing:
@@ -270,8 +264,8 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
         if s > t + 1 and degsum_witness is None:
             degsum_witness = e
         if u != last_u:
-            last_u, covers_u = u, set(incidence.get(u, ()))
-        for i in covers_u.intersection(incidence.get(w, ())):
+            last_u, covers_u = u, set(covering.get(u, ()))
+        for i in covers_u.intersection(covering.get(w, ())):
             if (i != owner.get(e) and (e, i) not in relisted and i not in not_induced
                     and (u, i) not in phantom and (w, i) not in phantom):
                 not_induced[i] = e
@@ -298,16 +292,16 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
         )
 
     # |V_i cap V_j| for every j > i sharing a vertex with V_i, by counting the
-    # incidence lists of V_i's vertices.  Reversed, each list ends in the
-    # smallest matching not yet handled, which at step i is i itself.
-    for covering in incidence.values():
-        covering.reverse()
+    # matchings that cover V_i's vertices.  A reversed copy of each covering
+    # list longer than one ends in the smallest matching not yet handled,
+    # which at step i is i itself: popping it leaves the matchings after i.
+    rest = {x: c[::-1] for x, c in covering.items() if len(c) > 1}
     max_inter = 0
     for i, m in enumerate(dec.matchings):
-        vertices = {x for e in m for x in e}
-        for x in vertices:
-            incidence[x].pop()
-        shared = Counter(chain.from_iterable(incidence[x] for x in vertices))
+        lists = [rest[x] for x in {x for e in m for x in e} if x in rest]
+        for after in lists:
+            after.pop()
+        shared = Counter(chain.from_iterable(lists))
         top = max(shared.values(), default=0)
         max_inter = max(max_inter, top)
         if top > r:

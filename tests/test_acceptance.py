@@ -35,6 +35,11 @@ PLAIN_KS = range(2, 11)
 AUG_KS = (2, 4, 6, 8, 10)
 
 
+def endpoint_sets(dec):
+    """V_i = set of vertices covered by matching i (repeats included only once)."""
+    return [{x for e in m for x in e} for m in dec.matchings]
+
+
 @pytest.fixture
 def report(capsys):
     """Emit one PASS/FAIL line per criterion past pytest's capture."""
@@ -119,7 +124,7 @@ class TestAcceptance:
             if not verify_decomposition(cov).passed:
                 failures.append(f"cover of n={dec.graph.n} failed verification")
         c6 = double_cover(kneser_rs(1)).graph
-        if c6.n != 6 or any(c6.degree(v) != 2 for v in range(6)):
+        if c6.n != 6 or any(d != 2 for d in c6.degrees):
             failures.append("cover of the triangle is not 2-regular on 6 vertices")
         else:
             nbrs = {v: [] for v in range(6)}
@@ -203,7 +208,7 @@ class TestAcceptance:
             failures.append(f"kneser2 distance {cert.min_pairwise_distance}, want 6")
         tested = 0
         for name, dec in sweep:
-            sets = dec.endpoint_sets()
+            sets = endpoint_sets(dec)
             if any(len(s) != 2 * dec.r for s in sets):
                 continue
             c = distance_certificate(dec)

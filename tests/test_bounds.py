@@ -21,6 +21,7 @@ from rsgraphs import (
     parse_rsg,
     verify_decomposition,
 )
+from rsgraphs import bounds
 from rsgraphs.bounds import FAIL, NOT_APPLICABLE, PASS
 
 
@@ -92,6 +93,10 @@ class TestFeasibilityVerdict:
     def test_impossible_parameters(self):
         with pytest.raises(ParameterError):
             feasibility_verdict(5, 3, 2)
+
+    def test_negative_r_refused(self):
+        with pytest.raises(ParameterError):
+            feasibility_verdict(10, -1, 5)
 
 
 class TestDistanceCertificate:
@@ -208,6 +213,42 @@ class TestExpansionAudit:
         assert report.passed and not report.doubled
         assert report.f_vertex_count == 0
         assert peak < 32 * n
+
+    def test_claim_check_gets_each_f_vertex_matchings(self, monkeypatch):
+        # every vertex of the double cover of q4aug is in F, so the claim
+        # check must get the matching set of every cover vertex, as a mask
+        dec = hypercube_rs(4, augmented=True)
+        cover = double_cover(dec)
+        masks = [0] * cover.graph.n
+        for i, m in enumerate(cover.matchings):
+            for u, v in m:
+                masks[u] |= 1 << i
+                masks[v] |= 1 << i
+        seen = []
+        real = bounds._claim_violations
+        monkeypatch.setattr(bounds, "_claim_violations",
+                            lambda nbrs, incidence: seen.append(incidence) or real(nbrs, incidence))
+        report = expansion_audit(dec)
+        assert report.doubled and report.f_vertex_count == cover.graph.n
+        assert seen == [masks]
+
+    def test_memory_linear_in_t(self):
+        # t disjoint one-edge matchings: F is empty, so the audit keeps no
+        # t-bit mask per vertex and its peak grows like the edge lists
+        def peak(t):
+            edges = [(2 * i, 2 * i + 1) for i in range(t)]
+            dec = MatchingDecomposition.make(Graph.from_edges(2 * t, edges), [[e] for e in edges], 1)
+            tracemalloc.start()
+            try:
+                report = expansion_audit(dec)
+                used = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.passed and report.f_vertex_count == 0
+            return used
+
+        small, large = peak(1_500), peak(6_000)
+        assert large < 5.5 * small
 
     def test_unverified_rejected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

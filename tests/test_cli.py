@@ -71,6 +71,20 @@ class TestConstructVerify:
         assert code == EX_PARSE
         assert "line 3" in err
 
+    def test_unwritable_output_usage(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.rsg"
+        code, _, err = run(capsys, "construct", "kneser", "--k", "2", "-o", str(out))
+        assert code == EX_USAGE
+        assert err.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize("command", ["verify", "audit"])
+    def test_non_utf8_parse_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.rsg"
+        bad.write_bytes(b"rsg 3 3 1\n0 1 0\n\xe91 2 1\n0 2 2\n")
+        code, _, err = run(capsys, command, str(bad))
+        assert code == EX_PARSE
+        assert err.startswith(f"error: {bad}: line 3: byte 0xe9 is not valid UTF-8")
+
     def test_missing_family_parameter(self, capsys):
         code, _, err = run(capsys, "construct", "kneser")
         assert code == EX_USAGE
@@ -105,6 +119,11 @@ class TestBound:
     def test_impossible_parameters_usage(self, capsys):
         code, _, _ = run(capsys, "bound", "--n", "5", "--r", "3", "--t", "2")
         assert code == EX_USAGE
+
+    def test_negative_r_usage(self, capsys):
+        code, stdout, _ = run(capsys, "bound", "--n", "10", "--t", "5", "--r", "-1")
+        assert code == EX_USAGE
+        assert "feasible" not in stdout
 
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "bound", "--n", "10")
@@ -170,6 +189,12 @@ class TestSearch:
         assert code == EX_OK
         code, _, _ = run(capsys, "verify", str(out))
         assert code == EX_OK
+
+    def test_unwritable_certificate_usage(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "cert.rsg"
+        code, _, err = run(capsys, "search", "--n", "6", "--r", "2", "--t", "3", "-o", str(out))
+        assert code == EX_USAGE
+        assert err.startswith(f"error: cannot write {out}: ")
 
     def test_json(self, capsys):
         code, stdout, _ = run(capsys, "search", "--n", "3", "--r", "1", "--t", "3", "--json")

@@ -64,7 +64,7 @@ class TestKneser:
     def test_k2_is_petersen(self):
         dec = kneser_rs(2)
         assert (dec.graph.n, dec.t, dec.r) == (10, 5, 3)
-        assert all(dec.graph.degree(v) == 3 for v in range(10))
+        assert all(d == 3 for d in dec.graph.degrees)
         assert girth(dec.graph) == 5
         assert verify_decomposition(dec).passed
 
@@ -105,7 +105,7 @@ class TestHypercube:
         dec = hypercube_rs(4, augmented=True)
         assert (dec.graph.n, dec.t, dec.r) == (16, 10, 4)
         assert len(dec.graph.edges) == 40
-        assert all(dec.graph.degree(v) == 5 for v in range(16))
+        assert all(d == 5 for d in dec.graph.degrees)
         assert verify_decomposition(dec).passed
 
     @pytest.mark.parametrize("k", range(2, 9))
@@ -118,7 +118,7 @@ class TestHypercube:
     def test_augmented_regularity(self, k):
         dec = hypercube_rs(k, augmented=True)
         assert dec.t == 2 * k + 2
-        assert all(dec.graph.degree(v) == k + 1 for v in range(dec.graph.n))
+        assert all(d == k + 1 for d in dec.graph.degrees)
 
     def test_augmented_odd_k_rejected(self):
         with pytest.raises(ParameterError):
@@ -161,7 +161,7 @@ class TestDoubleCover:
     def test_triangle_gives_six_cycle(self):
         dec = double_cover(kneser_rs(1))
         assert (dec.graph.n, dec.r, dec.t) == (6, 2, 3)
-        assert all(dec.graph.degree(v) == 2 for v in range(6))
+        assert all(d == 2 for d in dec.graph.degrees)
         assert girth(dec.graph) == 6
         assert verify_decomposition(dec).passed
 
@@ -184,7 +184,7 @@ class TestDoubleCover:
         assert (dec.graph.n, dec.r, dec.t) == (8, 2, 4)
         assert verify_decomposition(dec).passed
         # Q2 is a 4-cycle; its double cover splits into two disjoint 4-cycles
-        assert all(dec.graph.degree(v) == 2 for v in range(8))
+        assert all(d == 2 for d in dec.graph.degrees)
 
 
 class TestAPFreeSet:

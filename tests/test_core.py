@@ -40,7 +40,7 @@ def brute_force_induced_matching(g, m):
         return False
     covered = set(counts)
     for u, v in itertools.combinations(sorted(covered), 2):
-        if g.has_edge(u, v) and (u, v) not in set(edges):
+        if (u, v) in g.edges and (u, v) not in set(edges):
             return False
     return True
 
@@ -57,7 +57,7 @@ class TestGraph:
     def test_normalizes_and_dedupes(self):
         g = Graph.from_edges(3, [(2, 0), (0, 2)])
         assert g.edges == frozenset({(0, 2)})
-        assert g.degree(0) == 1 and g.degree(1) == 0
+        assert g.degrees[0] == 1 and g.degrees[1] == 0
 
     def test_bipartite_detection(self):
         assert is_bipartite(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])) is not None
@@ -135,6 +135,15 @@ class TestVerifyDecomposition:
         assert report.passed
         assert report.max_edge_degree_sum == 4  # = t + 1
         assert report.max_pair_intersection == 1
+
+    def test_covering_survives_verification(self):
+        # matching 1 also lists (0, 3), absent from the graph: its vertices count
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+        dec = MatchingDecomposition.make(g, [[(0, 1)], [(1, 2), (0, 3)], [(0, 2)]], 1)
+        expected = {0: [0, 1, 2], 1: [0, 1], 2: [1, 2], 3: [1]}
+        assert dec.covering == expected
+        assert not verify_decomposition(dec).passed
+        assert dec.covering == expected
 
     def test_kneser2_degree_sum_is_tplus1(self):
         report = verify_decomposition(kneser_rs(2))

@@ -3,9 +3,10 @@
 `pairwise_verify` and `hamming_certificate` are the package's original
 implementations, kept verbatim as test-only references (the oracle builds the
 degree list from per-vertex neighbour sets, as `Graph.degrees` then did, and
-certifies with `pairwise_verify`; `adjacency` builds those sets here, as the
-test-only `Graph.adjacency` did).  The first intersects the endpoint sets of
-every pair of matchings and scans each matching's adjacency for chords; the
+certifies with `pairwise_verify`; `adjacency` and `endpoint_sets` build those
+sets here, as the test-only `Graph.adjacency` and
+`MatchingDecomposition.endpoint_sets` did).  The first intersects the
+endpoint sets of every pair of matchings and scans each matching's adjacency for chords; the
 second sums the Hamming distances of every pair of characteristic vectors.
 The package must agree with them field for field, witnesses and violation
 order included, on valid decompositions and on mutants of them.
@@ -42,6 +43,11 @@ def adjacency(g):
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def endpoint_sets(dec):
+    """V_i = set of vertices covered by matching i (repeats included only once)."""
+    return [{x for e in m for x in e} for m in dec.matchings]
 
 
 def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
@@ -84,7 +90,7 @@ def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
                       f"{len(missing)} edges of the graph are not covered, first {missing[0]}")
         )
 
-    vsets = dec.endpoint_sets()
+    vsets = endpoint_sets(dec)
     for i, m in enumerate(dec.matchings):
         present = [e for e in m if e in g.edges]
         covered = set()
@@ -161,7 +167,7 @@ def hamming_certificate(dec: MatchingDecomposition) -> DistanceCertificate:
     g = dec.graph
     t = dec.t
     r = dec.r
-    vsets = dec.endpoint_sets()
+    vsets = endpoint_sets(dec)
     for i, vs in enumerate(vsets):
         if len(vs) != 2 * r:
             raise PreconditionError(
