@@ -36,6 +36,16 @@ def max_r(n: int, t: int) -> Fraction:
     return Fraction(n, 4) * (1 + Fraction(1, t if odd else t + 1))
 
 
+def min_vertices(r: int, t: int) -> int:
+    """The fewest vertices n with r <= max_r(n, t), in exact integers.
+
+    r <= (n/4)(1 + 1/s), with s = t for odd t and t + 1 for even t, is
+    n >= 4rs/(s + 1).
+    """
+    s = t if t % 2 else t + 1
+    return -(-4 * r * s // (s + 1))
+
+
 def _log2_cap_holds(t: int, n: int) -> bool:
     # t <= 8(log2 n + 1)  <=>  2^t <= (2n)^8, checked in exact integers
     return 2 ** t <= (2 * n) ** 8
@@ -274,17 +284,17 @@ def _bfs(nbrs, source):
     return dist
 
 
-def _claim_violations(nbrs, incidence):
+def _claim_violations(nbrs, covering):
     """Every failing distance claim (v, u, k, overlap) on the graph nbrs.
 
     Vertices are indices into nbrs (lists of neighbour indices) and
-    incidence (the matching set A_v of each vertex as a bitmask).  For u at
+    covering (the matching set A_v of each vertex, ascending).  For u at
     distance k from v the claim is |A_u cap A_v| <= k for odd k and
     |A_u minus A_v| <= k for even k.  Violations come ordered by source v,
     then by discovery order of a BFS from v that walks nbrs in list order.
     """
-    degree = [a.bit_count() for a in incidence]
-    covering = [[m for m in range(a.bit_length()) if a >> m & 1] for a in incidence]
+    incidence = [sum(1 << m for m in a) for a in covering]
+    degree = list(map(len, covering))
     columns = max(incidence, default=0).bit_length()
     side = [None] * len(nbrs)
     local = [0] * len(nbrs)            # each vertex's index in its part
@@ -495,9 +505,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     # vertex's H-neighbours filled in edge order: this fixes the BFS order in
     # which bfs_violations are listed
     nbrs = [[index[w] for w in set(h_adj[v]) if w in alive] for v in f_vertices]
-    # A_v as a bitmask over matching indices, for the vertices of F only: each
-    # has degree >= t/8, so its t-bit mask is no larger than its covering list
-    f_incidence = [sum(1 << i for i in dec.covering[v]) for v in f_vertices]
+    f_covering = [dec.covering[v] for v in f_vertices]
     achieved = min(map(len, nbrs), default=0)
     # nothing below reads the audited graph: drop it (and a double cover
     # built above) before the claim check allocates its bitsets
@@ -506,7 +514,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     # (d) BFS distance claims inside F
     bfs_violations = [
         (f_vertices[v], f_vertices[u], k, overlap)
-        for v, u, k, overlap in _claim_violations(nbrs, f_incidence)
+        for v, u, k, overlap in _claim_violations(nbrs, f_covering)
     ]
     assertions.append((
         "bfs-distance-claims",

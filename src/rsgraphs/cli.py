@@ -1,7 +1,8 @@
 """Command-line surface tying constructions, verification, bounds and search together.
 
 Exit codes: 0 pass/SAT/feasible, 1 fail/UNSAT/infeasible, 2 INDETERMINATE,
-64 usage error, 65 parse error.
+64 usage error, 65 parse error, 70 internal error (an unexpected exception,
+reported in one line, so that it never reads as a verdict).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EX_FAIL = 1
 EX_INDETERMINATE = 2
 EX_USAGE = 64
 EX_PARSE = 65
+EX_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,7 +260,9 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--timeout", type=float)
     p.add_argument("--max-nodes", type=int)
-    p.add_argument("--no-eq1-shortcut", action="store_true")
+    p.add_argument("--no-eq1-shortcut", action="store_true",
+                   help="search without the max_r cap, at the root and on each matching's "
+                        "first edge: the theorem-free cross-check search")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", help="write the SAT certificate here")
     p.set_defaults(func=cmd_search)
@@ -278,6 +282,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -12,11 +12,18 @@ matching and induced in the current graph, and the other invariants follow:
     would join two covered vertices of M_j, so |V_i cap V_j| <= |M_i| <= r;
   * V_i always has room for the rest of M_i, since n >= 2r is checked first.
 
-Symmetry reduction (all reachable up to relabeling, so UNSAT stays exhaustive):
+Reductions (all reachable up to relabeling, so UNSAT stays exhaustive):
   * the first matching is pinned to (0,1), (2,3), ..., (2r-2, 2r-1);
   * a never-used vertex label may only enter as the smallest unused one;
   * edges within a matching are generated in increasing lexicographic order
-    and the first edges of successive matchings strictly increase.
+    and the first edges of successive matchings strictly increase;
+  * with both the `max_r` shortcut and that order on, the first edge (a_i, b)
+    of M_i (i >= 1) has a_i <= n - m, m the fewest vertices with
+    r <= max_r(m, t - i) (`bounds.min_vertices`).  Sound because every edge
+    of M_i..M_{t-1} comes after (a_i, b), so both its ends are >= a_i; those
+    t - i matchings are induced in their own union, a graph on the n - a_i
+    labels a_i..n-1, so r <= max_r(n - a_i, t - i).  The cap bounds the rows
+    x of M_i's first edge only, not the labels y.
 Every SAT certificate is re-verified before being returned.
 
 The search is a loop over an explicit stack, so its depth is not bounded by
@@ -24,12 +31,13 @@ Python's recursion limit.  Every matching holds exactly r edges, so depth d
 (edges placed, the pinned first matching included) fixes the matching index
 i = d // r.  The path holds each placed edge with the label counter before
 it; beside it, each open depth keeps a cursor: the row x, the next y, the
-row's remaining mask of passing y and the depth's fixed values.
-While a depth is open its state only changes below it and is restored on
-return, so on entry it computes B_i = V_i | N(V_i) once: the three tests of
-`try_add` fail for (x, y) exactly when x or y lies in B_i or y lies in some
-V_j with j in A_x.  A row x in B_i fails whole, and the passing y of any
-other row are one mask (`_State.row_mask`), walked by lowest set bit.
+row's remaining mask of passing y and the depth's fixed values, among them
+B_i = V_i | N(V_i).  The three tests of `try_add` fail for (x, y) exactly
+when x or y lies in B_i or y lies in some V_j with j in A_x.  B_i is carried
+down the stack: a new matching starts from 0, and placing (x, y) in M_i adds
+N(x) | N(y), which hold y and x.  A row x in B_i fails whole, and the
+passing y of any other row are one mask (`_State.row_mask`), walked by
+lowest set bit.
 
 Nodes are counted as before, one per candidate edge generated, passing or
 not, so a candidate skipped by a mask still counts: node counts, budget
@@ -37,13 +45,16 @@ stops and the pinned counts in the tests describe the same search space as
 a per-candidate loop.  A node budget stops at exactly its node; the clock is
 read whenever the count crosses a multiple of 4096.
 
-`max_t_on_graph` indexes the graph's edges in sorted order and holds each
-induced matching and the used edges as int edge masks.  `_cover` branches on
-the lowest uncovered edge, the lowest zero bit of the used mask; `_pack`
-keeps the count of free edges for its bound.  The pool of induced matchings
-is enumerated first, by a walk that carries the mask of later edges
-compatible with the matching so far and drops a branch once too few are
-left; it reads the clock every 4096 steps, so a time budget also bounds it.
+`max_t_on_graph` indexes the graph's edges in sorted order.  `_cover` holds
+each induced matching and the used edges as int edge masks and branches on
+the lowest uncovered edge, the lowest zero bit of the used mask.  `_pack`
+holds, per depth, the mask of later pool indices disjoint from the chosen
+matchings and jumps to its lowest set bit, counting the skipped indices as
+nodes, as `exists_rs` does; it keeps the count of free edges for its bound.
+The pool of induced matchings is enumerated first, by a walk that carries
+the mask of later edges compatible with the matching so far and drops a
+branch once too few are left; it reads the clock every 4096 steps, so a
+time budget also bounds it.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from .core import (
     ParameterError,
     verify_decomposition,
 )
-from .bounds import max_r
+from .bounds import max_r, min_vertices
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -171,20 +182,11 @@ class _State:
         self.members[i] ^= (1 << x) | (1 << y)
         self.used = prev_used
 
-    def blocked(self, i):
-        """B_i = V_i | N(V_i): an endpoint in it fails test 1 or test 3 of `try_add`."""
-        nbr = self.nbr
-        rest = b = self.members[i]
-        while rest:
-            low = rest & -rest
-            b |= nbr[low.bit_length() - 1]
-            rest ^= low
-        return b
-
     def row_mask(self, x, lo, hi, blocked):
         """The y in lo..hi (x < lo) for which `try_add(i, x, y)` would succeed, as a mask.
 
-        `blocked` is `self.blocked(i)`.  Test 2 fails exactly when y lies in
+        `blocked` is B_i = V_i | N(V_i): an endpoint in it fails test 1 or
+        test 3 of `try_add`.  Test 2 fails exactly when y lies in
         some V_j with j in A_x, so the mask costs min(|A_x|, hi - lo + 1) steps.
         """
         if blocked >> x & 1:
@@ -218,6 +220,8 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
     exhausted; INDETERMINATE means the node or time budget ran out first.
     `matching_order_pruning` turns off the increasing-first-edge reduction;
     verdicts must not change, so the slower run serves as a cross-check.
+    `eq1_shortcut=False` turns off the `max_r` cap, at the root and on the
+    first edge of each matching, for a search that uses no theorem.
     """
     if n < 0 or r < 0 or t < 0:
         raise ParameterError("n, r, t must be non-negative")
@@ -256,35 +260,40 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
     clock_at = CLOCK_PERIOD            # the node at which the clock is read next
     limit = min(clock_at, max_nodes)
     d = r
+    blocked = 0                        # B_i of the open depth: M_1 starts empty
     verdict = None
     while verdict is None:
         if d == t * r:
             verdict = SAT
             break
-        # open depth d: candidates are the edges after `lo` in lex order
+        # open depth d: candidates are the edges after `lo` in lex order,
+        # with rows x up to `rows` and labels y up to `top`
         i = d // r
+        u = state.used
+        top = min(u, n - 1)
+        rows = top
         if d % r:
             lo = path[d - 1]
         elif matching_order_pruning:
             lo = path[d - r]
+            if eq1_shortcut:
+                # the suffix cap on M_i's first edge (module docstring)
+                rows = min(top, n - min_vertices(r, t - i))
         else:
             lo = None
         x, y = (lo[0], lo[1] + 1) if lo else (0, 1)
-        u = state.used
-        top = min(u, n - 1)
-        blocked = state.blocked(i)
         ok = -1                        # row x not yet masked
         while True:
             # find the next passing candidate (cx, take) of this depth and
             # the number k of candidates generated up to it
             cx, take = x, -1
-            if x > top:
+            if x > rows:
                 if not cursors:
                     verdict = UNSAT
                     break
                 d -= 1
                 px, py, prev_used = path.pop()
-                i, x, y, ok, top, u, blocked = cursors.pop()
+                i, x, y, ok, top, rows, u, blocked = cursors.pop()
                 state.remove(i, px, py, prev_used)
                 continue
             if x == u:
@@ -333,8 +342,12 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
             else:
                 state.add(i, cx, take)
             path.append((cx, take, prev_used))
-            cursors.append((i, x, y, ok, top, u, blocked))
+            cursors.append((i, x, y, ok, top, rows, u, blocked))
             d += 1
+            if d % r:
+                blocked |= state.nbr[cx] | state.nbr[take]
+            else:
+                blocked = 0
             break
 
     note = ""
@@ -443,44 +456,77 @@ def _cover(edge_count, masks, by_edge, max_nodes, deadline):
     return SAT, chosen, nodes, False
 
 
-def _pack(edge_count, r, masks, max_nodes, deadline):
+def _holders(pool_edges, edge_count):
+    """For each edge index, the mask of the pool indices whose matching holds it.
+
+    Each mask is filled as a little-endian byte row and turned into an int
+    once, so the build costs edge_count * len(pool) / 8 bytes, not a big-int
+    shift and OR per pool entry.
+    """
+    rows = [bytearray((len(pool_edges) + 7) >> 3) for _ in range(edge_count)]
+    for p, m in enumerate(pool_edges):
+        byte, bit = p >> 3, 1 << (p & 7)
+        for e in m:
+            rows[e][byte] |= bit
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def _pack(pool_edges, holders, r, max_nodes, deadline):
     """Branch and bound for the most edge-disjoint pool matchings, in pool order.
 
+    `pool_edges[p]` lists the edge indices of pool matching p, `holders` is
+    `_holders(pool_edges, edge_count)`.  Each depth holds `avail`, the mask
+    of its untried pool indices that share no edge with the chosen ones, and
+    takes its lowest set bit; the indices jumped over count as nodes, one per
+    pool index tried, so budget stops land as in a loop testing each index.
     Returns (SAT or INDETERMINATE, best pool indices, nodes, timed_out).
     """
+    size = len(pool_edges)
     best = []
     chosen = []
-    stack = []                         # next pool index of each depth above
-    used = 0
-    free = edge_count                  # edges not yet used
+    stack = []                         # (next pool index, avail) of each depth above
+    free = len(holders)                # edges not yet used
     nodes = 0
-    size = len(masks)
-    idx = size if free // r <= 0 else 0
+    max_nodes = max(max_nodes, 1)      # the first node stops a zero budget
+    clock_at = CLOCK_PERIOD            # the node at which the clock is read next
+    limit = min(clock_at, max_nodes)
+    idx, avail = (0, (1 << size) - 1) if free >= r else (size, 0)
     while True:
-        if idx == size:
+        if avail:
+            low = avail & -avail
+            k = low.bit_length() - idx  # the pool indices idx..p tried, p the lowest in avail
+        else:
+            k = size - idx
+        if k and nodes + k >= limit:
+            # budget checks fall among these k nodes: the clock at each
+            # multiple of CLOCK_PERIOD below max_nodes, then max_nodes
+            end = nodes + k
+            while clock_at <= end and clock_at < max_nodes:
+                if time.monotonic() > deadline:
+                    return INDETERMINATE, best, clock_at, True
+                clock_at += CLOCK_PERIOD
+            if end >= max_nodes:
+                return INDETERMINATE, best, max_nodes, False
+            limit = min(clock_at, max_nodes)
+        nodes += k
+        if not avail:
             if not stack:
                 return SAT, best, nodes, False
-            idx = stack.pop()
-            used ^= masks[chosen.pop()]
+            idx, avail = stack.pop()
+            chosen.pop()
             free += r
             continue
-        nodes += 1
-        if nodes >= max_nodes:
-            return INDETERMINATE, best, nodes, False
-        if not nodes % CLOCK_PERIOD and time.monotonic() > deadline:
-            return INDETERMINATE, best, nodes, True
-        m = masks[idx]
-        idx += 1
-        if used & m:
-            continue
-        stack.append(idx)
+        avail ^= low
+        idx += k
+        stack.append((idx, avail))
         chosen.append(idx - 1)
-        used |= m
+        for e in pool_edges[idx - 1]:
+            avail &= ~holders[e]
         free -= r
         if len(chosen) > len(best):
             best = list(chosen)
         if len(chosen) + free // r <= len(best):
-            idx = size                 # bound: the rest cannot beat best
+            idx, avail = size, 0       # bound: the rest cannot beat best
 
 
 def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
@@ -507,17 +553,19 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
         pool, verdict, picked, nodes, timed_out = [], INDETERMINATE, [], 1, True
     else:
         index = {e: k for k, e in enumerate(sorted(g.edges))}
-        masks = [sum(1 << index[e] for e in m) for m in pool]
+        pool_edges = [[index[e] for e in m] for m in pool]
         late = time.monotonic() >= deadline
         max_nodes = 1 if late else budget.max_nodes          # as in exists_rs
         if exact_cover:
+            masks = [sum(1 << e for e in m) for m in pool_edges]
             by_edge = [[] for _ in index]
-            for idx, m in enumerate(pool):
+            for idx, m in enumerate(pool_edges):
                 for e in m:
-                    by_edge[index[e]].append(idx)
+                    by_edge[e].append(idx)
             verdict, picked, nodes, timed_out = _cover(len(index), masks, by_edge, max_nodes, deadline)
         else:
-            verdict, picked, nodes, timed_out = _pack(len(index), r, masks, max_nodes, deadline)
+            holders = _holders(pool_edges, len(index))
+            verdict, picked, nodes, timed_out = _pack(pool_edges, holders, r, max_nodes, deadline)
         timed_out = timed_out or late
     chosen = [pool[idx] for idx in picked]
     note = budget.exhausted(timed_out, nodes) if verdict == INDETERMINATE else ""

@@ -297,12 +297,13 @@ def oracle_claims(nbrs, incidence):
 
 def run_claims(nbrs, incidence, block):
     """`bounds._claim_violations` with SOURCE_BLOCK = block, and the sources its bitset pass flagged."""
+    covering = [[m for m in range(a.bit_length()) if a >> m & 1] for a in incidence]
     flagged = set()
     real, saved = bounds._component_hits, bounds.SOURCE_BLOCK
     bounds.SOURCE_BLOCK = block
     bounds._component_hits = lambda *args: flagged.update(found := real(*args)) or found
     try:
-        return bounds._claim_violations(nbrs, incidence), flagged
+        return bounds._claim_violations(nbrs, covering), flagged
     finally:
         bounds.SOURCE_BLOCK, bounds._component_hits = saved, real
 

@@ -13,9 +13,11 @@ from rsgraphs.cli import (
     EX_INDETERMINATE,
     EX_OK,
     EX_PARSE,
+    EX_SOFTWARE,
     EX_USAGE,
     main,
 )
+from rsgraphs import cli
 
 
 def run(capsys, *argv):
@@ -233,3 +235,14 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == EX_USAGE
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        # an exception no handler expects must not exit 1, which reads as UNSAT
+        def boom(*args, **kwargs):
+            raise RuntimeError("search state\ncorrupted")
+        monkeypatch.setattr(cli, "exists_rs", boom)
+        code, stdout, err = run(capsys, "search", "--n", "6", "--r", "2", "--t", "3")
+        assert code == EX_SOFTWARE == 70
+        assert stdout == ""
+        assert err == "internal error: RuntimeError: search state corrupted\n"
+        assert "Traceback" not in err

@@ -3,6 +3,7 @@ cross-checks between the pruned and unpruned explorations, pinned node
 counts, and the incremental search state against the verifier."""
 
 import itertools
+import os
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from rsgraphs import (
     ParameterError,
     SAT,
     UNSAT,
+    emit_rsg,
     exists_rs,
     hypercube_rs,
     kneser_rs,
@@ -24,6 +26,7 @@ from rsgraphs import (
     max_t_on_graph,
     verify_decomposition,
 )
+from rsgraphs.bounds import min_vertices
 from rsgraphs.search import _State
 
 FAST = Budget(max_nodes=500_000, max_seconds=20.0)
@@ -125,12 +128,40 @@ class TestSearchConsistency:
                     out = exists_rs(n, r, t, eq1_shortcut=False, budget=FAST)
                     assert out.verdict != SAT, (n, r, t)
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_row_cap_matches_theorem_free_search(self, n):
+        # the per-matching row cap prunes only subtrees without a SAT leaf:
+        # same verdict, same first certificate, a subset of the nodes; with
+        # matching_order_pruning off the cap is off, so past the root
+        # shortcut the two searches are the same search, to the same stop
+        cert = lambda out: out.certificate and emit_rsg(out.certificate)
+        for r, t in itertools.product((1, 2, 3), range(1, 9)):
+            if 2 * r > n:
+                continue
+            capped = exists_rs(n, r, t)
+            free = exists_rs(n, r, t, eq1_shortcut=False)
+            assert capped.verdict == free.verdict != INDETERMINATE, (n, r, t)
+            assert cert(capped) == cert(free), (n, r, t)
+            assert capped.nodes_explored <= free.nodes_explored, (n, r, t)
+            plain = exists_rs(n, r, t, budget=FAST, matching_order_pruning=False)
+            if "shortcut" not in plain.note:
+                free = exists_rs(n, r, t, budget=FAST, eq1_shortcut=False,
+                                 matching_order_pruning=False)
+                assert (plain.verdict, plain.nodes_explored, cert(plain)) == \
+                    (free.verdict, free.nodes_explored, cert(free)), (n, r, t)
+
+    def test_min_vertices_matches_max_r(self):
+        for r, t in itertools.product(range(1, 17), range(1, 65)):
+            m = min_vertices(r, t)
+            for n in range(1, 65):
+                assert (Fraction(r) <= max_r(n, t)) == (n >= m), (n, r, t)
+
 
 class TestSearchSpace:
     """Node counts pinned so that a change to pruning or ordering states its effect."""
 
     @pytest.mark.parametrize("args, kwargs, nodes", [
-        ((8, 2, 8), {}, 59_835),
+        ((8, 2, 8), {"eq1_shortcut": False}, 59_835),
         ((7, 2, 5), {"eq1_shortcut": False}, 1_754),
         ((6, 2, 4), {"eq1_shortcut": False}, 142),
     ])
@@ -143,8 +174,46 @@ class TestSearchSpace:
         ((12, 3, 7), SAT, 1_269_991),
     ])
     def test_ladder_node_count(self, args, verdict, nodes):
+        # the theorem-free search
+        out = exists_rs(*args, eq1_shortcut=False)
+        assert (out.verdict, out.nodes_explored) == (verdict, nodes)
+
+    @pytest.mark.parametrize("args, verdict, nodes", [
+        ((7, 2, 5), UNSAT, 596),
+        ((8, 2, 8), UNSAT, 10_600),
+        ((10, 3, 4), SAT, 497),
+        ((11, 3, 6), UNSAT, 972_981),
+        ((12, 3, 7), SAT, 596_344),
+    ])
+    def test_row_capped_node_count(self, args, verdict, nodes):
         out = exists_rs(*args)
         assert (out.verdict, out.nodes_explored) == (verdict, nodes)
+
+    @pytest.mark.parametrize("args", [(7, 2, 5), (10, 3, 4)])
+    def test_row_capped_node_budget_stops(self, args):
+        full = exists_rs(*args)
+        fields = lambda out: (out.verdict, out.nodes_explored, out.note,
+                              out.certificate and emit_rsg(out.certificate))
+        # a budget of B nodes stops at node B, the last node of the search
+        # included; only a larger one lets the search end
+        for max_nodes in range(full.nodes_explored + 3):
+            out = exists_rs(*args, budget=Budget(max_nodes=max_nodes, max_seconds=1e9))
+            if max_nodes <= full.nodes_explored:
+                stop = max(max_nodes, 1)
+                assert fields(out) == (INDETERMINATE, stop, f"node budget exhausted ({stop} nodes)",
+                                       None), max_nodes
+            else:
+                assert fields(out) == fields(full), max_nodes
+
+    @pytest.mark.skipif(os.environ.get("RSG_SLOW_TESTS") != "1",
+                        reason="minutes of search; set RSG_SLOW_TESTS=1")
+    @pytest.mark.parametrize("kwargs, nodes", [
+        ({}, 130_278_810),
+        ({"eq1_shortcut": False}, 275_881_966),
+    ])
+    def test_12_3_8_unsat(self, kwargs, nodes):
+        out = exists_rs(12, 3, 8, budget=Budget(max_nodes=nodes + 1, max_seconds=1e9), **kwargs)
+        assert (out.verdict, out.nodes_explored) == (UNSAT, nodes)
 
 
 def _masks(n, t, matchings):

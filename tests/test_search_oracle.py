@@ -312,7 +312,7 @@ class TestExistsRsOracle:
                 _oracle_fields(recursive_exists_rs(n, r, t, **kwargs)), (n, r, t, pruning)
 
     @pytest.mark.parametrize("args, kwargs", [
-        ((8, 2, 8), {}),
+        ((8, 2, 8), {"eq1_shortcut": False}),
         ((9, 2, 7), {"eq1_shortcut": False}),
         ((7, 2, 5), {"eq1_shortcut": False, "matching_order_pruning": False}),
     ])
@@ -383,6 +383,66 @@ class TestTimeBudgetStops:
         assert new.note.startswith(f"time budget exhausted (1 s, {nodes} nodes)")
 
 
+def per_index_pack(edge_count, r, masks, max_nodes, deadline):
+    """The package's earlier explicit-stack `_pack`, which tests each pool index in turn."""
+    best = []
+    chosen = []
+    stack = []
+    used = 0
+    free = edge_count
+    nodes = 0
+    size = len(masks)
+    idx = size if free // r <= 0 else 0
+    while True:
+        if idx == size:
+            if not stack:
+                return SAT, best, nodes, False
+            idx = stack.pop()
+            used ^= masks[chosen.pop()]
+            free += r
+            continue
+        nodes += 1
+        if nodes >= max_nodes:
+            return INDETERMINATE, best, nodes, False
+        if not nodes % 4096 and time.monotonic() > deadline:
+            return INDETERMINATE, best, nodes, True
+        m = masks[idx]
+        idx += 1
+        if used & m:
+            continue
+        stack.append(idx)
+        chosen.append(idx - 1)
+        used |= m
+        free -= r
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(chosen) + free // r <= len(best):
+            idx = size
+
+
+class TestPackJumps:
+    """`_pack` jumping over more than one multiple of 4096 blocked pool indices at once.
+
+    Pool 0 and the next 9,999 share edge 0, so once pool 0 is chosen the
+    next disjoint index is 10,000: one jump of 10,000 nodes, across the
+    clock reads at 4096 and 8192.  Each stop must land where the loop that
+    tests each index stops.
+    """
+
+    POOL = [[0, 2]] + [[0, 3]] * 9_999 + [[1, 4], [2, 3]]
+
+    @pytest.mark.parametrize("reads", [0, 1, 2, 3, 10**6])
+    @pytest.mark.parametrize("max_nodes", [0, 1, 2, 4096, 5_000, 8_192, 10_001, 10_002, 10**9])
+    def test_stops_match_per_index_loop(self, monkeypatch, reads, max_nodes):
+        masks = [sum(1 << e for e in m) for m in self.POOL]
+        holders = search._holders(self.POOL, 5)
+        monkeypatch.setattr(search, "time", _Clock(reads))
+        new = search._pack(self.POOL, holders, 2, max_nodes, 1.0)
+        monkeypatch.setitem(globals(), "time", _Clock(reads))
+        old = per_index_pack(5, 2, masks, max_nodes, 1.0)
+        assert new == old
+
+
 def _random_graph(draw, n_max=9):
     n = draw(st.integers(2, n_max))
     pairs = list(itertools.combinations(range(n), 2))
@@ -434,7 +494,10 @@ class TestRowMask:
             state.try_add(data.draw(st.integers(0, t - 1)), x, y)
         before = (list(state.incidence), list(state.nbr), list(state.members), state.used)
         i = data.draw(st.integers(0, t - 1))
-        blocked = state.blocked(i)
+        blocked = state.members[i]     # B_i = V_i | N(V_i)
+        for v in range(n):
+            if state.members[i] >> v & 1:
+                blocked |= state.nbr[v]
         for x in range(n - 1):
             for lo in range(x + 1, n + 1):
                 for hi in range(lo - 1, n):
