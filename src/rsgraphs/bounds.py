@@ -20,7 +20,7 @@ from .core import (
     ParameterError,
     PreconditionError,
     is_bipartite,
-    verify_decomposition,
+    verification_verdict,
 )
 from .constructions import double_cover
 
@@ -173,21 +173,24 @@ def distance_certificate(dec: MatchingDecomposition) -> DistanceCertificate:
     Requires a verified decomposition; verification makes every |V_i| = 2r,
     so the all-zero vector can join the code.  Asserts pairwise distance
     >= 2r over all 0 <= i < j <= t and evaluates both sides of the double
-    count exactly, from the verifier's cached report alone.
+    count exactly, from the verifier's cached verdict alone
+    (`core.verification_verdict`, which skips the pair count).
 
     The distance sum is Plotkin's (1960) column count: stack the t + 1
     vectors as rows; column v holds d_v ones (each edge at v lies in exactly
     one matching, and no matching covers v twice), so it adds d_v (t+1-d_v)
     to the sum over all pairs of rows.  For the minimum, d(0, V_i) = 2r and
-    d(V_i, V_j) = 4r - 2|V_i cap V_j| (the report's maximum intersection is 0
-    when t < 2, which leaves 2r).
+    d(V_i, V_j) = 4r - 2|V_i cap V_j|, so it is min(2r, 4r - 2 max|V_i cap V_j|).
+    That is 2r on any decomposition that passes: inducedness lets each edge
+    of M_j put at most one end in V_i, so |V_i cap V_j| <= r (the lemma in
+    the `core` docstring), and no pair maximum is needed.
     """
-    report = verify_decomposition(dec)
-    if not report.passed:
+    verdict = verification_verdict(dec)
+    if not verdict.passed:
         raise PreconditionError("distance_certificate requires a verified decomposition")
     n, t, r = dec.graph.n, dec.t, dec.r
-    dist_sum = sum(count * d * (t + 1 - d) for d, count in report.degree_histogram.items())
-    min_dist = min(2 * r, 4 * r - 2 * report.max_pair_intersection)
+    dist_sum = sum(count * d * (t + 1 - d) for d, count in verdict.degree_histogram.items())
+    min_dist = 2 * r
 
     lhs = 2 * r * math.comb(t + 1, 2)
     if t % 2 == 1:
@@ -437,8 +440,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     walked again by a plain BFS, which lists its witnesses in the order of a
     per-source check: by source, then by discovery order.
     """
-    report = verify_decomposition(dec)
-    if not report.passed:
+    if not verification_verdict(dec).passed:
         raise PreconditionError("expansion_audit requires a verified decomposition")
 
     doubled = False

@@ -18,7 +18,7 @@ from .core import (
     MatchingDecomposition,
     ParameterError,
     PreconditionError,
-    verify_decomposition,
+    verification_verdict,
 )
 
 
@@ -30,9 +30,9 @@ DEFAULT_VERTEX_BUDGET = 100_000
 
 
 def _require_verified(dec: MatchingDecomposition, what: str) -> None:
-    report = verify_decomposition(dec)
-    if not report.passed:
-        first = report.violations[0]
+    verdict = verification_verdict(dec)
+    if not verdict.passed:
+        first = verdict.violations[0]
         raise PreconditionError(f"{what}: input decomposition fails verification ({first.invariant})")
 
 
@@ -286,8 +286,8 @@ def cayley_rs(modulus: int, s: APFreeSet) -> MatchingDecomposition:
     graph = Graph.from_edges(2 * n_mod, edges)
     dec = MatchingDecomposition.make(graph, matchings, len(elems))
 
-    report = verify_decomposition(dec)
-    if not report.passed:
-        first = report.violations[0]
+    verdict = verification_verdict(dec)
+    if not verdict.passed:
+        first = verdict.violations[0]
         raise AssertionError(f"cayley construction failed certification: {first.invariant}")
     return dec

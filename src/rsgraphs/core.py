@@ -6,21 +6,34 @@ trusts that claim: `verify_decomposition` re-checks every invariant and
 returns a report with explicit witnesses.  It is the package's one batch
 inducedness check; `search` keeps its own incremental one.
 
-The report is computed once per decomposition and cached on it, the same way
-`Graph.degrees` is cached on a graph: a `MatchingDecomposition` is frozen,
-its graph's edges are a frozenset and `make` stores the matchings as tuples,
-so repeat verification of one object (by a construction, then a bound, then
-an audit) costs nothing.
+The verifier runs in two phases.  Phase 1 checks the sizes, that every
+listed edge is a graph edge, edge-disjointness, the partition, the matching
+property and inducedness, and takes the degree statistics in the same edge
+pass (d_u + d_v <= t + 1 among them).  Phase 2 counts |V_i cap V_j| over all
+pairs i < j.  Phase 2 cannot fail after phase 1 passes: when M_i is induced,
+an edge of M_j (j != i, so not listed by M_i) with both ends in V_i would be
+a chord of M_i, so each of the r edges of M_j puts at most one vertex in V_i
+and |V_i cap V_j| <= r.  (The same argument on the matchings covering an
+edge's two ends gives d_u + d_v <= 2 + (t - 1).)
+
+Phase 1 is computed once per decomposition and cached on it as its verdict,
+the same way `Graph.degrees` is cached on a graph: a `MatchingDecomposition`
+is frozen, its graph's edges are a frozenset and `make` stores the matchings
+as tuples, so repeat verification of one object costs nothing.  A failing
+verdict runs phase 2 at once and is the full report.  Callers that need only
+pass/fail read `verification_verdict`: the Cayley construction's
+self-certification, the input checks of `disjoint_union` and `double_cover`,
+`distance_certificate`, `expansion_audit` and the search certificate checks.
+`verify_decomposition` (the `rsg verify` report) adds phase 2 to a passing
+verdict once, for its max_pair_intersection statistic.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-
-Edge = tuple[int, int]
 
 
 class GraphError(ValueError):
@@ -35,12 +48,17 @@ class PreconditionError(ValueError):
     """An operation was handed input that fails its stated precondition."""
 
 
-def _norm_edge(u: int, v: int, n: int) -> Edge:
-    if u == v:
-        raise GraphError(f"self-loop at vertex {u}")
-    if not (0 <= u < n and 0 <= v < n):
-        raise GraphError(f"vertex out of range in edge ({u}, {v}); n = {n}")
-    return (u, v) if u < v else (v, u)
+def _norm_edges(pairs, n: int):
+    """Each pair (u, v) as the edge (min, max), in order; GraphError at the first bad pair."""
+    for u, v in pairs:
+        if 0 <= u < v < n:
+            yield (u, v)
+        elif 0 <= v < u < n:
+            yield (v, u)
+        elif u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        else:
+            raise GraphError(f"vertex out of range in edge ({u}, {v}); n = {n}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +72,7 @@ class Graph:
     def from_edges(cls, n, edge_iter) -> "Graph":
         if n < 0:
             raise GraphError("vertex count must be non-negative")
-        edges = frozenset(_norm_edge(u, v, n) for u, v in edge_iter)
+        edges = frozenset(_norm_edges(edge_iter, n))
         return cls(n, edges)
 
     @cached_property
@@ -108,9 +126,7 @@ class MatchingDecomposition:
     def make(cls, graph: Graph, matchings, r: int) -> "MatchingDecomposition":
         if r < 0:
             raise GraphError("claimed matching size must be non-negative")
-        normed = tuple(
-            tuple(sorted(_norm_edge(u, v, graph.n) for u, v in m)) for m in matchings
-        )
+        normed = tuple(tuple(sorted(_norm_edges(m, graph.n))) for m in matchings)
         return cls(graph, normed, r)
 
     @property
@@ -132,9 +148,18 @@ class MatchingDecomposition:
         return covering
 
     @cached_property
-    def _report(self) -> "VerificationReport":
-        """The verifier's report, computed once; read it through `verify_decomposition`."""
+    def _verdict(self) -> "VerificationReport":
+        """Phase 1 of the verifier, computed once; read it through `verification_verdict`."""
         return _verify(self)
+
+    @cached_property
+    def _report(self) -> "VerificationReport":
+        """The verifier's full report, computed once; read it through `verify_decomposition`."""
+        verdict = self._verdict
+        if not verdict.passed:
+            return verdict
+        max_inter, violations = _pair_intersections(self)
+        return replace(verdict, violations=violations, max_pair_intersection=max_inter)
 
 
 @dataclass(frozen=True)
@@ -192,9 +217,19 @@ def verify_decomposition(dec: MatchingDecomposition) -> VerificationReport:
     return dec._report
 
 
+def verification_verdict(dec: MatchingDecomposition) -> VerificationReport:
+    """The verifier's phase 1 (module docstring): its `passed` is the verdict.
+
+    A failing verdict is `verify_decomposition`'s report.  A passing one
+    equals it except that max_pair_intersection is None: the pair count that
+    fills it cannot turn a pass into a fail.  Computed once and cached on dec.
+    """
+    return dec._verdict
+
+
 def _verify(dec: MatchingDecomposition) -> VerificationReport:
-    # One pass over the matching incidence dec.covering: memory O(n + |E| + t),
-    # and work sum_v c_v^2 for the pair intersections, c_v = #{i : v in V_i}.
+    # Phase 1: one pass over the matchings and one over the sorted edges,
+    # memory O(n + |E| + t).  A matching with no edges costs O(1).
     g = dec.graph
     t = dec.t
     r = dec.r
@@ -211,6 +246,8 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
                 Violation("size-mismatch", (i,), (len(m),),
                           f"matching {i} has {len(m)} edges, declared r = {r}")
             )
+        if not m:
+            continue
         bad_member = None
         for e in m:
             if e not in g.edges and (bad_member is None or e < bad_member):
@@ -291,14 +328,44 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
                       f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
         )
 
-    # |V_i cap V_j| for every j > i sharing a vertex with V_i, by counting the
-    # matchings that cover V_i's vertices.  A reversed copy of each covering
-    # list longer than one ends in the smallest matching not yet handled,
-    # which at step i is i itself: popping it leaves the matchings after i.
-    rest = {x: c[::-1] for x, c in covering.items() if len(c) > 1}
+    isolated = deg.count(0)
+    notes = []
+    if isolated:
+        notes.append(f"{isolated} isolated vertices present; they count toward n")
+
+    max_inter = None
+    if violations:
+        max_inter, pair_violations = _pair_intersections(dec)
+        violations.extend(pair_violations)
+    return VerificationReport(
+        violations=tuple(violations),
+        degree_histogram=dict(Counter(deg)),
+        max_edge_degree_sum=max_sum,
+        max_pair_intersection=max_inter,
+        isolated_vertices=isolated,
+        notes=tuple(notes),
+    )
+
+
+def _pair_intersections(dec: MatchingDecomposition):
+    """Phase 2: max |V_i cap V_j| over i < j (0 if t < 2), and an
+    endpoint-intersection violation for each pair above r.
+
+    |V_i cap V_j| for every j > i sharing a vertex with V_i comes from
+    counting the matchings that cover V_i's vertices, so the work is
+    sum_v c_v^2, c_v = #{i : v in V_i}.  A reversed copy of each covering
+    list longer than one ends in the smallest matching not yet handled,
+    which at step i is i itself: popping it leaves the matchings after i.
+    A matching sharing no vertex with another costs O(|M_i|).
+    """
+    rest = {x: c[::-1] for x, c in dec.covering.items() if len(c) > 1}
+    r = dec.r
     max_inter = 0
+    violations = []
     for i, m in enumerate(dec.matchings):
         lists = [rest[x] for x in {x for e in m for x in e} if x in rest]
+        if not lists:
+            continue
         for after in lists:
             after.pop()
         shared = Counter(chain.from_iterable(lists))
@@ -312,16 +379,4 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
                                   f"|V_{i} cap V_{j}| = {shared[j]} > r = {r}")
                     )
 
-    isolated = deg.count(0)
-    notes = []
-    if isolated:
-        notes.append(f"{isolated} isolated vertices present; they count toward n")
-
-    return VerificationReport(
-        violations=tuple(violations),
-        degree_histogram=dict(Counter(deg)),
-        max_edge_degree_sum=max_sum,
-        max_pair_intersection=max_inter,
-        isolated_vertices=isolated,
-        notes=tuple(notes),
-    )
+    return max_inter, tuple(violations)

@@ -7,6 +7,8 @@ inconsistent files stay inspectable.  Emission is canonical (records sorted by
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .core import Graph, MatchingDecomposition
 
 
@@ -30,27 +32,33 @@ def parse_rsg(text: str) -> MatchingDecomposition:
     if n < 0 or t < 0 or r < 0:
         raise RsgParseError(1, "header fields must be non-negative")
 
-    matchings = [[] for _ in range(t)]
+    records = defaultdict(list)     # matching index -> its edges, for indices with records
     seen = {}
     for offset, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if len(tokens) != 3:
             raise RsgParseError(offset, f"malformed record {line!r}, expected 'u v m'")
         try:
-            u, v, m = (int(tok) for tok in tokens)
+            u, v, m = map(int, tokens)
         except ValueError:
             raise RsgParseError(offset, f"non-integer record fields in {line!r}")
         if not (0 <= u < v < n):
             raise RsgParseError(offset, f"vertex pair ({u}, {v}) violates 0 <= u < v < n = {n}")
         if not (0 <= m < t):
             raise RsgParseError(offset, f"matching index {m} out of range [0, {t})")
-        if (u, v) in seen:
-            raise RsgParseError(offset, f"duplicate edge ({u}, {v}), first seen on line {seen[(u, v)]}")
-        seen[(u, v)] = offset
-        matchings[m].append((u, v))
+        e = (u, v)
+        if e in seen:
+            raise RsgParseError(offset, f"duplicate edge ({u}, {v}), first seen on line {seen[e]}")
+        seen[e] = offset
+        records[m].append(e)
 
-    graph = Graph.from_edges(n, seen)
-    return MatchingDecomposition.make(graph, matchings, r)
+    # The records are checked distinct edges with 0 <= u < v < n, the form
+    # Graph.from_edges and MatchingDecomposition.make produce, so both are
+    # built directly.  A matching without records is the shared empty tuple:
+    # a header's t costs one pointer per matching.
+    graph = Graph(n, frozenset(seen))
+    matchings = tuple(tuple(sorted(records[i])) if i in records else () for i in range(t))
+    return MatchingDecomposition(graph, matchings, r)
 
 
 def emit_rsg(dec: MatchingDecomposition) -> str:

@@ -68,7 +68,7 @@ from .core import (
     Graph,
     MatchingDecomposition,
     ParameterError,
-    verify_decomposition,
+    verification_verdict,
 )
 from .bounds import max_r, min_vertices
 
@@ -138,6 +138,8 @@ class _State:
 
     Every set is an int bitmask: `incidence[v]` holds the matchings covering
     v, `nbr[v]` the neighbours of v and `members[i]` the vertices of V_i.
+    A search that opens the matchings in order may start with one slot and
+    append the next as it opens, so no memory grows with t before a node.
     The three tests of `try_add` keep each matching an induced matching of
     the graph built so far, which is all the search has to maintain: the
     degree-sum and endpoint-intersection caps follow (module docstring).
@@ -240,7 +242,7 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
             note=f"r = {r} > max_r({n}, {t}) = {max_r(n, t)}; hard cap shortcut",
         )
 
-    state = _State(n, t)
+    state = _State(n, 1)
     seed = [(2 * j, 2 * j + 1) for j in range(r)]
     for x, y in seed:
         if not state.try_add(0, x, y):
@@ -269,6 +271,8 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
         # open depth d: candidates are the edges after `lo` in lex order,
         # with rows x up to `rows` and labels y up to `top`
         i = d // r
+        if i == len(state.members):
+            state.members.append(0)    # M_i opens
         u = state.used
         top = min(u, n - 1)
         rows = top
@@ -359,8 +363,7 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
         matchings = [placed[j:j + r] for j in range(0, t * r, r)]
         graph = Graph.from_edges(n, placed)
         certificate = MatchingDecomposition.make(graph, matchings, r)
-        report = verify_decomposition(certificate)
-        if not report.passed:
+        if not verification_verdict(certificate).passed:
             raise AssertionError("search produced a certificate that fails verification")
     return SearchOutcome(
         verdict, certificate=certificate, nodes_explored=nodes,
@@ -575,7 +578,7 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
         achieved = None
         if verdict == SAT:
             certificate = MatchingDecomposition.make(g, chosen, r)
-            if not verify_decomposition(certificate).passed:
+            if not verification_verdict(certificate).passed:
                 raise AssertionError("exact cover certificate fails verification")
             achieved = len(g.edges) // r
         return SearchOutcome(verdict, certificate=certificate, nodes_explored=nodes,
@@ -586,7 +589,7 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
     packed_edges = [e for m in chosen for e in m]
     sub = Graph.from_edges(g.n, packed_edges)
     certificate = MatchingDecomposition.make(sub, chosen, r)
-    if not verify_decomposition(certificate).passed:
+    if not verification_verdict(certificate).passed:
         raise AssertionError("packing certificate fails verification")
     return SearchOutcome(verdict, certificate=certificate,
                          nodes_explored=nodes, wall_time=time.monotonic() - started,

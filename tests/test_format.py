@@ -1,11 +1,13 @@
 """Round-trip and error-reporting tests for the .rsg format."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsgraphs import (
+    Graph,
     MatchingDecomposition,
     RsgParseError,
     double_cover,
@@ -30,6 +32,18 @@ class TestParse:
         dec = parse_rsg(text)  # parses fine
         report = verify_decomposition(dec)
         assert any(v.invariant == "size-mismatch" for v in report.violations)
+
+    def test_tall_header_costs_a_pointer_per_matching(self):
+        # 200,000 matchings without records share one empty tuple
+        tracemalloc.start()
+        try:
+            dec = parse_rsg("rsg 2 200000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert dec.matchings == ((),) * 200_000
+        assert verify_decomposition(dec).passed
 
     def test_duplicate_edge_line_number(self):
         text = "rsg 3 3 1\n0 1 0\n0 1 1\n"
@@ -71,7 +85,6 @@ class TestEmit:
         assert text == emit_rsg(kneser_rs(2))  # stable across runs
 
     def test_empty_decomposition(self):
-        from rsgraphs import Graph
         dec = MatchingDecomposition.make(Graph.from_edges(0, []), [], 0)
         assert emit_rsg(dec) == "rsg 0 0 0\n"
 
@@ -101,7 +114,6 @@ class TestRoundTrip:
         labels = [data.draw(st.integers(0, t - 1)) if t else None for _ in edges]
         if t == 0 and edges:
             return
-        from rsgraphs import Graph
         matchings = [[] for _ in range(t)]
         for e, m in zip(edges, labels):
             matchings[m].append(e)
@@ -110,3 +122,20 @@ class TestRoundTrip:
         text = emit_rsg(dec)
         assert parse_rsg(text) == dec
         assert emit_rsg(parse_rsg(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_records_in_any_order_parse_as_make_builds(self, data):
+        # parse builds the graph and decomposition from its checked records
+        # without the constructors; in any record order they must equal what
+        # the constructors build
+        n = data.draw(st.integers(2, 9))
+        t = data.draw(st.integers(1, 5))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        records = [(u, v, data.draw(st.integers(0, t - 1))) for u, v in edges]
+        r = data.draw(st.integers(0, 4))
+        text = f"rsg {n} {t} {r}\n" + "".join(f"{u} {v} {m}\n" for u, v, m in records)
+        matchings = [[(u, v) for u, v, m in records if m == i] for i in range(t)]
+        expected = MatchingDecomposition.make(Graph.from_edges(n, edges), matchings, r)
+        assert parse_rsg(text) == expected

@@ -5,6 +5,7 @@ counts, and the incremental search state against the verifier."""
 import itertools
 import os
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,19 @@ class TestExistsRS:
         assert out.verdict == INDETERMINATE
         assert out.nodes_explored == 1
         assert out.note == "time budget exhausted (0 s, 1 nodes)"
+
+    def test_budget_stops_before_memory_grows_with_t(self):
+        # matching slots open with the search, so a 10-node budget on a
+        # million matchings stops before any t-long allocation
+        tracemalloc.start()
+        try:
+            out = exists_rs(8, 2, 10 ** 6, Budget(max_nodes=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.verdict, out.nodes_explored) == (INDETERMINATE, 10)
+        assert out.note == "node budget exhausted (10 nodes)"
+        assert peak < 2 ** 20
 
     def test_deep_search_needs_no_recursion(self):
         # 1,199 edges placed one below the other: deeper than the recursion limit

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from rsgraphs import (
     Graph,
+    GraphError,
     MatchingDecomposition,
     PreconditionError,
     ap_free_set,
@@ -34,7 +35,7 @@ from rsgraphs import (
 )
 from rsgraphs import core
 from rsgraphs.bounds import DistanceCertificate
-from rsgraphs.core import VerificationReport, Violation
+from rsgraphs.core import VerificationReport, Violation, verification_verdict
 
 
 def adjacency(g):
@@ -301,6 +302,30 @@ class TestAgainstPairwiseOracle:
             with pytest.raises(PreconditionError):
                 distance_certificate(dec)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_verdict_needs_no_pair_count(self, data):
+        # the lemma in the core docstring: once phase 1 passes, the pair
+        # count and the degree-sum cap cannot fail
+        src = base(data.draw(st.sampled_from(sorted(BASES))))
+        n = src.graph.n
+        edges = set(src.graph.edges)
+        matchings = [list(m) for m in src.matchings]
+        r = src.r
+        for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=0, max_size=3)):
+            r = mutate(data, kind, n, edges, matchings, r)
+        dec = MatchingDecomposition.make(Graph.from_edges(n, edges), matchings, r)
+        expected = pairwise_verify(dec)
+        verdict = verification_verdict(dec)
+        assert verdict.passed == expected.passed
+        if expected.passed:
+            assert expected.max_pair_intersection <= r
+            assert expected.max_edge_degree_sum <= dec.t + 1
+            assert verdict.max_pair_intersection is None
+            assert verify_decomposition(dec).to_dict() == expected.to_dict()
+        else:
+            assert verdict is verify_decomposition(dec)
+
 
 class TestReportCache:
     def test_second_call_returns_the_same_report(self):
@@ -314,6 +339,60 @@ class TestReportCache:
         dec = cayley(31)
         assert distance_certificate(dec).passed
         assert len(calls) == 1 and calls[0] is dec
+
+    def test_report_after_a_construction_runs_only_phase_2(self, monkeypatch):
+        dec = cayley(31)               # certified by its verdict
+        calls = []
+        phase_1, phase_2 = core._verify, core._pair_intersections
+        monkeypatch.setattr(core, "_verify", lambda dec: calls.append(1) or phase_1(dec))
+        monkeypatch.setattr(core, "_pair_intersections", lambda dec: calls.append(2) or phase_2(dec))
+        report = verify_decomposition(dec)
+        assert calls == [2]
+        assert report.to_dict() == pairwise_verify(dec).to_dict()
+        assert verify_decomposition(dec) is report and calls == [2]
+
+    def test_failing_verdict_is_the_report(self, monkeypatch):
+        calls = []
+        phase_2 = core._pair_intersections
+        monkeypatch.setattr(core, "_pair_intersections", lambda dec: calls.append(dec) or phase_2(dec))
+        src = kneser_rs(2)
+        dec = MatchingDecomposition.make(src.graph, src.matchings, src.r + 1)
+        verdict = verification_verdict(dec)
+        assert not verdict.passed and len(calls) == 1
+        assert verify_decomposition(dec) is verdict and len(calls) == 1
+        assert verdict.to_dict() == pairwise_verify(dec).to_dict()
+
+
+class TestEdgeNormalisation:
+    """`from_edges` and `make` normalise in one pass and name the first bad edge."""
+
+    BAD = (
+        ([(1, 0), (2, 2), (0, 5)], "self-loop at vertex 2"),
+        ([(2, 1), (4, 0), (1, 1)], "vertex out of range in edge (4, 0); n = 3"),
+        ([(0, 1), (-1, 2)], "vertex out of range in edge (-1, 2); n = 3"),
+        ([(0, 1), (-1, -1)], "self-loop at vertex -1"),
+        ([(0, 3), (1, 1)], "vertex out of range in edge (0, 3); n = 3"),
+    )
+
+    @pytest.mark.parametrize("pairs, message", BAD)
+    def test_first_bad_edge_is_named(self, pairs, message):
+        with pytest.raises(GraphError) as err:
+            Graph.from_edges(3, pairs)
+        assert str(err.value) == message
+        with pytest.raises(GraphError) as err:
+            Graph.from_edges(3, iter(pairs))
+        assert str(err.value) == message
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError) as err:
+            MatchingDecomposition.make(g, [[(1, 0)], pairs], 1)
+        assert str(err.value) == message
+
+    def test_out_of_order_edges_are_normalised(self):
+        g = Graph.from_edges(4, iter([(3, 0), (1, 2), (0, 3)]))
+        assert g.edges == frozenset({(0, 3), (1, 2)})
+        dec = MatchingDecomposition.make(g, [iter([(3, 0), (2, 1)]), []], 2)
+        assert dec.matchings == (((0, 3), (1, 2)), ())
+        assert all(type(e) is tuple for e in g.edges)
 
 
 class TestLargeSparse:
