@@ -190,7 +190,6 @@ def distance_certificate(dec: MatchingDecomposition) -> DistanceCertificate:
         raise PreconditionError("distance_certificate requires a verified decomposition")
     n, t, r = dec.graph.n, dec.t, dec.r
     dist_sum = sum(count * d * (t + 1 - d) for d, count in verdict.degree_histogram.items())
-    min_dist = 2 * r
 
     lhs = 2 * r * math.comb(t + 1, 2)
     if t % 2 == 1:
@@ -198,10 +197,10 @@ def distance_certificate(dec: MatchingDecomposition) -> DistanceCertificate:
     else:
         cap = Fraction(n * t * (t + 2), 4)
     slack = dist_sum - lhs
-    passed = min_dist >= 2 * r and slack >= 0 and dist_sum <= cap
+    passed = slack >= 0 and dist_sum <= cap
     return DistanceCertificate(
         n=n, r=r, t=t,
-        min_pairwise_distance=min_dist,
+        min_pairwise_distance=2 * r,
         double_count_lhs=lhs,
         pair_distance_sum=dist_sum,
         column_product_cap=cap,
@@ -291,28 +290,27 @@ def _claim_violations(nbrs, covering):
     """Every failing distance claim (v, u, k, overlap) on the graph nbrs.
 
     Vertices are indices into nbrs (lists of neighbour indices) and
-    covering (the matching set A_v of each vertex, ascending).  For u at
-    distance k from v the claim is |A_u cap A_v| <= k for odd k and
-    |A_u minus A_v| <= k for even k.  Violations come ordered by source v,
-    then by discovery order of a BFS from v that walks nbrs in list order.
+    covering (the matching set A_v of each vertex, ascending).  The graph
+    must be bipartite with no isolated vertex, as F is: it lies in the
+    audited graph, and every F vertex has an F-neighbour (8 d >= t > 0).
+    For u at distance k from v the claim is |A_u cap A_v| <= k for odd k
+    and |A_u minus A_v| <= k for even k.  Violations come ordered by source
+    v, then by discovery order of a BFS from v that walks nbrs in list order.
     """
     incidence = [sum(1 << m for m in a) for a in covering]
     degree = list(map(len, covering))
     columns = max(incidence, default=0).bit_length()
-    side = [None] * len(nbrs)
+    seen = [False] * len(nbrs)
     local = [0] * len(nbrs)            # each vertex's index in its part
     hit_sources = []
     for root in range(len(nbrs)):
-        if side[root] is not None:
+        if seen[root]:
             continue
-        # the sides of a bipartite component alternate by level; a lone vertex
-        # or a component with an odd cycle is one part, its own partner
+        # the two sides of the component alternate by level
         parts = ([], [])
         for u, k in _bfs(nbrs, root).items():
-            side[u] = k % 2
+            seen[u] = True
             parts[k % 2].append(u)
-        if not parts[1] or any(side[u] == side[w] for part in parts for u in part for w in nbrs[u]):
-            parts = (parts[0] + parts[1],)
         for part in parts:
             for i, u in enumerate(part):
                 local[u] = i
@@ -351,9 +349,9 @@ def _overlap_planes(targets, covering, degree, col):
 def _component_hits(parts, nbrs, local, covering, degree, columns):
     """Sources of one component of F with a failing claim.
 
-    parts is the component's two sides when it is bipartite, else the whole
-    component as one part.  Level k from a source in parts[s] lies in
-    parts[(s + k) % len(parts)], so each BFS level walks one part.  Claims
+    parts is the component's two sides, both non-empty (the component is
+    bipartite and has an edge).  Level k from a source in parts[s] lies in
+    parts[(s + k) % 2], so each BFS level walks one part.  Claims
     across the two sides are at odd k and symmetric in u and v: they are
     checked from the sources in parts[0] only, and a failing one marks its
     target as a failing source too.
@@ -361,7 +359,6 @@ def _component_hits(parts, nbrs, local, covering, degree, columns):
     part_nbrs = [[[local[w] for w in nbrs[u]] for u in part] for part in parts]
     part_degree = [[degree[u] for u in part] for part in parts]
     depth = max(map(max, part_degree))
-    sides = len(parts)
     found = []
     for s, sources in enumerate(parts):
         skip = 0 if s == 1 else None           # the part whose claims were checked from parts[0]
@@ -382,8 +379,8 @@ def _component_hits(parts, nbrs, local, covering, degree, columns):
             hits = 0
             # overlaps are at most min(d_u, d_v), so no claim at k >= d_u can fail
             for k in range(1, depth):
-                q = (s + k) % sides
-                prev = front[(s + k - 1) % sides]
+                q = (s + k) % 2
+                prev = front[(s + k - 1) % 2]
                 open_ = unseen[q]
                 new = [0] * len(open_)
                 for i, ws in enumerate(part_nbrs[q]):
@@ -443,6 +440,8 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     if not verification_verdict(dec).passed:
         raise PreconditionError("expansion_audit requires a verified decomposition")
 
+    # cover vertices v and v + n lie in the matchings holding v in the input
+    covering, n_in = dec.covering, dec.graph.n
     doubled = False
     if is_bipartite(dec.graph) is None:
         dec = double_cover(dec)
@@ -507,11 +506,11 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     # vertex's H-neighbours filled in edge order: this fixes the BFS order in
     # which bfs_violations are listed
     nbrs = [[index[w] for w in set(h_adj[v]) if w in alive] for v in f_vertices]
-    f_covering = [dec.covering[v] for v in f_vertices]
+    f_covering = [covering[v % n_in] for v in f_vertices]
     achieved = min(map(len, nbrs), default=0)
     # nothing below reads the audited graph: drop it (and a double cover
     # built above) before the claim check allocates its bitsets
-    del dec, g, deg, h_adj, index, alive
+    del dec, g, deg, h_adj, index, alive, covering
 
     # (d) BFS distance claims inside F
     bfs_violations = [

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .bounds import expansion_audit, feasibility_verdict, max_r
 from .constructions import (
@@ -38,10 +37,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _read_text(path: str) -> str:
@@ -145,9 +140,9 @@ def cmd_bound(args) -> int:
         if args.r is None:
             cap = max_r(args.n, args.t)
             if args.json:
-                print(json.dumps({"n": args.n, "t": args.t, "max_r": _frac(cap)}))
+                print(json.dumps({"n": args.n, "t": args.t, "max_r": str(cap)}))
             else:
-                print(f"max r = {_frac(cap)}")
+                print(f"max r = {cap}")
             return EX_OK
         verdict = feasibility_verdict(args.n, args.r, args.t)
     except ParameterError as exc:
@@ -158,7 +153,7 @@ def cmd_bound(args) -> int:
     else:
         print(f"regime: {verdict.regime}")
         if verdict.hard_bound is not None:
-            print(f"hard bound on r: {_frac(verdict.hard_bound)}" + (" (tight)" if verdict.tight else ""))
+            print(f"hard bound on r: {verdict.hard_bound}" + (" (tight)" if verdict.tight else ""))
         print(f"verdict: {'feasible' if verdict.feasible else 'INFEASIBLE'} ({verdict.witness})")
         for line in verdict.advisory:
             print(f"advisory: {line}")
@@ -214,9 +209,9 @@ def cmd_audit(args) -> int:
     else:
         print(f"n={report.n} t={report.t} r={report.r}"
               + (" (audited on double cover)" if report.doubled else ""))
-        print(f"E1={report.e1} E0={report.e0} s={_frac(report.s)} s'={_frac(report.s_prime)}")
+        print(f"E1={report.e1} E0={report.e0} s={report.s} s'={report.s_prime}")
         print(f"F: {report.f_vertex_count} vertices, achieved min degree "
-              f"{report.f_achieved_min_degree} (threshold {_frac(report.f_min_degree_threshold)})")
+              f"{report.f_achieved_min_degree} (threshold {report.f_min_degree_threshold})")
         for name, status, detail in report.assertions:
             print(f"  {name}: {status} ({detail})")
         for row in report.layers:

@@ -32,12 +32,13 @@ Python's recursion limit.  Every matching holds exactly r edges, so depth d
 i = d // r.  The path holds each placed edge with the label counter before
 it; beside it, each open depth keeps a cursor: the row x, the next y, the
 row's remaining mask of passing y and the depth's fixed values, among them
-B_i = V_i | N(V_i).  The three tests of `try_add` fail for (x, y) exactly
-when x or y lies in B_i or y lies in some V_j with j in A_x.  B_i is carried
-down the stack: a new matching starts from 0, and placing (x, y) in M_i adds
-N(x) | N(y), which hold y and x.  A row x in B_i fails whole, and the
-passing y of any other row are one mask (`_State.row_mask`), walked by
-lowest set bit.
+B_i = V_i | N(V_i).  Rows x < u, u the smallest unused label, take labels
+y up to u; row u takes only u + 1, the pair of fresh labels.  The three
+tests of `try_add` fail for (x, y) exactly when x or y lies in B_i or y
+lies in some V_j with j in A_x.  B_i is carried down the stack: a new
+matching starts from 0, and placing (x, y) in M_i adds N(x) | N(y), which
+hold y and x.  A row x in B_i fails whole, and the passing y of any other
+row are one mask (`_State.row_mask`), walked by lowest set bit.
 
 Nodes are counted as before, one per candidate edge generated, passing or
 not, so a candidate skipped by a mask still counts: node counts, budget
@@ -45,9 +46,10 @@ stops and the pinned counts in the tests describe the same search space as
 a per-candidate loop.  A node budget stops at exactly its node; the clock is
 read whenever the count crosses a multiple of 4096.
 
-`max_t_on_graph` indexes the graph's edges in sorted order.  `_cover` holds
-each induced matching and the used edges as int edge masks and branches on
-the lowest uncovered edge, the lowest zero bit of the used mask.  `_pack`
+`max_t_on_graph` holds the pool of induced matchings once, as ascending
+tuples of indices into the sorted edge list.  `_cover` holds each pool
+matching and the used edges as int edge masks and branches on the lowest
+uncovered edge, the lowest zero bit of the used mask.  `_pack`
 holds, per depth, the mask of later pool indices disjoint from the chosen
 matchings and jumps to its lowest set bit, counting the skipped indices as
 nodes, as `exists_rs` does; it keeps the count of free edges for its bound.
@@ -207,8 +209,9 @@ class _State:
 
 def _trivial_outcome(n, r, t, started):
     if r == 0 or t == 0:
-        graph = Graph.from_edges(n, [])
-        dec = MatchingDecomposition.make(graph, [[]] * t if r == 0 else [], r)
+        dec = MatchingDecomposition(Graph(n, frozenset()), ((),) * t, r)
+        if not verification_verdict(dec).passed:
+            raise AssertionError("degenerate certificate fails verification")
         return SearchOutcome(SAT, certificate=dec, wall_time=time.monotonic() - started,
                              note="degenerate parameters, empty edge set")
     return None
@@ -245,9 +248,7 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
     state = _State(n, 1)
     seed = [(2 * j, 2 * j + 1) for j in range(r)]
     for x, y in seed:
-        if not state.try_add(0, x, y):
-            return SearchOutcome(UNSAT, wall_time=time.monotonic() - started,
-                                 note="canonical first matching infeasible")
+        state.add(0, x, y)             # disjoint pairs of fresh labels, n >= 2r
     deadline = started + budget.max_seconds
     # a deadline already passed stops the search at its first node, as
     # max_nodes = 0 and max_nodes = 1 do
@@ -269,7 +270,7 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
             verdict = SAT
             break
         # open depth d: candidates are the edges after `lo` in lex order,
-        # with rows x up to `rows` and labels y up to `top`
+        # with rows x up to `rows` and labels y up to `top` (u + 1 in row u)
         i = d // r
         if i == len(state.members):
             state.members.append(0)    # M_i opens
@@ -300,27 +301,22 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
                 i, x, y, ok, top, rows, u, blocked = cursors.pop()
                 state.remove(i, px, py, prev_used)
                 continue
-            if x == u:
-                # both endpoints new: forced to be the two smallest unused
-                # labels; lo's labels are used, so (x, x + 1) comes after lo
-                k = 0
-                if x + 1 < n:
-                    k, take = 1, x + 1
-                x = top + 1
+            # row u holds one candidate, the two smallest unused labels
+            # (u, u + 1); lo's labels are used, so it comes after lo
+            hi = top if x < u else min(u + 1, n - 1)
+            if ok < 0:
+                ok = state.row_mask(x, y, hi, blocked) if y <= hi else 0
+            if ok:
+                low = ok & -ok
+                take = low.bit_length() - 1
+                k = take - y + 1
+                ok ^= low
+                y = take + 1
             else:
-                if ok < 0:
-                    ok = state.row_mask(x, y, top, blocked) if y <= top else 0
-                if ok:
-                    low = ok & -ok
-                    take = low.bit_length() - 1
-                    k = take - y + 1
-                    ok ^= low
-                    y = take + 1
-                else:
-                    k = top - y + 1 if y <= top else 0
-                    x += 1
-                    y = x + 1
-                    ok = -1
+                k = hi - y + 1 if y <= hi else 0
+                x += 1
+                y = x + 1
+                ok = -1
             if k and nodes + k >= limit:
                 # a budget check falls among these k nodes: the clock at
                 # clock_at (a multiple of CLOCK_PERIOD), then max_nodes
@@ -340,11 +336,7 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
             if take < 0:
                 continue
             prev_used = state.used
-            if cx == u:
-                if not state.try_add(i, cx, take):
-                    continue
-            else:
-                state.add(i, cx, take)
+            state.add(i, cx, take)
             path.append((cx, take, prev_used))
             cursors.append((i, x, y, ok, top, rows, u, blocked))
             d += 1
@@ -372,7 +364,9 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
 
 
 def _enumerate_induced_matchings(g: Graph, r: int, deadline: float):
-    """All induced matchings of g with exactly r edges, as sorted edge tuples.
+    """g's sorted edge list, and all its induced matchings with exactly r edges.
+
+    Each matching is an ascending tuple of indices into the edge list.
 
     The clock is read every `CLOCK_PERIOD` steps; `_BudgetExceeded` is
     raised once the `deadline` has passed.
@@ -414,11 +408,11 @@ def _enumerate_induced_matchings(g: Graph, r: int, deadline: float):
             idx = low.bit_length() - 1
             avail ^= low
             stack.append(avail)
-            cur.append(edges[idx])
+            cur.append(idx)
             avail &= compatible[idx]
             continue
         if not stack:
-            return out
+            return edges, out
         avail = stack.pop()
         cur.pop()
 
@@ -459,32 +453,32 @@ def _cover(edge_count, masks, by_edge, max_nodes, deadline):
     return SAT, chosen, nodes, False
 
 
-def _holders(pool_edges, edge_count):
+def _holders(pool, edge_count):
     """For each edge index, the mask of the pool indices whose matching holds it.
 
     Each mask is filled as a little-endian byte row and turned into an int
     once, so the build costs edge_count * len(pool) / 8 bytes, not a big-int
     shift and OR per pool entry.
     """
-    rows = [bytearray((len(pool_edges) + 7) >> 3) for _ in range(edge_count)]
-    for p, m in enumerate(pool_edges):
+    rows = [bytearray((len(pool) + 7) >> 3) for _ in range(edge_count)]
+    for p, m in enumerate(pool):
         byte, bit = p >> 3, 1 << (p & 7)
         for e in m:
             rows[e][byte] |= bit
     return [int.from_bytes(row, "little") for row in rows]
 
 
-def _pack(pool_edges, holders, r, max_nodes, deadline):
+def _pack(pool, holders, r, max_nodes, deadline):
     """Branch and bound for the most edge-disjoint pool matchings, in pool order.
 
-    `pool_edges[p]` lists the edge indices of pool matching p, `holders` is
-    `_holders(pool_edges, edge_count)`.  Each depth holds `avail`, the mask
+    `pool[p]` lists the edge indices of pool matching p, `holders` is
+    `_holders(pool, edge_count)`.  Each depth holds `avail`, the mask
     of its untried pool indices that share no edge with the chosen ones, and
     takes its lowest set bit; the indices jumped over count as nodes, one per
     pool index tried, so budget stops land as in a loop testing each index.
     Returns (SAT or INDETERMINATE, best pool indices, nodes, timed_out).
     """
-    size = len(pool_edges)
+    size = len(pool)
     best = []
     chosen = []
     stack = []                         # (next pool index, avail) of each depth above
@@ -523,7 +517,7 @@ def _pack(pool_edges, holders, r, max_nodes, deadline):
         idx += k
         stack.append((idx, avail))
         chosen.append(idx - 1)
-        for e in pool_edges[idx - 1]:
+        for e in pool[idx - 1]:
             avail &= ~holders[e]
         free -= r
         if len(chosen) > len(best):
@@ -551,26 +545,24 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
 
     deadline = started + budget.max_seconds
     try:
-        pool = _enumerate_induced_matchings(g, r, deadline)
+        edges, pool = _enumerate_induced_matchings(g, r, deadline)
     except _BudgetExceeded:
-        pool, verdict, picked, nodes, timed_out = [], INDETERMINATE, [], 1, True
+        edges, pool, verdict, picked, nodes, timed_out = [], [], INDETERMINATE, [], 1, True
     else:
-        index = {e: k for k, e in enumerate(sorted(g.edges))}
-        pool_edges = [[index[e] for e in m] for m in pool]
         late = time.monotonic() >= deadline
         max_nodes = 1 if late else budget.max_nodes          # as in exists_rs
         if exact_cover:
-            masks = [sum(1 << e for e in m) for m in pool_edges]
-            by_edge = [[] for _ in index]
-            for idx, m in enumerate(pool_edges):
+            masks = [sum(1 << e for e in m) for m in pool]
+            by_edge = [[] for _ in edges]
+            for idx, m in enumerate(pool):
                 for e in m:
                     by_edge[e].append(idx)
-            verdict, picked, nodes, timed_out = _cover(len(index), masks, by_edge, max_nodes, deadline)
+            verdict, picked, nodes, timed_out = _cover(len(edges), masks, by_edge, max_nodes, deadline)
         else:
-            holders = _holders(pool_edges, len(index))
-            verdict, picked, nodes, timed_out = _pack(pool_edges, holders, r, max_nodes, deadline)
+            holders = _holders(pool, len(edges))
+            verdict, picked, nodes, timed_out = _pack(pool, holders, r, max_nodes, deadline)
         timed_out = timed_out or late
-    chosen = [pool[idx] for idx in picked]
+    chosen = [[edges[e] for e in pool[idx]] for idx in picked]
     note = budget.exhausted(timed_out, nodes) if verdict == INDETERMINATE else ""
 
     if exact_cover:

@@ -315,11 +315,12 @@ class TestClaimRoutine:
     slow path would hide a false alarm, so the flags are checked directly.
     """
 
-    # a 6-cycle 0..5 with pendant 6 on 0, a triangle 7-8-9 with pendant 10, and
-    # an isolated vertex 11; A_v over five matchings, chosen so that claims
-    # fail at odd and even distances from several sources
+    # bipartite, as F is, with no isolated vertex: a 6-cycle 0..5 with
+    # pendant 6 on 0, and a 4-cycle 7-8-9-10 with pendant 11 on 8; A_v over
+    # five matchings, chosen so that claims fail at odd and even distances
+    # from several sources in both components
     NBRS = [[1, 5, 6], [0, 2], [1, 3], [2, 4], [3, 5], [4, 0], [0],
-            [8, 9], [7, 9, 10], [7, 8], [8], []]
+            [8, 10], [7, 9, 11], [8, 10], [9, 7], [8]]
     INCIDENCE = [0b11111, 0b00011, 0b11100, 0b11011, 0b00001, 0b11110, 0b10101,
                  0b01111, 0b00110, 0b11001, 0b01110, 0b00100]
 
@@ -336,14 +337,18 @@ class TestClaimRoutine:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), block=st.sampled_from([1, 3, 256]))
     def test_random_graphs(self, data, block):
-        n = data.draw(st.integers(1, 12))
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        # cross edges of a random 2-colouring, on the vertices they touch:
+        # bipartite with no isolated vertex, as F is
+        n = data.draw(st.integers(2, 12))
+        colour = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if colour[x] != colour[y]]
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-        nbrs = [[] for _ in range(n)]
+        label = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+        nbrs = [[] for _ in label]
         for x, y in edges:
-            nbrs[x].append(y)
-            nbrs[y].append(x)
-        incidence = data.draw(st.lists(st.integers(0, 2 ** 8 - 1), min_size=n, max_size=n))
+            nbrs[label[x]].append(label[y])
+            nbrs[label[y]].append(label[x])
+        incidence = data.draw(st.lists(st.integers(0, 2 ** 8 - 1), min_size=len(label), max_size=len(label)))
         got, flagged = run_claims(nbrs, incidence, block)
         want = oracle_claims(nbrs, incidence)
         assert got == want

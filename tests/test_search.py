@@ -3,6 +3,7 @@ cross-checks between the pruned and unpruned explorations, pinned node
 counts, and the incremental search state against the verifier."""
 
 import itertools
+import math
 import os
 import time
 import tracemalloc
@@ -28,7 +29,8 @@ from rsgraphs import (
     verify_decomposition,
 )
 from rsgraphs.bounds import min_vertices
-from rsgraphs.search import _State
+from rsgraphs.core import verification_verdict
+from rsgraphs.search import _State, _enumerate_induced_matchings
 
 FAST = Budget(max_nodes=500_000, max_seconds=20.0)
 
@@ -104,6 +106,19 @@ class TestExistsRS:
         assert (out.verdict, out.nodes_explored) == (INDETERMINATE, 10)
         assert out.note == "node budget exhausted (10 nodes)"
         assert peak < 2 ** 20
+
+    def test_degenerate_certificate_is_small_and_verified(self):
+        # t empty matchings share one empty tuple: 8 bytes a matching
+        t = 10 ** 5
+        tracemalloc.start()
+        try:
+            out = exists_rs(8, 0, t, Budget(max_nodes=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.verdict, out.certificate.t) == (SAT, t)
+        assert verification_verdict(out.certificate).passed
+        assert peak < 12 * t
 
     def test_deep_search_needs_no_recursion(self):
         # 1,199 edges placed one below the other: deeper than the recursion limit
@@ -316,6 +331,21 @@ class TestMaxTOnGraph:
             assert time.monotonic() - started < 1.0
             assert (out.verdict, out.nodes_explored) == (INDETERMINATE, 1)
             assert out.note.startswith("time budget exhausted (0 s, 1 nodes)")
+
+    def test_pool_is_held_once(self):
+        # the search holds the enumerated pool as is, not a second copy of it
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        g = hypercube_rs(5).graph
+        alone = peak(lambda: _enumerate_induced_matchings(g, 3, math.inf))
+        whole = peak(lambda: max_t_on_graph(g, 3, Budget(max_nodes=1, max_seconds=100)))
+        assert whole < 1.5 * alone
 
     def test_packing_on_petersen(self):
         out = max_t_on_graph(kneser_rs(2).graph, 3)

@@ -456,7 +456,8 @@ class TestMaxTOnGraphOracle:
     def test_random_graphs(self, data):
         g = _random_graph(data.draw)
         r = data.draw(st.integers(1, 4))
-        assert _enumerate_induced_matchings(g, r, math.inf) == \
+        edges, pool = _enumerate_induced_matchings(g, r, math.inf)
+        assert [tuple(edges[e] for e in m) for m in pool] == \
             recursive_enumerate_induced_matchings(g, r)
         budget = Budget(max_nodes=data.draw(st.sampled_from([1, 2, 3, 10, 100, 100_000])),
                         max_seconds=1e9)
