@@ -96,9 +96,6 @@ def cmd_construct(args) -> int:
             if s.note:
                 print(f"note: {s.note}", file=sys.stderr)
             dec = cayley_rs(modulus, s)
-        else:
-            print(f"error: unknown family {family!r}", file=sys.stderr)
-            return EX_USAGE
     except (ParameterError, PreconditionError, ResourceLimitError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE

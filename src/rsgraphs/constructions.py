@@ -5,6 +5,8 @@ labeling (colex subset order for the Kneser family, integer bit values for the
 hypercube, part offsets for the bipartite families) so serialized output is
 reproducible byte for byte.  The Cayley construction is additionally certified
 by the verifier before being returned; it is never trusted on faith.
+A construction whose n + |E| would exceed SIZE_BUDGET raises ResourceLimitError
+before it builds any list; `double_cover` only doubles an input already in memory.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
-    Graph,
     MatchingDecomposition,
     ParameterError,
     PreconditionError,
@@ -26,7 +27,13 @@ class ResourceLimitError(ValueError):
     """A construction would exceed the configured size budget."""
 
 
-DEFAULT_VERTEX_BUDGET = 100_000
+SIZE_BUDGET = 2_000_000                 # on n + |E| of a construction's output
+_K_CLIP = SIZE_BUDGET.bit_length()      # n >= 2^k: k-families are sized at min(k, _K_CLIP)
+
+
+def _check_size(what: str, size: int) -> None:
+    if size > SIZE_BUDGET:
+        raise ResourceLimitError(f"{what}: n + |E| would exceed the size budget {SIZE_BUDGET}")
 
 
 def _require_verified(dec: MatchingDecomposition, what: str) -> None:
@@ -36,7 +43,7 @@ def _require_verified(dec: MatchingDecomposition, what: str) -> None:
         raise PreconditionError(f"{what}: input decomposition fails verification ({first.invariant})")
 
 
-def kneser_rs(k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> MatchingDecomposition:
+def kneser_rs(k: int) -> MatchingDecomposition:
     """Kneser graph KG(2k+1, k) split into 2k+1 induced matchings.
 
     Vertices are the k-subsets of {1, ..., 2k+1} in colexicographic order;
@@ -46,16 +53,15 @@ def kneser_rs(k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> MatchingDec
     if k < 1:
         raise ParameterError("k must be >= 1")
     m = 2 * k + 1
+    c = min(k, _K_CLIP)
+    _check_size(f"KG({m}, {k})", math.comb(2 * c + 1, c) * (c + 3) // 2)   # n + n(k+1)/2
     n = math.comb(m, k)
-    if n > vertex_budget:
-        raise ResourceLimitError(f"KG({m}, {k}) has {n} vertices, budget is {vertex_budget}")
 
     subsets = sorted(combinations(range(1, m + 1), k), key=lambda s: tuple(reversed(s)))
     index = {s: i for i, s in enumerate(subsets)}
     universe = frozenset(range(1, m + 1))
 
     matchings = []
-    edges = []
     for i in range(1, m + 1):
         mi = []
         for a in subsets:
@@ -66,13 +72,10 @@ def kneser_rs(k: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> MatchingDec
             ia, ib = index[a], index[b]
             if ia < ib:
                 mi.append((ia, ib))
-        mi.sort()
         matchings.append(mi)
-        edges.extend(mi)
 
-    graph = Graph.from_edges(n, edges)
     r = math.comb(2 * k, k) // 2
-    return MatchingDecomposition.make(graph, matchings, r)
+    return MatchingDecomposition.from_matchings(n, matchings, r)
 
 
 def hypercube_rs(k: int, augmented: bool = False) -> MatchingDecomposition:
@@ -88,6 +91,8 @@ def hypercube_rs(k: int, augmented: bool = False) -> MatchingDecomposition:
         raise ParameterError("k must be >= 2 so that n/4 matchings are nonempty")
     if augmented and k % 2:
         raise ParameterError("augmented variant requires even k")
+    c = min(k, _K_CLIP)
+    _check_size(f"Q_{k}", (1 << c) * (c + 2 + augmented) // 2)      # n + nt/4
     n = 1 << k
 
     matchings = []
@@ -99,7 +104,6 @@ def hypercube_rs(k: int, augmented: bool = False) -> MatchingDecomposition:
                 for v in range(n)
                 if not v & bit and v.bit_count() % 2 == parity
             ]
-            mi.sort()
             matchings.append(mi)
 
     if augmented:
@@ -110,12 +114,9 @@ def hypercube_rs(k: int, augmented: bool = False) -> MatchingDecomposition:
                 for v in range(n)
                 if v < v ^ ones and v.bit_count() % 2 == parity
             ]
-            mi.sort()
             matchings.append(mi)
 
-    edges = [e for mi in matchings for e in mi]
-    graph = Graph.from_edges(n, edges)
-    return MatchingDecomposition.make(graph, matchings, n // 4)
+    return MatchingDecomposition.from_matchings(n, matchings, n // 4)
 
 
 def disjoint_union(dec: MatchingDecomposition, copies: int) -> MatchingDecomposition:
@@ -125,15 +126,15 @@ def disjoint_union(dec: MatchingDecomposition, copies: int) -> MatchingDecomposi
     """
     if copies < 1:
         raise ParameterError("copies must be >= 1")
-    _require_verified(dec, "disjoint_union")
     n = dec.graph.n
+    _check_size(f"{copies} disjoint copies", copies * (n + len(dec.graph.edges)))
+    _require_verified(dec, "disjoint_union")
+    # edge-major, so an empty matching costs nothing per copy; from_matchings sorts
     matchings = [
-        [(u + c * n, v + c * n) for c in range(copies) for (u, v) in mi]
+        [(u + c * n, v + c * n) for (u, v) in mi for c in range(copies)]
         for mi in dec.matchings
     ]
-    edges = [e for mi in matchings for e in mi]
-    graph = Graph.from_edges(copies * n, edges)
-    return MatchingDecomposition.make(graph, matchings, dec.r * copies)
+    return MatchingDecomposition.from_matchings(copies * n, matchings, dec.r * copies)
 
 
 def double_cover(dec: MatchingDecomposition) -> MatchingDecomposition:
@@ -150,11 +151,8 @@ def double_cover(dec: MatchingDecomposition) -> MatchingDecomposition:
         for u, v in mi:
             out.append((u, v + n))
             out.append((v, u + n))
-        out.sort()
         matchings.append(out)
-    edges = [e for mi in matchings for e in mi]
-    graph = Graph.from_edges(2 * n, edges)
-    return MatchingDecomposition.make(graph, matchings, 2 * dec.r)
+    return MatchingDecomposition.from_matchings(2 * n, matchings, 2 * dec.r)
 
 
 @dataclass(frozen=True)
@@ -277,14 +275,13 @@ def cayley_rs(modulus: int, s: APFreeSet) -> MatchingDecomposition:
         raise ParameterError(
             f"max(S) = {max(elems)} exceeds (N-1)/3; wraparound would create spurious progressions"
         )
+    _check_size(f"Cayley graph on Z_{n_mod} with |S| = {len(elems)}", n_mod * (2 + len(elems)))
 
     matchings = []
     for z in range(n_mod):
-        mz = sorted(((z - 2 * a) % n_mod, n_mod + (z - a) % n_mod) for a in elems)
+        mz = [((z - 2 * a) % n_mod, n_mod + (z - a) % n_mod) for a in elems]
         matchings.append(mz)
-    edges = [e for mz in matchings for e in mz]
-    graph = Graph.from_edges(2 * n_mod, edges)
-    dec = MatchingDecomposition.make(graph, matchings, len(elems))
+    dec = MatchingDecomposition.from_matchings(2 * n_mod, matchings, len(elems))
 
     verdict = verification_verdict(dec)
     if not verdict.passed:

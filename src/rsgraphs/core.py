@@ -18,8 +18,8 @@ edge's two ends gives d_u + d_v <= 2 + (t - 1).)
 
 Phase 1 is computed once per decomposition and cached on it as its verdict,
 the same way `Graph.degrees` is cached on a graph: a `MatchingDecomposition`
-is frozen, its graph's edges are a frozenset and `make` stores the matchings
-as tuples, so repeat verification of one object costs nothing.  A failing
+is frozen, its graph's edges are a frozenset and its matchings are sorted
+tuples, so repeat verification of one object costs nothing.  A failing
 verdict runs phase 2 at once and is the full report.  Callers that need only
 pass/fail read `verification_verdict`: the Cayley construction's
 self-certification, the input checks of `disjoint_union` and `double_cover`,
@@ -59,6 +59,11 @@ def _norm_edges(pairs, n: int):
             raise GraphError(f"self-loop at vertex {u}")
         else:
             raise GraphError(f"vertex out of range in edge ({u}, {v}); n = {n}")
+
+
+def _canonical(matchings, n: int):
+    """Each matching as the sorted tuple of its normalised edges."""
+    return tuple(tuple(sorted(_norm_edges(m, n))) for m in matchings)
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,12 @@ def is_bipartite(g: Graph):
 
 @dataclass(frozen=True)
 class MatchingDecomposition:
-    """A graph together with t edge lists claimed to partition E into induced matchings of size r."""
+    """A graph together with t edge lists claimed to partition E into induced matchings of size r.
+
+    Each matching is a tuple of edges (u, v), u < v, in ascending order, which no reader
+    sorts again: only `make`, `from_matchings`, `parse_rsg` and `search`'s empty
+    certificate build a decomposition.
+    """
 
     graph: Graph
     matchings: tuple
@@ -126,8 +136,17 @@ class MatchingDecomposition:
     def make(cls, graph: Graph, matchings, r: int) -> "MatchingDecomposition":
         if r < 0:
             raise GraphError("claimed matching size must be non-negative")
-        normed = tuple(tuple(sorted(_norm_edges(m, graph.n))) for m in matchings)
-        return cls(graph, normed, r)
+        return cls(graph, _canonical(matchings, graph.n), r)
+
+    @classmethod
+    def from_matchings(cls, n: int, matchings, r: int) -> "MatchingDecomposition":
+        """`make` on `Graph.from_edges(n, <their edges>)`, errors included, normalising each edge once."""
+        if n < 0:
+            raise GraphError("vertex count must be non-negative")
+        normed = _canonical(matchings, n)
+        if r < 0:
+            raise GraphError("claimed matching size must be non-negative")
+        return cls(Graph(n, frozenset(chain.from_iterable(normed))), normed, r)
 
     @property
     def t(self) -> int:
@@ -142,8 +161,9 @@ class MatchingDecomposition:
         """
         covering = defaultdict(list)
         for i, m in enumerate(self.matchings):
-            for x in {x for e in m for x in e}:
-                covering[x].append(i)
+            if m:
+                for x in {x for e in m for x in e}:
+                    covering[x].append(i)
         covering.default_factory = None     # a vertex outside the map raises KeyError
         return covering
 
@@ -248,10 +268,7 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
             )
         if not m:
             continue
-        bad_member = None
-        for e in m:
-            if e not in g.edges and (bad_member is None or e < bad_member):
-                bad_member = e
+        bad_member = next((e for e in m if e not in g.edges), None)     # m is sorted
         if bad_member is not None:
             violations.append(
                 Violation("edge-not-in-graph", (i,), bad_member,
@@ -268,7 +285,7 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
             else:
                 owner[e] = i
         covered = set()
-        for u, v in sorted(e for e in m if e in g.edges):
+        for u, v in (e for e in m if e in g.edges):
             if u in covered or v in covered:
                 not_matching[i] = (u, v)
                 break
@@ -363,6 +380,8 @@ def _pair_intersections(dec: MatchingDecomposition):
     max_inter = 0
     violations = []
     for i, m in enumerate(dec.matchings):
+        if not m:
+            continue
         lists = [rest[x] for x in {x for e in m for x in e} if x in rest]
         if not lists:
             continue

@@ -62,11 +62,6 @@ def parse_rsg(text: str) -> MatchingDecomposition:
 
 
 def emit_rsg(dec: MatchingDecomposition) -> str:
-    records = sorted(
-        (m, u, v)
-        for m, matching in enumerate(dec.matchings)
-        for u, v in matching
-    )
     out = [f"rsg {dec.graph.n} {dec.t} {dec.r}"]
-    out.extend(f"{u} {v} {m}" for m, u, v in records)
+    out.extend(f"{u} {v} {m}" for m, matching in enumerate(dec.matchings) for u, v in matching)
     return "\n".join(out) + "\n"

@@ -353,8 +353,7 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
     elif verdict == SAT:
         placed = [(x, y) for x, y, _ in path]
         matchings = [placed[j:j + r] for j in range(0, t * r, r)]
-        graph = Graph.from_edges(n, placed)
-        certificate = MatchingDecomposition.make(graph, matchings, r)
+        certificate = MatchingDecomposition.from_matchings(n, matchings, r)
         if not verification_verdict(certificate).passed:
             raise AssertionError("search produced a certificate that fails verification")
     return SearchOutcome(
@@ -578,9 +577,7 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
 
     if verdict == INDETERMINATE:
         note += f"; best found t = {len(chosen)}"
-    packed_edges = [e for m in chosen for e in m]
-    sub = Graph.from_edges(g.n, packed_edges)
-    certificate = MatchingDecomposition.make(sub, chosen, r)
+    certificate = MatchingDecomposition.from_matchings(g.n, chosen, r)
     if not verification_verdict(certificate).passed:
         raise AssertionError("packing certificate fails verification")
     return SearchOutcome(verdict, certificate=certificate,

@@ -95,6 +95,15 @@ class TestConstructVerify:
         code, _, _ = run(capsys, "construct", "hypercube-augmented", "--k", "3")
         assert code == EX_USAGE
 
+    def test_over_size_budget_usage(self, tmp_path, capsys):
+        base = tmp_path / "petersen.rsg"
+        assert run(capsys, "construct", "kneser", "--k", "2", "-o", str(base))[0] == EX_OK
+        code, out, err = run(capsys, "construct", "disjoint-union", "--input", str(base),
+                             "--copies", "1000000000")
+        assert code == EX_USAGE and out == ""
+        assert err == ("error: 1000000000 disjoint copies: n + |E| would exceed"
+                       " the size budget 2000000\n")
+
 
 class TestBound:
     def test_max_r_output(self, capsys):

@@ -1,6 +1,7 @@
 """Generator tests: parameter identities plus verifier certification of every family."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,18 @@ def adjacency(g):
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def raises_before_allocating(build):
+    """build() raises ResourceLimitError with under 64 KB traced: it built no output."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="size budget 2000000"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def girth(g):
@@ -83,7 +96,11 @@ class TestKneser:
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
-            kneser_rs(6, vertex_budget=100)
+            kneser_rs(10)
+
+    def test_budget_refuses_any_k_at_once(self):
+        raises_before_allocating(lambda: kneser_rs(10))
+        raises_before_allocating(lambda: kneser_rs(10 ** 9))
 
     def test_bad_k(self):
         with pytest.raises(ParameterError):
@@ -120,6 +137,11 @@ class TestHypercube:
         assert dec.t == 2 * k + 2
         assert all(d == k + 1 for d in dec.graph.degrees)
 
+    @pytest.mark.parametrize("k, augmented", [(18, False), (18, True), (10 ** 9, False)])
+    def test_over_budget(self, k, augmented):
+        # Q_17 has n + |E| = 1,245,184; Q_18 has 2,621,440
+        raises_before_allocating(lambda: hypercube_rs(k, augmented))
+
     def test_augmented_odd_k_rejected(self):
         with pytest.raises(ParameterError):
             hypercube_rs(3, augmented=True)
@@ -149,6 +171,19 @@ class TestDisjointUnion:
     def test_zero_copies_rejected(self):
         with pytest.raises(ParameterError):
             disjoint_union(kneser_rs(1), 0)
+
+    def test_over_budget(self):
+        base = kneser_rs(2)     # n + |E| = 25
+        raises_before_allocating(lambda: disjoint_union(base, 80_001))
+        raises_before_allocating(lambda: disjoint_union(base, 10 ** 9))
+
+    def test_empty_matchings_cost_nothing_per_copy(self):
+        # the budget counts n + |E|, not t: 1000 empty matchings times 10^6
+        # copies must not be 10^9 steps
+        base = MatchingDecomposition.make(Graph.from_edges(1, []), [[]] * 1000, 0)
+        dec = disjoint_union(base, 10 ** 6)
+        assert (dec.graph.n, dec.t, dec.r) == (10 ** 6, 1000, 0)
+        assert dec.graph.edges == frozenset() and set(dec.matchings) == {()}
 
     def test_unverified_input_rejected(self):
         g = Graph.from_edges(3, [(0, 1)])
@@ -253,3 +288,7 @@ class TestCayley:
     def test_range_restriction_enforced(self):
         with pytest.raises(ParameterError):
             cayley_rs(13, APFreeSet(6, (1, 2, 6), "manual"))
+
+    def test_over_budget(self):
+        # n + |E| = 2N + N|S|: 1,999,998 at N = 666,667 with |S| = 1 is allowed
+        raises_before_allocating(lambda: cayley_rs(666_669, APFreeSet(1, (1,), "manual")))

@@ -1,6 +1,7 @@
 """Round-trip and error-reporting tests for the .rsg format."""
 
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -44,6 +45,20 @@ class TestParse:
         assert peak < 4 * 2 ** 20
         assert dec.matchings == ((),) * 200_000
         assert verify_decomposition(dec).passed
+
+    def test_verifying_empty_matchings_costs_about_a_parse(self):
+        # the verifier skips empty matchings when it maps vertices to
+        # matchings and counts pairs, so verifying 10^6 of them costs about
+        # what parsing the header does; the ratio is bounded, not the host's speed
+        parse_s, verify_s = [], []
+        for _ in range(2):
+            start = time.perf_counter()
+            dec = parse_rsg("rsg 8 1000000 0\n")
+            parse_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            assert verify_decomposition(dec).passed
+            verify_s.append(time.perf_counter() - start)
+        assert min(verify_s) < 5 * min(parse_s)
 
     def test_duplicate_edge_line_number(self):
         text = "rsg 3 3 1\n0 1 0\n0 1 1\n"
@@ -122,6 +137,8 @@ class TestRoundTrip:
         text = emit_rsg(dec)
         assert parse_rsg(text) == dec
         assert emit_rsg(parse_rsg(text)) == text
+        records = [tuple(map(int, line.split())) for line in text.splitlines()[1:]]
+        assert records == sorted(records, key=lambda rec: (rec[2], rec[0], rec[1]))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

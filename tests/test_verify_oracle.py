@@ -364,7 +364,7 @@ class TestReportCache:
 
 
 class TestEdgeNormalisation:
-    """`from_edges` and `make` normalise in one pass and name the first bad edge."""
+    """`from_edges`, `make` and `from_matchings` normalise in one pass and name the first bad edge."""
 
     BAD = (
         ([(1, 0), (2, 2), (0, 5)], "self-loop at vertex 2"),
@@ -386,6 +386,10 @@ class TestEdgeNormalisation:
         with pytest.raises(GraphError) as err:
             MatchingDecomposition.make(g, [[(1, 0)], pairs], 1)
         assert str(err.value) == message
+        for matchings in ([[(1, 0)], pairs], [[(1, 0)], iter(pairs)], [pairs, [(5, 5)]]):
+            with pytest.raises(GraphError) as err:
+                MatchingDecomposition.from_matchings(3, matchings, -1)
+            assert str(err.value) == message
 
     def test_out_of_order_edges_are_normalised(self):
         g = Graph.from_edges(4, iter([(3, 0), (1, 2), (0, 3)]))
@@ -393,6 +397,24 @@ class TestEdgeNormalisation:
         dec = MatchingDecomposition.make(g, [iter([(3, 0), (2, 1)]), []], 2)
         assert dec.matchings == (((0, 3), (1, 2)), ())
         assert all(type(e) is tuple for e in g.edges)
+        union = MatchingDecomposition.from_matchings(4, [iter([(3, 0), (2, 1)]), [], [(3, 2)]], 2)
+        assert union.matchings == (((0, 3), (1, 2)), (), ((2, 3),))
+        assert union.graph == Graph.from_edges(4, [(0, 3), (1, 2), (2, 3)])
+        assert all(type(e) is tuple for m in union.matchings for e in m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(-1, 5), r=st.integers(-1, 2),
+           matchings=st.lists(st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5)),
+                                       max_size=4), max_size=4))
+    def test_from_matchings_is_from_edges_then_make(self, n, r, matchings):
+        def outcome(build):
+            try:
+                return build()
+            except GraphError as exc:
+                return str(exc)
+        edges = [e for m in matchings for e in m]
+        expected = outcome(lambda: MatchingDecomposition.make(Graph.from_edges(n, edges), matchings, r))
+        assert outcome(lambda: MatchingDecomposition.from_matchings(n, matchings, r)) == expected
 
 
 class TestLargeSparse:
