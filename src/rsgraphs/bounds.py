@@ -47,8 +47,8 @@ def min_vertices(r: int, t: int) -> int:
 
 
 def _log2_cap_holds(t: int, n: int) -> bool:
-    # t <= 8(log2 n + 1)  <=>  2^t <= (2n)^8, checked in exact integers
-    return 2 ** t <= (2 * n) ** 8
+    # t <= 8(log2 n + 1)  <=>  2^t <= (2n)^8  <=>  t <= floor(log2 (2n)^8), exact in integers
+    return t <= ((2 * n) ** 8).bit_length() - 1
 
 
 @dataclass(frozen=True)

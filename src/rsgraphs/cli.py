@@ -16,6 +16,7 @@ from .constructions import (
     ResourceLimitError,
     ap_free_set,
     cayley_rs,
+    check_cayley_size,
     disjoint_union,
     double_cover,
     hypercube_rs,
@@ -91,6 +92,7 @@ def cmd_construct(args) -> int:
             dec = double_cover(_load(_need(args, "input")))
         elif family == "cayley-ap":
             modulus = _need(args, "modulus")
+            check_cayley_size(modulus)     # before building S, whose cost grows with N
             limit = args.limit if args.limit is not None else (modulus - 1) // 3
             s = ap_free_set(args.apset_method, limit)
             if s.note:

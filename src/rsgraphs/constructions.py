@@ -257,6 +257,11 @@ def ap_free_set(method: str, limit: int) -> APFreeSet:
     return APFreeSet(limit, tuple(elements), used, note)
 
 
+def check_cayley_size(modulus: int) -> None:
+    """Refuse a modulus N whose Cayley graph is over budget for every S: n + |E| >= 3N."""
+    _check_size(f"Cayley graph on Z_{modulus}", 3 * modulus)
+
+
 def cayley_rs(modulus: int, s: APFreeSet) -> MatchingDecomposition:
     """Bipartite Cayley-style family over Z_N driven by a 3-AP-free difference set.
 

@@ -26,6 +26,19 @@ self-certification, the input checks of `disjoint_union` and `double_cover`,
 `distance_certificate`, `expansion_audit` and the search certificate checks.
 `verify_decomposition` (the `rsg verify` report) adds phase 2 to a passing
 verdict once, for its max_pair_intersection statistic.
+
+Both phases read the incidence map A_v = {i : v in V_i} in one of two forms.
+Where a t-bit int per covered vertex takes no more 64-bit words than the
+`covering` lists hold entries (`_incidence`), they use the ints: phase 1
+checks each edge (u, w) with one AND, since on an edge that passes
+A_u & A_w is exactly the bit of the matching listing it, and phase 2 sums
+the ints of V_i's vertices in bit-planes, as the expansion audit sums its
+columns.  Otherwise, as on thousands of one-edge matchings, the ints would
+grow as n*t/64 words while the lists stay linear in the file, so both
+phases keep the lists: a set intersection per sorted edge, and a `Counter`
+over the covering lists for the pair counts.  The two paths give the same
+report.  Degrees are counted over the edges only, so no phase allocates
+per vertex of n.
 """
 
 from __future__ import annotations
@@ -247,9 +260,23 @@ def verification_verdict(dec: MatchingDecomposition) -> VerificationReport:
     return dec._verdict
 
 
+def _incidence(dec: MatchingDecomposition):
+    """A_v as a t-bit int (bit i set iff matching i covers v), for each vertex of `covering`.
+
+    None when the ints would take more 64-bit words than the `covering` lists
+    hold entries, so memory stays linear in the edge lists.  Each phase builds
+    its own rather than caching them on the decomposition, where they would
+    stay alive beside the lists for the decomposition's whole life.
+    """
+    covering = dec.covering
+    if len(covering) * -(-dec.t // 64) > sum(map(len, covering.values())):
+        return None
+    return {v: sum(1 << i for i in c) for v, c in covering.items()}
+
+
 def _verify(dec: MatchingDecomposition) -> VerificationReport:
-    # Phase 1: one pass over the matchings and one over the sorted edges,
-    # memory O(n + |E| + t).  A matching with no edges costs O(1).
+    # Phase 1: one pass over the matchings and one over the edges, memory
+    # O(|E| + t) whatever n is.  A matching with no edges costs O(1).
     g = dec.graph
     t = dec.t
     r = dec.r
@@ -303,26 +330,52 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
         )
 
     # A graph edge joining two vertices covered by matching i, but not listed
-    # by i, breaks the inducedness of i.  Edges run in sorted order, so the
-    # first hit per matching is its lexicographically first witness.
-    deg = g.degrees
+    # by i, breaks the inducedness of i; each matching's witness is its
+    # lexicographically first such edge, and the degree-sum witness is the
+    # first edge with d_u + d_v > t + 1.
+    deg = Counter(chain.from_iterable(g.edges))     # d_v of each vertex with an edge
+    inc = _incidence(dec)
     max_sum = 0
     degsum_witness = None
     not_induced = {}
-    last_u = None
-    for e in sorted(g.edges):
-        u, w = e
-        s = deg[u] + deg[w]
-        if s > max_sum:
-            max_sum = s
-        if s > t + 1 and degsum_witness is None:
-            degsum_witness = e
-        if u != last_u:
-            last_u, covers_u = u, set(covering.get(u, ()))
-        for i in covers_u.intersection(covering.get(w, ())):
-            if (i != owner.get(e) and (e, i) not in relisted and i not in not_induced
-                    and (u, i) not in phantom and (w, i) not in phantom):
-                not_induced[i] = e
+    if inc is None:
+        # Edges run in sorted order, so the first hit is the witness.
+        last_u = None
+        for e in sorted(g.edges):
+            u, w = e
+            s = deg[u] + deg[w]
+            if s > max_sum:
+                max_sum = s
+            if s > t + 1 and degsum_witness is None:
+                degsum_witness = e
+            if u != last_u:
+                last_u, covers_u = u, set(covering.get(u, ()))
+            for i in covers_u.intersection(covering.get(w, ())):
+                if (i != owner.get(e) and (e, i) not in relisted and i not in not_induced
+                        and (u, i) not in phantom and (w, i) not in phantom):
+                    not_induced[i] = e
+    else:
+        # Edges run in any order and the witnesses are minima.  A_u & A_w
+        # holds owner(e), so on an edge that passes it is that one bit; a
+        # missing edge has no owner, so any bit there is a candidate.
+        get = inc.get
+        for e in g.edges:
+            u, w = e
+            s = deg[u] + deg[w]
+            if s > max_sum:
+                max_sum = s
+            if s > t + 1 and (degsum_witness is None or e < degsum_witness):
+                degsum_witness = e
+            common = get(u, 0) & get(w, 0)
+            if common & (common - 1) or common and e in missing:
+                o = owner.get(e)
+                while common:
+                    low = common & -common
+                    common ^= low
+                    i = low.bit_length() - 1
+                    if (i != o and (e, i) not in relisted and (u, i) not in phantom
+                            and (w, i) not in phantom and (i not in not_induced or e < not_induced[i])):
+                        not_induced[i] = e
 
     for i in sorted(not_matching.keys() | not_induced.keys()):
         if i in not_matching:
@@ -345,7 +398,10 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
                       f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
         )
 
-    isolated = deg.count(0)
+    isolated = g.n - len(deg)
+    histogram = Counter(deg.values())
+    if isolated:
+        histogram[0] = isolated
     notes = []
     if isolated:
         notes.append(f"{isolated} isolated vertices present; they count toward n")
@@ -356,7 +412,7 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
         violations.extend(pair_violations)
     return VerificationReport(
         violations=tuple(violations),
-        degree_histogram=dict(Counter(deg)),
+        degree_histogram=dict(histogram),
         max_edge_degree_sum=max_sum,
         max_pair_intersection=max_inter,
         isolated_vertices=isolated,
@@ -367,6 +423,56 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
 def _pair_intersections(dec: MatchingDecomposition):
     """Phase 2: max |V_i cap V_j| over i < j (0 if t < 2), and an
     endpoint-intersection violation for each pair above r.
+
+    With the `_incidence` bitsets, bit j of the sum of A_x >> (i + 1) over x
+    in V_i is |V_i cap V_{i+1+j}|, kept as bit-planes by a ripple-carry add:
+    its maximum takes one top-down pass over the planes, and the mask of
+    counts above r one more.  The work is about sum_i |V_i| operations on
+    t-bit ints.
+    """
+    inc = _incidence(dec)
+    if inc is None:
+        return _pair_counts(dec)
+    r = dec.r
+    max_inter = 0
+    violations = []
+    for i, m in enumerate(dec.matchings):
+        if not m:
+            continue
+        planes = [0] * (2 * len(m)).bit_length()
+        for x in {x for e in m for x in e}:
+            carry, p = inc[x] >> i + 1, 0
+            while carry:
+                planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                p += 1
+        top, at_top = 0, -1             # at_top: the bits whose count is top on the planes so far
+        for p in reversed(range(len(planes))):
+            if at_top & planes[p]:
+                at_top &= planes[p]
+                top |= 1 << p
+        max_inter = max(max_inter, top)
+        if top > r:
+            above, tied = 0, -1         # tied: the bits whose count has every 1 of r seen so far
+            for p in reversed(range(len(planes))):
+                if r >> p & 1:
+                    tied &= planes[p]
+                else:
+                    above |= tied & planes[p]
+            while above:
+                low = above & -above
+                above ^= low
+                j = low.bit_length() - 1
+                count = sum(1 << p for p, plane in enumerate(planes) if plane >> j & 1)
+                j += i + 1
+                violations.append(
+                    Violation("endpoint-intersection", (i, j), (count,),
+                              f"|V_{i} cap V_{j}| = {count} > r = {r}")
+                )
+    return max_inter, tuple(violations)
+
+
+def _pair_counts(dec: MatchingDecomposition):
+    """`_pair_intersections` on the covering lists, where `_incidence` declines.
 
     |V_i cap V_j| for every j > i sharing a vertex with V_i comes from
     counting the matchings that cover V_i's vertices, so the work is

@@ -245,7 +245,8 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
             note=f"r = {r} > max_r({n}, {t}) = {max_r(n, t)}; hard cap shortcut",
         )
 
-    state = _State(n, 1)
+    # labels enter as the smallest unused one, at most two per edge, so all stay below 2rt
+    state = _State(min(n, 2 * r * t), 1)
     seed = [(2 * j, 2 * j + 1) for j in range(r)]
     for x, y in seed:
         state.add(0, x, y)             # disjoint pairs of fresh labels, n >= 2r

@@ -84,6 +84,21 @@ class TestFeasibilityVerdict:
         v = feasibility_verdict(16, 4, 41)
         assert not v.feasible
 
+    def test_log2_cap_without_the_power_of_two(self):
+        for n in range(1, 301):
+            for t in range(1, 121):
+                assert bounds._log2_cap_holds(t, n) == (2 ** t <= (2 * n) ** 8), (n, t)
+
+    def test_quarter_regime_huge_t_is_cheap(self):
+        tracemalloc.start()
+        try:
+            v = feasibility_verdict(4, 1, 10 ** 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not v.feasible and v.regime == "exactly-quarter"
+        assert peak < 2 ** 20
+
     def test_below_quarter_is_advisory_only(self):
         v = feasibility_verdict(100, 22, 1000)
         assert v.feasible

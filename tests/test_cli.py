@@ -105,6 +105,15 @@ class TestConstructVerify:
                        " the size budget 2000000\n")
 
 
+    def test_cayley_over_budget_before_the_difference_set(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("ap_free_set ran for a modulus over the size budget")
+        monkeypatch.setattr(cli, "ap_free_set", unreachable)
+        code, out, err = run(capsys, "construct", "cayley-ap", "--modulus", "30000001")
+        assert code == EX_USAGE and out == ""
+        assert err == ("error: Cayley graph on Z_30000001: n + |E| would exceed"
+                       " the size budget 2000000\n")
+
 class TestBound:
     def test_max_r_output(self, capsys):
         code, stdout, _ = run(capsys, "bound", "--n", "10", "--t", "5")

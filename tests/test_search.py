@@ -107,6 +107,20 @@ class TestExistsRS:
         assert out.note == "node budget exhausted (10 nodes)"
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("t, verdict", [(1, SAT), (1000, INDETERMINATE)])
+    def test_state_sized_by_reachable_labels(self, t, verdict):
+        # labels stay below 2rt, so n = 10^8 allocates nothing n-long: not in
+        # the search state, nor in verifying the one-edge certificate
+        tracemalloc.start()
+        try:
+            out = exists_rs(10 ** 8, 1, t, Budget(max_nodes=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.verdict == verdict
+        assert out.nodes_explored == (0 if verdict == SAT else 10)
+        assert peak < 2 ** 20
+
     def test_degenerate_certificate_is_small_and_verified(self):
         # t empty matchings share one empty tuple: 8 bytes a matching
         t = 10 ** 5

@@ -15,8 +15,10 @@ order included, on valid decompositions and on mutants of them.
 import math
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,7 +236,7 @@ def base(name):
     return BASES[name]()
 
 
-MUTATIONS = ("moved", "deleted", "chord", "relisted", "wrong-r", "foreign")
+MUTATIONS = ("moved", "deleted", "chord", "unlisted-chord", "relisted", "wrong-r", "foreign")
 
 
 def mutate(data, kind, n, edges, matchings, r):
@@ -248,14 +250,15 @@ def mutate(data, kind, n, edges, matchings, r):
         if absent:
             matchings[data.draw(st.integers(0, t - 1))].append(data.draw(st.sampled_from(absent)))
         return r
-    if kind == "chord":
+    if kind in ("chord", "unlisted-chord"):
         i = data.draw(st.integers(0, t - 1))
         covered = sorted({x for e in matchings[i] for x in e})
         chords = [(u, v) for u in covered for v in covered if u < v and (u, v) not in edges]
         if chords:
             e = data.draw(st.sampled_from(chords))
             edges.add(e)
-            matchings[data.draw(st.integers(0, t - 1))].append(e)
+            if kind == "chord":
+                matchings[data.draw(st.integers(0, t - 1))].append(e)
         return r
     if not full:
         return r
@@ -285,46 +288,88 @@ class TestAgainstPairwiseOracle:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_mutants(self, data):
-        src = base(data.draw(st.sampled_from(sorted(BASES))))
-        n = src.graph.n
-        edges = set(src.graph.edges)
-        matchings = [list(m) for m in src.matchings]
-        r = src.r
-        for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
-            r = mutate(data, kind, n, edges, matchings, r)
-        dec = MatchingDecomposition.make(Graph.from_edges(n, edges), matchings, r)
-        expected = pairwise_verify(dec)
-        report = verify_decomposition(dec)
-        assert report.to_dict() == expected.to_dict()
-        if expected.passed:
-            assert distance_certificate(dec).to_dict() == hamming_certificate(dec).to_dict()
-        else:
-            with pytest.raises(PreconditionError):
-                distance_certificate(dec)
+        check_mutant(data)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_verdict_needs_no_pair_count(self, data):
-        # the lemma in the core docstring: once phase 1 passes, the pair
-        # count and the degree-sum cap cannot fail
-        src = base(data.draw(st.sampled_from(sorted(BASES))))
-        n = src.graph.n
-        edges = set(src.graph.edges)
-        matchings = [list(m) for m in src.matchings]
-        r = src.r
-        for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=0, max_size=3)):
-            r = mutate(data, kind, n, edges, matchings, r)
-        dec = MatchingDecomposition.make(Graph.from_edges(n, edges), matchings, r)
-        expected = pairwise_verify(dec)
-        verdict = verification_verdict(dec)
-        assert verdict.passed == expected.passed
-        if expected.passed:
-            assert expected.max_pair_intersection <= r
-            assert expected.max_edge_degree_sum <= dec.t + 1
-            assert verdict.max_pair_intersection is None
-            assert verify_decomposition(dec).to_dict() == expected.to_dict()
-        else:
-            assert verdict is verify_decomposition(dec)
+        check_verdict(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutants_on_the_list_path(self, data):
+        with list_path():
+            check_mutant(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_verdict_needs_no_pair_count_on_the_list_path(self, data):
+        with list_path():
+            check_verdict(data)
+
+
+def draw_mutant(data, min_mutations):
+    src = base(data.draw(st.sampled_from(sorted(BASES))))
+    n = src.graph.n
+    edges = set(src.graph.edges)
+    matchings = [list(m) for m in src.matchings]
+    r = src.r
+    for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=min_mutations, max_size=3)):
+        r = mutate(data, kind, n, edges, matchings, r)
+    return MatchingDecomposition.make(Graph.from_edges(n, edges), matchings, r)
+
+
+def check_mutant(data):
+    dec = draw_mutant(data, 1)
+    expected = pairwise_verify(dec)
+    report = verify_decomposition(dec)
+    assert report.to_dict() == expected.to_dict()
+    if expected.passed:
+        assert distance_certificate(dec).to_dict() == hamming_certificate(dec).to_dict()
+    else:
+        with pytest.raises(PreconditionError):
+            distance_certificate(dec)
+
+
+def check_verdict(data):
+    # the lemma in the core docstring: once phase 1 passes, the pair
+    # count and the degree-sum cap cannot fail
+    dec = draw_mutant(data, 0)
+    r = dec.r
+    expected = pairwise_verify(dec)
+    verdict = verification_verdict(dec)
+    assert verdict.passed == expected.passed
+    if expected.passed:
+        assert expected.max_pair_intersection <= r
+        assert expected.max_edge_degree_sum <= dec.t + 1
+        assert verdict.max_pair_intersection is None
+        assert verify_decomposition(dec).to_dict() == expected.to_dict()
+    else:
+        assert verdict is verify_decomposition(dec)
+
+
+@contextmanager
+def list_path():
+    """Run the verifier without the incidence bitsets, as the memory gate does on sparse inputs."""
+    with mock.patch.object(core, "_incidence", lambda dec: None):
+        yield
+
+
+class TestIncidenceGate:
+    """Bitsets only where they take no more words than the covering lists."""
+
+    def test_one_edge_matchings_take_the_list_path(self):
+        t = 300
+        dec = MatchingDecomposition.from_matchings(2 * t, [[(2 * i, 2 * i + 1)] for i in range(t)], 1)
+        assert core._incidence(dec) is None
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_oracle_bases_take_the_bitset_path(self, name):
+        # cayley31 and kneser3 among them, so the oracle tests above run both paths
+        dec = base(name)
+        inc = core._incidence(dec)
+        assert inc is not None
+        assert {v: [i for i in range(dec.t) if a >> i & 1] for v, a in inc.items()} == dec.covering
 
 
 class TestReportCache:
@@ -432,3 +477,16 @@ class TestLargeSparse:
         assert report.max_pair_intersection == 0
         assert report.isolated_vertices == n - 2 * t
         assert peak < 32 * n           # a few n-long lists, no per-vertex set or list
+
+    def test_one_chord_among_sparse_matchings(self):
+        # t two-edge matchings on disjoint vertices; the chord (1, 2) joins
+        # two vertices of M_0 and is listed by the last matching
+        n, t = 10 ** 5, 1000
+        matchings = [[(4 * i, 4 * i + 1), (4 * i + 2, 4 * i + 3)] for i in range(t)]
+        matchings[-1].append((1, 2))
+        dec = MatchingDecomposition.from_matchings(n, matchings, 2)
+        assert core._incidence(dec) is None
+        report = verify_decomposition(dec)
+        assert [(v.invariant, v.matchings) for v in report.violations] == [
+            ("size-mismatch", (t - 1,)), ("not-induced", (0,))]
+        assert report.to_dict() == pairwise_verify(dec).to_dict()
