@@ -449,15 +449,15 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
 
     g = dec.graph
     n, t, r = g.n, dec.t, dec.r
-    deg = g.degrees
 
     # on a verified decomposition every edge at v lies in exactly one matching
-    # and no matching covers v twice, so |A_v| = d_v holds for every vertex
+    # and no matching covers v twice, so |A_v| = d_v holds for every vertex:
+    # the audit reads a degree as len(covering[v % n_in]), on a cover too
     assertions = [("incidence-degree", PASS, "|A_v| = d_v for every vertex")]
 
     classes = Counter()
     for u, v in g.edges:
-        classes[deg[u] + deg[v] - t] += 1
+        classes[len(covering[u % n_in]) + len(covering[v % n_in]) - t] += 1
     e1 = classes.get(1, 0)
     e0 = classes.get(0, 0)
     over = [i for i in classes if i > 1]
@@ -488,7 +488,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     # H edge; then iteratively strip H-degree < t/8
     h_adj = defaultdict(list)
     for u, v in g.edges:
-        if deg[u] + deg[v] >= t:
+        if len(covering[u % n_in]) + len(covering[v % n_in]) >= t:
             h_adj[u].append(v)
             h_adj[v].append(u)
     alive = set(h_adj)
@@ -510,7 +510,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     achieved = min(map(len, nbrs), default=0)
     # nothing below reads the audited graph: drop it (and a double cover
     # built above) before the claim check allocates its bitsets
-    del dec, g, deg, h_adj, index, alive, covering
+    del dec, g, h_adj, index, alive, covering
 
     # (d) BFS distance claims inside F
     bfs_violations = [

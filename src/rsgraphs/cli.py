@@ -92,8 +92,10 @@ def cmd_construct(args) -> int:
             dec = double_cover(_load(_need(args, "input")))
         elif family == "cayley-ap":
             modulus = _need(args, "modulus")
-            check_cayley_size(modulus)     # before building S, whose cost grows with N
+            check_cayley_size(modulus)     # before building S, whose cost grows with the limit
             limit = args.limit if args.limit is not None else (modulus - 1) // 3
+            if 3 * limit > modulus - 1:
+                raise ParameterError(f"--limit {limit} exceeds (N-1)/3 = {(modulus - 1) // 3}")
             s = ap_free_set(args.apset_method, limit)
             if s.note:
                 print(f"note: {s.note}", file=sys.stderr)

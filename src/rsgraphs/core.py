@@ -16,12 +16,11 @@ a chord of M_i, so each of the r edges of M_j puts at most one vertex in V_i
 and |V_i cap V_j| <= r.  (The same argument on the matchings covering an
 edge's two ends gives d_u + d_v <= 2 + (t - 1).)
 
-Phase 1 is computed once per decomposition and cached on it as its verdict,
-the same way `Graph.degrees` is cached on a graph: a `MatchingDecomposition`
-is frozen, its graph's edges are a frozenset and its matchings are sorted
-tuples, so repeat verification of one object costs nothing.  A failing
-verdict runs phase 2 at once and is the full report.  Callers that need only
-pass/fail read `verification_verdict`: the Cayley construction's
+Phase 1 is computed once per decomposition and cached on it as its verdict:
+a `MatchingDecomposition` is frozen, its graph's edges are a frozenset and
+its matchings are sorted tuples, so repeat verification of one object costs
+nothing.  A failing verdict runs phase 2 at once and is the full report.
+Callers that need only pass/fail read `verification_verdict`: the Cayley construction's
 self-certification, the input checks of `disjoint_union` and `double_cover`,
 `distance_certificate`, `expansion_audit` and the search certificate checks.
 `verify_decomposition` (the `rsg verify` report) adds phase 2 to a passing
@@ -92,14 +91,6 @@ class Graph:
             raise GraphError("vertex count must be non-negative")
         edges = frozenset(_norm_edges(edge_iter, n))
         return cls(n, edges)
-
-    @cached_property
-    def degrees(self):
-        """Vertex degrees, counted from the edge list."""
-        deg = [0] * self.n
-        for v, d in Counter(chain.from_iterable(self.edges)).items():
-            deg[v] = d
-        return deg
 
 
 def is_bipartite(g: Graph):

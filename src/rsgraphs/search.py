@@ -2,7 +2,7 @@
 
 `exists_rs` searches over decompositions directly: edges only ever enter the
 graph as members of some matching, so the search state needs only three
-tests per candidate edge (see `_State.try_add`).  Each keeps every matching a
+tests per candidate edge (see `_State.row_mask`).  Each keeps every matching a
 matching and induced in the current graph, and the other invariants follow:
 
   * if M_i is induced and owns edge (u, v), no other matching covers both u
@@ -34,7 +34,7 @@ it; beside it, each open depth keeps a cursor: the row x, the next y, the
 row's remaining mask of passing y and the depth's fixed values, among them
 B_i = V_i | N(V_i).  Rows x < u, u the smallest unused label, take labels
 y up to u; row u takes only u + 1, the pair of fresh labels.  The three
-tests of `try_add` fail for (x, y) exactly when x or y lies in B_i or y
+tests fail for (x, y) exactly when x or y lies in B_i or y
 lies in some V_j with j in A_x.  B_i is carried down the stack: a new
 matching starts from 0, and placing (x, y) in M_i adds N(x) | N(y), which
 hold y and x.  A row x in B_i fails whole, and the passing y of any other
@@ -43,8 +43,10 @@ row are one mask (`_State.row_mask`), walked by lowest set bit.
 Nodes are counted as before, one per candidate edge generated, passing or
 not, so a candidate skipped by a mask still counts: node counts, budget
 stops and the pinned counts in the tests describe the same search space as
-a per-candidate loop.  A node budget stops at exactly its node; the clock is
-read whenever the count crosses a multiple of 4096.
+a per-candidate loop.  Every search loop stops by one rule (`_Meter`): a
+node budget stops at exactly its node, the clock is read at each multiple of
+`CLOCK_PERIOD` nodes below it, however many one jump crosses, and a zero
+budget or a deadline passed before node 1 stops at node 1.
 
 `max_t_on_graph` holds the pool of induced matchings once, as ascending
 tuples of indices into the sorted edge list.  `_cover` holds each pool
@@ -131,8 +133,26 @@ class SearchOutcome:
         }
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _Meter:
+    """The stop rule of the module docstring for one loop, which keeps its node count and
+    `limit` as locals and calls `stop` only when the count is about to reach `limit`."""
+
+    def __init__(self, max_nodes, deadline):
+        self.deadline = deadline
+        self.timed_out = time.monotonic() >= deadline      # before node 1
+        self.max_nodes = 1 if self.timed_out else max(max_nodes, 1)
+        self.clock_at = CLOCK_PERIOD   # the node at which the clock is read next
+        self.limit = min(CLOCK_PERIOD, self.max_nodes)
+
+    def stop(self, end):
+        """The node a loop counting up to `end` (>= `limit`) stops at, or None and a new `limit`."""
+        while self.clock_at <= end and self.clock_at < self.max_nodes:
+            if time.monotonic() > self.deadline:
+                self.timed_out = True
+                return self.clock_at
+            self.clock_at += CLOCK_PERIOD
+        self.limit = min(self.clock_at, self.max_nodes)
+        return self.max_nodes if end >= self.max_nodes else None
 
 
 class _State:
@@ -142,7 +162,7 @@ class _State:
     v, `nbr[v]` the neighbours of v and `members[i]` the vertices of V_i.
     A search that opens the matchings in order may start with one slot and
     append the next as it opens, so no memory grows with t before a node.
-    The three tests of `try_add` keep each matching an induced matching of
+    The three tests of `row_mask` keep each matching an induced matching of
     the graph built so far, which is all the search has to maintain: the
     degree-sum and endpoint-intersection caps follow (module docstring).
     """
@@ -153,21 +173,8 @@ class _State:
         self.members = [0] * t
         self.used = 0                  # labels 0..used-1 have appeared
 
-    def try_add(self, i, x, y):
-        """Add edge (x, y) to matching i if all invariants survive; return success."""
-        bit = 1 << i
-        ax, ay = self.incidence[x], self.incidence[y]
-        if (ax | ay) & bit:
-            return False               # endpoint already matched in M_i
-        if ax & ay:
-            return False               # edge would sit inside some V_j (or already exists)
-        if (self.nbr[x] | self.nbr[y]) & self.members[i]:
-            return False               # an endpoint joins V_i while adjacent to it
-        self.add(i, x, y)
-        return True
-
     def add(self, i, x, y):
-        """Add edge (x, y) to matching i; the caller has made `try_add`'s tests."""
+        """Add edge (x, y) to matching i; the caller has made `row_mask`'s tests."""
         bit = 1 << i
         self.incidence[x] |= bit
         self.incidence[y] |= bit
@@ -187,11 +194,12 @@ class _State:
         self.used = prev_used
 
     def row_mask(self, x, lo, hi, blocked):
-        """The y in lo..hi (x < lo) for which `try_add(i, x, y)` would succeed, as a mask.
+        """The y in lo..hi (x < lo) for which edge (x, y) may join M_i, as a mask.
 
-        `blocked` is B_i = V_i | N(V_i): an endpoint in it fails test 1 or
-        test 3 of `try_add`.  Test 2 fails exactly when y lies in
-        some V_j with j in A_x, so the mask costs min(|A_x|, hi - lo + 1) steps.
+        The tests: no end in V_i (1) or N(V_i) (3), so M_i stays an induced
+        matching, which `blocked` = B_i = V_i | N(V_i) checks; and A_x & A_y = 0
+        (2), the edge inside no V_j, which fails exactly when y lies in some V_j
+        with j in A_x.  So the mask costs min(|A_x|, hi - lo + 1) steps.
         """
         if blocked >> x & 1:
             return 0
@@ -250,19 +258,14 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
     seed = [(2 * j, 2 * j + 1) for j in range(r)]
     for x, y in seed:
         state.add(0, x, y)             # disjoint pairs of fresh labels, n >= 2r
-    deadline = started + budget.max_seconds
-    # a deadline already passed stops the search at its first node, as
-    # max_nodes = 0 and max_nodes = 1 do
-    timed_out = time.monotonic() >= deadline
-    max_nodes = 1 if timed_out else max(budget.max_nodes, 1)
+    meter = _Meter(budget.max_nodes, started + budget.max_seconds)
 
     # placed edges, one per depth d, as (x, y, prev_used); the seed fills
     # depths 0..r-1 and is never removed
     path = [(x, y, None) for x, y in seed]
     cursors = []                       # suspended cursor of each depth from r to the open one
     nodes = 0
-    clock_at = CLOCK_PERIOD            # the node at which the clock is read next
-    limit = min(clock_at, max_nodes)
+    limit = meter.limit
     d = r
     blocked = 0                        # B_i of the open depth: M_1 starts empty
     verdict = None
@@ -319,20 +322,11 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
                 y = x + 1
                 ok = -1
             if k and nodes + k >= limit:
-                # a budget check falls among these k nodes: the clock at
-                # clock_at (a multiple of CLOCK_PERIOD), then max_nodes
-                if clock_at < max_nodes and nodes + k >= clock_at:
-                    if time.monotonic() > deadline:
-                        nodes = clock_at
-                        timed_out = True
-                        verdict = INDETERMINATE
-                        break
-                    clock_at = ((nodes + k) // CLOCK_PERIOD + 1) * CLOCK_PERIOD
-                    limit = min(clock_at, max_nodes)
-                if nodes + k >= max_nodes:
-                    nodes = max_nodes
-                    verdict = INDETERMINATE
+                stop = meter.stop(nodes + k)
+                if stop is not None:
+                    nodes, verdict = stop, INDETERMINATE
                     break
+                limit = meter.limit
             nodes += k
             if take < 0:
                 continue
@@ -350,7 +344,7 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
     note = ""
     certificate = None
     if verdict == INDETERMINATE:
-        note = budget.exhausted(timed_out, nodes)
+        note = budget.exhausted(meter.timed_out, nodes)
     elif verdict == SAT:
         placed = [(x, y) for x, y, _ in path]
         matchings = [placed[j:j + r] for j in range(0, t * r, r)]
@@ -366,10 +360,8 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
 def _enumerate_induced_matchings(g: Graph, r: int, deadline: float):
     """g's sorted edge list, and all its induced matchings with exactly r edges.
 
-    Each matching is an ascending tuple of indices into the edge list.
-
-    The clock is read every `CLOCK_PERIOD` steps; `_BudgetExceeded` is
-    raised once the `deadline` has passed.
+    Each matching is an ascending tuple of indices into the edge list.  None
+    once the `deadline` has passed.
     """
     edges = sorted(g.edges)
     nbr = [0] * g.n
@@ -400,7 +392,7 @@ def _enumerate_induced_matchings(g: Graph, r: int, deadline: float):
     while True:
         steps += 1
         if not steps % CLOCK_PERIOD and time.monotonic() > deadline:
-            raise _BudgetExceeded
+            return None
         if len(cur) == r:
             out.append(tuple(cur))
         elif avail.bit_count() >= r - len(cur):
@@ -417,16 +409,17 @@ def _enumerate_induced_matchings(g: Graph, r: int, deadline: float):
         cur.pop()
 
 
-def _cover(edge_count, masks, by_edge, max_nodes, deadline):
+def _cover(edge_count, masks, by_edge, meter):
     """Cover every edge by edge-disjoint pool matchings, branching on the lowest uncovered edge.
 
-    Returns (verdict, chosen pool indices, nodes, timed_out).
+    Returns (verdict, chosen pool indices, nodes).
     """
     full = (1 << edge_count) - 1
     used = 0
     chosen = []
     stack = []                         # (candidates, next position) of each depth above
     nodes = 0
+    limit = meter.limit
     cands = None                       # candidates of the open depth, once picked
     while used != full:
         if cands is None:
@@ -434,23 +427,24 @@ def _cover(edge_count, masks, by_edge, max_nodes, deadline):
             cands, pos = by_edge[low.bit_length() - 1], 0
         if pos == len(cands):
             if not stack:
-                return UNSAT, chosen, nodes, False
+                return UNSAT, chosen, nodes
             cands, pos = stack.pop()
             used ^= masks[chosen.pop()]
             continue
         idx = cands[pos]
         pos += 1
         nodes += 1
-        if nodes >= max_nodes:
-            return INDETERMINATE, chosen, nodes, False
-        if not nodes % CLOCK_PERIOD and time.monotonic() > deadline:
-            return INDETERMINATE, chosen, nodes, True
+        if nodes >= limit:
+            stop = meter.stop(nodes)
+            if stop is not None:
+                return INDETERMINATE, chosen, stop
+            limit = meter.limit
         if not used & masks[idx]:
             stack.append((cands, pos))
             chosen.append(idx)
             used |= masks[idx]
             cands = None
-    return SAT, chosen, nodes, False
+    return SAT, chosen, nodes
 
 
 def _holders(pool, edge_count):
@@ -468,15 +462,14 @@ def _holders(pool, edge_count):
     return [int.from_bytes(row, "little") for row in rows]
 
 
-def _pack(pool, holders, r, max_nodes, deadline):
+def _pack(pool, holders, r, meter):
     """Branch and bound for the most edge-disjoint pool matchings, in pool order.
 
     `pool[p]` lists the edge indices of pool matching p, `holders` is
     `_holders(pool, edge_count)`.  Each depth holds `avail`, the mask
     of its untried pool indices that share no edge with the chosen ones, and
     takes its lowest set bit; the indices jumped over count as nodes, one per
-    pool index tried, so budget stops land as in a loop testing each index.
-    Returns (SAT or INDETERMINATE, best pool indices, nodes, timed_out).
+    pool index tried.  Returns (SAT or INDETERMINATE, best pool indices, nodes).
     """
     size = len(pool)
     best = []
@@ -484,9 +477,7 @@ def _pack(pool, holders, r, max_nodes, deadline):
     stack = []                         # (next pool index, avail) of each depth above
     free = len(holders)                # edges not yet used
     nodes = 0
-    max_nodes = max(max_nodes, 1)      # the first node stops a zero budget
-    clock_at = CLOCK_PERIOD            # the node at which the clock is read next
-    limit = min(clock_at, max_nodes)
+    limit = meter.limit
     idx, avail = (0, (1 << size) - 1) if free >= r else (size, 0)
     while True:
         if avail:
@@ -495,20 +486,14 @@ def _pack(pool, holders, r, max_nodes, deadline):
         else:
             k = size - idx
         if k and nodes + k >= limit:
-            # budget checks fall among these k nodes: the clock at each
-            # multiple of CLOCK_PERIOD below max_nodes, then max_nodes
-            end = nodes + k
-            while clock_at <= end and clock_at < max_nodes:
-                if time.monotonic() > deadline:
-                    return INDETERMINATE, best, clock_at, True
-                clock_at += CLOCK_PERIOD
-            if end >= max_nodes:
-                return INDETERMINATE, best, max_nodes, False
-            limit = min(clock_at, max_nodes)
+            stop = meter.stop(nodes + k)
+            if stop is not None:
+                return INDETERMINATE, best, stop
+            limit = meter.limit
         nodes += k
         if not avail:
             if not stack:
-                return SAT, best, nodes, False
+                return SAT, best, nodes
             idx, avail = stack.pop()
             chosen.pop()
             free += r
@@ -544,26 +529,24 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
         raise ParameterError(f"exact cover impossible: r = {r} does not divide |E| = {len(g.edges)}")
 
     deadline = started + budget.max_seconds
-    try:
-        edges, pool = _enumerate_induced_matchings(g, r, deadline)
-    except _BudgetExceeded:
-        edges, pool, verdict, picked, nodes, timed_out = [], [], INDETERMINATE, [], 1, True
+    found = _enumerate_induced_matchings(g, r, deadline)
+    meter = _Meter(budget.max_nodes, deadline)
+    if found is None:
+        verdict, chosen, nodes = INDETERMINATE, [], meter.stop(1)
     else:
-        late = time.monotonic() >= deadline
-        max_nodes = 1 if late else budget.max_nodes          # as in exists_rs
+        edges, pool = found
         if exact_cover:
             masks = [sum(1 << e for e in m) for m in pool]
             by_edge = [[] for _ in edges]
             for idx, m in enumerate(pool):
                 for e in m:
                     by_edge[e].append(idx)
-            verdict, picked, nodes, timed_out = _cover(len(edges), masks, by_edge, max_nodes, deadline)
+            verdict, picked, nodes = _cover(len(edges), masks, by_edge, meter)
         else:
             holders = _holders(pool, len(edges))
-            verdict, picked, nodes, timed_out = _pack(pool, holders, r, max_nodes, deadline)
-        timed_out = timed_out or late
-    chosen = [[edges[e] for e in pool[idx]] for idx in picked]
-    note = budget.exhausted(timed_out, nodes) if verdict == INDETERMINATE else ""
+            verdict, picked, nodes = _pack(pool, holders, r, meter)
+        chosen = [[edges[e] for e in pool[idx]] for idx in picked]
+    note = budget.exhausted(meter.timed_out, nodes) if verdict == INDETERMINATE else ""
 
     if exact_cover:
         certificate = None

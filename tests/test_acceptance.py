@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import degrees
 from rsgraphs import (
     Budget,
     SAT,
@@ -124,7 +125,7 @@ class TestAcceptance:
             if not verify_decomposition(cov).passed:
                 failures.append(f"cover of n={dec.graph.n} failed verification")
         c6 = double_cover(kneser_rs(1)).graph
-        if c6.n != 6 or any(d != 2 for d in c6.degrees):
+        if c6.n != 6 or any(d != 2 for d in degrees(c6)):
             failures.append("cover of the triangle is not 2-regular on 6 vertices")
         else:
             nbrs = {v: [] for v in range(6)}

@@ -37,7 +37,7 @@ from rsgraphs import (
 )
 from rsgraphs import bounds
 from rsgraphs.bounds import FAIL, NOT_APPLICABLE, PASS, AuditReport, LayerRow
-from rsgraphs.search import _State
+from oracles import OracleState, degrees
 
 
 def per_source_claims(f_vertices, h_adj, alive, incidence, t):
@@ -99,7 +99,7 @@ def per_source_audit(dec: MatchingDecomposition) -> AuditReport:
 
     g = dec.graph
     n, t, r = g.n, dec.t, dec.r
-    deg = g.degrees
+    deg = degrees(g)
 
     incidence = [0] * n
     for i, m in enumerate(dec.matchings):
@@ -227,7 +227,7 @@ class TestSweep:
 
 def random_decomposition(n, r, t, rng):
     """Up to t induced matchings of size r on n vertices, grown edge by edge at random."""
-    state = _State(n, t)
+    state = OracleState(n, t)
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
     matchings = []
     for i in range(t):
@@ -270,7 +270,7 @@ class TestWitnessOrder:
             bounds._claim_violations = real
         if is_bipartite(dec.graph) is None:
             dec = double_cover(dec)
-        h_adj, alive = per_source_core(dec.graph, dec.graph.degrees, dec.t)
+        h_adj, alive = per_source_core(dec.graph, degrees(dec.graph), dec.t)
         f_vertices = sorted(alive)
         index = {v: i for i, v in enumerate(f_vertices)}
         (nbrs,) = got

@@ -114,6 +114,20 @@ class TestConstructVerify:
         assert err == ("error: Cayley graph on Z_30000001: n + |E| would exceed"
                        " the size budget 2000000\n")
 
+    def test_cayley_limit_above_a_third_before_the_difference_set(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("ap_free_set ran for a limit above (N-1)/3")
+        monkeypatch.setattr(cli, "ap_free_set", unreachable)
+        code, out, err = run(capsys, "construct", "cayley-ap", "--modulus", "7",
+                             "--limit", "1000000000")
+        assert code == EX_USAGE and out == ""
+        assert err == "error: --limit 1000000000 exceeds (N-1)/3 = 2\n"
+        # a limit whose S would fit, but above (N-1)/3, is refused the same way
+        assert run(capsys, "construct", "cayley-ap", "--modulus", "7", "--limit", "3")[0] == EX_USAGE
+        monkeypatch.undo()
+        assert run(capsys, "construct", "cayley-ap", "--modulus", "41", "--limit", "13")[0] == EX_OK
+
+
 class TestBound:
     def test_max_r_output(self, capsys):
         code, stdout, _ = run(capsys, "bound", "--n", "10", "--t", "5")

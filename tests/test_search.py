@@ -30,7 +30,8 @@ from rsgraphs import (
 )
 from rsgraphs.bounds import min_vertices
 from rsgraphs.core import verification_verdict
-from rsgraphs.search import _State, _enumerate_induced_matchings
+from rsgraphs.search import _enumerate_induced_matchings
+from oracles import OracleState
 
 FAST = Budget(max_nodes=500_000, max_seconds=20.0)
 
@@ -274,7 +275,11 @@ def _masks(n, t, matchings):
 
 
 class TestStateOracle:
-    """`_State`'s three mask tests against the verifier, the package's root of trust."""
+    """The three tests of `_State.row_mask`, one candidate at a time, against the verifier.
+
+    `OracleState.try_add` makes the tests; the verifier is the package's root
+    of trust, and `TestRowMask` checks `row_mask` against `try_add`.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -282,7 +287,7 @@ class TestStateOracle:
         n = data.draw(st.integers(2, 8))
         t = data.draw(st.integers(1, 4))
         pairs = list(itertools.combinations(range(n), 2))
-        state = _State(n, t)
+        state = OracleState(n, t)
         matchings = [[] for _ in range(t)]
         added = []
         for _ in range(data.draw(st.integers(1, 40))):

@@ -4,7 +4,7 @@
 `recursive_max_t_on_graph` are the package's earlier `exists_rs`,
 `_enumerate_induced_matchings` and `max_t_on_graph`, kept verbatim as
 test-only references (renamed, with `_Found` and `_BudgetExceeded` defined
-here).  They test every candidate edge with `_State.try_add` inside recursive
+here).  They test every candidate edge with `OracleState.try_add` inside recursive
 `extend`, `cover` and `pack`.  The package must return the same verdict,
 node count, t and certificate bytes; its INDETERMINATE notes say which
 budget ran out, where the oracle's say only "budget exhausted".
@@ -37,7 +37,8 @@ from rsgraphs import (
 )
 from rsgraphs import search
 from rsgraphs.bounds import max_r
-from rsgraphs.search import SearchOutcome, _State, _enumerate_induced_matchings, _trivial_outcome
+from rsgraphs.search import SearchOutcome, _enumerate_induced_matchings, _trivial_outcome
+from oracles import OracleState
 
 
 class _BudgetExceeded(Exception):
@@ -74,7 +75,7 @@ def recursive_exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = Tru
             note=f"r = {r} > max_r({n}, {t}) = {max_r(n, t)}; hard cap shortcut",
         )
 
-    state = _State(n, t)
+    state = OracleState(n, t)
     seed = [(2 * j, 2 * j + 1) for j in range(r)]
     for x, y in seed:
         if not state.try_add(0, x, y):
@@ -436,11 +437,58 @@ class TestPackJumps:
     def test_stops_match_per_index_loop(self, monkeypatch, reads, max_nodes):
         masks = [sum(1 << e for e in m) for m in self.POOL]
         holders = search._holders(self.POOL, 5)
+        meter = search._Meter(max_nodes, time.monotonic() + 1.0)
         monkeypatch.setattr(search, "time", _Clock(reads))
-        new = search._pack(self.POOL, holders, 2, max_nodes, 1.0)
+        new = (*search._pack(self.POOL, holders, 2, meter), meter.timed_out)
         monkeypatch.setitem(globals(), "time", _Clock(reads))
         old = per_index_pack(5, 2, masks, max_nodes, 1.0)
         assert new == old
+
+
+class TestMeter:
+    """`_Meter.stop` on its own, with a clock that runs out on a chosen read.
+
+    Building the meter reads the clock once, so `_Clock(1 + k)` lets the
+    first k reads of `stop` find time left.
+    """
+
+    @pytest.mark.parametrize("reads", [0, 1, 2])
+    def test_one_stop_reads_each_multiple_crossed(self, monkeypatch, reads):
+        clock = _Clock(1 + reads)
+        monkeypatch.setattr(search, "time", clock)
+        meter = search._Meter(10**9, 1.0)
+        assert meter.limit == 4096
+        assert meter.stop(3 * 4096 + 5) == 4096 * (reads + 1)
+        assert meter.timed_out and clock.reads == -1
+
+    def test_one_stop_passes_every_multiple_in_time(self, monkeypatch):
+        clock = _Clock(4)
+        monkeypatch.setattr(search, "time", clock)
+        meter = search._Meter(10**9, 1.0)
+        assert meter.stop(3 * 4096 + 5) is None
+        assert (meter.limit, meter.timed_out, clock.reads) == (4 * 4096, False, 0)
+
+    @pytest.mark.parametrize("max_nodes", [4096, 2 * 4096])
+    def test_node_budget_on_a_multiple_reads_no_clock_there(self, monkeypatch, max_nodes):
+        clock = _Clock(max_nodes // 4096)
+        monkeypatch.setattr(search, "time", clock)
+        meter = search._Meter(max_nodes, 1.0)
+        assert meter.stop(max_nodes + 100) == max_nodes
+        assert not meter.timed_out and clock.reads == 0
+
+    def test_zero_node_budget_stops_at_node_1(self):
+        meter = search._Meter(0, time.monotonic() + 1e9)
+        assert meter.limit == 1
+        assert meter.stop(1) == 1
+        assert not meter.timed_out
+
+    def test_passed_deadline_stops_at_node_1(self, monkeypatch):
+        clock = _Clock(0)
+        monkeypatch.setattr(search, "time", clock)
+        meter = search._Meter(10**9, 1.0)
+        assert meter.timed_out and meter.limit == 1
+        assert meter.stop(5000) == 1
+        assert clock.reads == -1
 
 
 def _random_graph(draw, n_max=9):
@@ -481,7 +529,7 @@ class TestMaxTOnGraphOracle:
 
 
 class TestRowMask:
-    """`_State.row_mask` against one `try_add` per candidate."""
+    """`_State.row_mask` against one `OracleState.try_add` per candidate."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -489,7 +537,7 @@ class TestRowMask:
         n = data.draw(st.integers(2, 10))
         t = data.draw(st.integers(1, 5))
         pairs = list(itertools.combinations(range(n), 2))
-        state = _State(n, t)
+        state = OracleState(n, t)
         for _ in range(data.draw(st.integers(0, 30))):
             x, y = data.draw(st.sampled_from(pairs))
             state.try_add(data.draw(st.integers(0, t - 1)), x, y)

@@ -2,7 +2,7 @@
 
 `pairwise_verify` and `hamming_certificate` are the package's original
 implementations, kept verbatim as test-only references (the oracle builds the
-degree list from per-vertex neighbour sets, as `Graph.degrees` then did, and
+degree list from per-vertex neighbour sets, as the package's graph then did, and
 certifies with `pairwise_verify`; `adjacency` and `endpoint_sets` build those
 sets here, as the test-only `Graph.adjacency` and
 `MatchingDecomposition.endpoint_sets` did).  The first intersects the
