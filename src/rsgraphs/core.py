@@ -94,31 +94,29 @@ class Graph:
 
 
 def is_bipartite(g: Graph):
-    """Return a 0/1 coloring list if g is bipartite, else None.
+    """A 0/1 coloring of the vertices with an edge, as a dict, if g is bipartite, else None.
 
-    Adjacency lists come from the edge list and cover only vertices with an
-    edge, so an isolated vertex costs one list entry and keeps color 0.  Each
-    component's coloring is fixed by giving its smallest vertex color 0.
+    An isolated vertex is left out and counts as color 0, so nothing grows
+    with n.  Each component's smallest vertex gets color 0.
     """
     adj = defaultdict(list)
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    color = [0] * g.n
-    seen = set()
+    color = {}
     for start in sorted(adj):
-        if start in seen:
+        if start in color:
             continue
-        seen.add(start)
+        color[start] = 0
         queue = [start]
         while queue:
             u = queue.pop()
+            other = 1 - color[u]
             for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    color[w] = 1 - color[u]
+                if w not in color:
+                    color[w] = other
                     queue.append(w)
-                elif color[w] == color[u]:
+                elif color[w] != other:
                     return None
     return color
 
@@ -182,7 +180,7 @@ class MatchingDecomposition:
         verdict = self._verdict
         if not verdict.passed:
             return verdict
-        max_inter, violations = _pair_intersections(self)
+        max_inter, violations = _pair_intersections(self, _incidence(self))
         return replace(verdict, violations=violations, max_pair_intersection=max_inter)
 
 
@@ -255,9 +253,9 @@ def _incidence(dec: MatchingDecomposition):
     """A_v as a t-bit int (bit i set iff matching i covers v), for each vertex of `covering`.
 
     None when the ints would take more 64-bit words than the `covering` lists
-    hold entries, so memory stays linear in the edge lists.  Each phase builds
-    its own rather than caching them on the decomposition, where they would
-    stay alive beside the lists for the decomposition's whole life.
+    hold entries, so memory stays linear in the edge lists.  A failing phase 1
+    hands its ints to phase 2; a passing verdict's report builds them again,
+    as caching them on the decomposition would keep them alive beside the lists.
     """
     covering = dec.covering
     if len(covering) * -(-dec.t // 64) > sum(map(len, covering.values())):
@@ -399,7 +397,7 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
 
     max_inter = None
     if violations:
-        max_inter, pair_violations = _pair_intersections(dec)
+        max_inter, pair_violations = _pair_intersections(dec, inc)
         violations.extend(pair_violations)
     return VerificationReport(
         violations=tuple(violations),
@@ -411,17 +409,16 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
     )
 
 
-def _pair_intersections(dec: MatchingDecomposition):
+def _pair_intersections(dec: MatchingDecomposition, inc):
     """Phase 2: max |V_i cap V_j| over i < j (0 if t < 2), and an
     endpoint-intersection violation for each pair above r.
 
-    With the `_incidence` bitsets, bit j of the sum of A_x >> (i + 1) over x
-    in V_i is |V_i cap V_{i+1+j}|, kept as bit-planes by a ripple-carry add:
-    its maximum takes one top-down pass over the planes, and the mask of
-    counts above r one more.  The work is about sum_i |V_i| operations on
-    t-bit ints.
+    `inc` is `_incidence(dec)`, from the caller.  With its bitsets, bit j of
+    the sum of A_x >> (i + 1) over x in V_i is |V_i cap V_{i+1+j}|, kept as
+    bit-planes by a ripple-carry add: its maximum takes one top-down pass
+    over the planes, and the mask of counts above r one more.  The work is
+    about sum_i |V_i| operations on t-bit ints.
     """
-    inc = _incidence(dec)
     if inc is None:
         return _pair_counts(dec)
     r = dec.r

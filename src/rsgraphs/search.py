@@ -30,20 +30,21 @@ The search is a loop over an explicit stack, so its depth is not bounded by
 Python's recursion limit.  Every matching holds exactly r edges, so depth d
 (edges placed, the pinned first matching included) fixes the matching index
 i = d // r.  The path holds each placed edge with the label counter before
-it; beside it, each open depth keeps a cursor: the row x, the next y, the
-row's remaining mask of passing y and the depth's fixed values, among them
-B_i = V_i | N(V_i).  Rows x < u, u the smallest unused label, take labels
-y up to u; row u takes only u + 1, the pair of fresh labels.  The three
-tests fail for (x, y) exactly when x or y lies in B_i or y
-lies in some V_j with j in A_x.  B_i is carried down the stack: a new
-matching starts from 0, and placing (x, y) in M_i adds N(x) | N(y), which
-hold y and x.  A row x in B_i fails whole, and the passing y of any other
-row are one mask (`_State.row_mask`), walked by lowest set bit.
+it, and the stack each open depth's `_candidates` generator with its
+B_i = V_i | N(V_i).  The generator walks the depth: rows x < u, u the
+smallest unused label, take labels y up to u; row u takes only u + 1, the
+pair of fresh labels.  The three tests fail for (x, y) exactly when x or y
+lies in B_i or y lies in some V_j with j in A_x, so a row x in B_i fails
+whole, and the passing y of any other row are one mask (`_State.row_mask`),
+walked by lowest set bit.  B_i is carried down the stack: a new matching
+starts from 0, and placing (x, y) in M_i adds N(x) | N(y), which hold y
+and x.
 
-Nodes are counted as before, one per candidate edge generated, passing or
-not, so a candidate skipped by a mask still counts: node counts, budget
-stops and the pinned counts in the tests describe the same search space as
-a per-candidate loop.  Every search loop stops by one rule (`_Meter`): a
+Nodes are counted one per candidate edge generated, passing or not: the
+generator reports with each passing candidate, and at the end of its depth,
+how many it generated since it last reported.  So node counts, budget stops
+and the pinned counts in the tests describe the same search space as a
+per-candidate loop.  Every search loop stops by one rule (`_Meter`): a
 node budget stops at exactly its node, the clock is read at each multiple of
 `CLOCK_PERIOD` nodes below it, however many one jump crosses, and a zero
 budget or a deadline passed before node 1 stops at node 1.
@@ -225,6 +226,38 @@ def _trivial_outcome(n, r, t, started):
     return None
 
 
+def _candidates(state, n, lo, rows, blocked):
+    """One depth's candidates: the edges (x, y) after `lo` in lex order with x <= `rows`.
+
+    Yields (x, y, k) for each that passes `row_mask`'s tests, k the candidates
+    generated since the last yield, this one included, then (None, None, k)
+    for the rest.  The caller undoes its own placements before it resumes.
+    """
+    row_mask = state.row_mask
+    u = state.used
+    top = u if u < n else n - 1
+    rows = rows if rows < top else top
+    x, y = (lo[0], lo[1] + 1) if lo else (0, 1)
+    k = 0
+    while x <= rows:
+        # rows x < u take labels y up to top; row u holds one candidate, the two
+        # smallest unused labels (u, u + 1), which comes after lo as lo's labels are used
+        hi = top if x < u else min(u + 1, n - 1)
+        if y <= hi:
+            ok = row_mask(x, y, hi, blocked)
+            while ok:
+                low = ok & -ok
+                take = low.bit_length() - 1
+                yield x, take, k + take - y + 1
+                k = 0
+                ok ^= low
+                y = take + 1
+            k += hi - y + 1
+        x += 1
+        y = x + 1
+    yield None, None, k
+
+
 def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
               matching_order_pruning: bool = True) -> SearchOutcome:
     """Decide whether some n-vertex graph splits into t induced matchings of size r.
@@ -263,83 +296,52 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
     # placed edges, one per depth d, as (x, y, prev_used); the seed fills
     # depths 0..r-1 and is never removed
     path = [(x, y, None) for x, y in seed]
-    cursors = []                       # suspended cursor of each depth from r to the open one
+    stack = []                         # (candidates, B_i) of each depth from r below the open one
     nodes = 0
     limit = meter.limit
     d = r
-    blocked = 0                        # B_i of the open depth: M_1 starts empty
-    verdict = None
-    while verdict is None:
-        if d == t * r:
-            verdict = SAT
-            break
-        # open depth d: candidates are the edges after `lo` in lex order,
-        # with rows x up to `rows` and labels y up to `top` (u + 1 in row u)
-        i = d // r
-        if i == len(state.members):
-            state.members.append(0)    # M_i opens
-        u = state.used
-        top = min(u, n - 1)
-        rows = top
-        if d % r:
-            lo = path[d - 1]
-        elif matching_order_pruning:
-            lo = path[d - r]
-            if eq1_shortcut:
-                # the suffix cap on M_i's first edge (module docstring)
-                rows = min(top, n - min_vertices(r, t - i))
-        else:
-            lo = None
-        x, y = (lo[0], lo[1] + 1) if lo else (0, 1)
-        ok = -1                        # row x not yet masked
-        while True:
-            # find the next passing candidate (cx, take) of this depth and
-            # the number k of candidates generated up to it
-            cx, take = x, -1
-            if x > rows:
-                if not cursors:
-                    verdict = UNSAT
-                    break
-                d -= 1
-                px, py, prev_used = path.pop()
-                i, x, y, ok, top, rows, u, blocked = cursors.pop()
-                state.remove(i, px, py, prev_used)
-                continue
-            # row u holds one candidate, the two smallest unused labels
-            # (u, u + 1); lo's labels are used, so it comes after lo
-            hi = top if x < u else min(u + 1, n - 1)
-            if ok < 0:
-                ok = state.row_mask(x, y, hi, blocked) if y <= hi else 0
-            if ok:
-                low = ok & -ok
-                take = low.bit_length() - 1
-                k = take - y + 1
-                ok ^= low
-                y = take + 1
-            else:
-                k = hi - y + 1 if y <= hi else 0
-                x += 1
-                y = x + 1
-                ok = -1
-            if k and nodes + k >= limit:
-                stop = meter.stop(nodes + k)
-                if stop is not None:
-                    nodes, verdict = stop, INDETERMINATE
-                    break
-                limit = meter.limit
-            nodes += k
-            if take < 0:
-                continue
-            prev_used = state.used
-            state.add(i, cx, take)
-            path.append((cx, take, prev_used))
-            cursors.append((i, x, y, ok, top, rows, u, blocked))
-            d += 1
+    blocked = 0                        # B_i of depth d: M_1 starts empty
+    candidates = None                  # depth d's generator, None until it opens
+    while True:
+        if candidates is None:
+            if d == t * r:
+                verdict = SAT
+                break
+            # open depth d, with the suffix cap (module docstring) on M_i's first edge
+            rows = n
             if d % r:
-                blocked |= state.nbr[cx] | state.nbr[take]
-            else:
-                blocked = 0
-            break
+                lo = path[d - 1]
+            else:                          # M_i opens
+                i = d // r
+                if i == len(state.members):
+                    state.members.append(0)
+                lo = path[d - r] if matching_order_pruning else None
+                if lo and eq1_shortcut:
+                    rows = n - min_vertices(r, t - i)
+            candidates = _candidates(state, n, lo, rows, blocked)
+        x, y, k = next(candidates)
+        if k and nodes + k >= limit:
+            stop = meter.stop(nodes + k)
+            if stop is not None:
+                nodes, verdict = stop, INDETERMINATE
+                break
+            limit = meter.limit
+        nodes += k
+        if x is None:
+            if not stack:
+                verdict = UNSAT
+                break
+            d -= 1
+            px, py, prev_used = path.pop()
+            state.remove(d // r, px, py, prev_used)
+            candidates, blocked = stack.pop()
+            continue
+        path.append((x, y, state.used))
+        state.add(d // r, x, y)
+        stack.append((candidates, blocked))
+        d += 1
+        blocked = blocked | state.nbr[x] | state.nbr[y] if d % r else 0
+        candidates = None
 
     note = ""
     certificate = None

@@ -229,6 +229,19 @@ class TestExpansionAudit:
         assert report.f_vertex_count == 0
         assert peak < 32 * n
 
+    def test_wide_header_colors_only_vertices_with_an_edge(self):
+        # the bipartiteness colouring is a dict over the vertices with an
+        # edge, so a header's n costs the audit no memory at all
+        dec = parse_rsg("rsg 10000000 0 0\n")
+        tracemalloc.start()
+        try:
+            report = expansion_audit(dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and not report.doubled
+        assert peak < 1 << 20
+
     def test_claim_check_gets_each_f_vertex_matchings(self, monkeypatch):
         # every vertex of the double cover of q4aug is in F, so the claim
         # check must get the matching set of every cover vertex, ascending

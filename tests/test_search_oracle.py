@@ -558,3 +558,53 @@ class TestRowMask:
                             expected |= 1 << y
                     assert state.row_mask(x, lo, hi, blocked) == expected, (i, x, lo, hi)
         assert (state.incidence, state.nbr, state.members, state.used) == before
+
+
+class TestCandidates:
+    """`search._candidates` against the candidates of one depth listed one by one.
+
+    The depth's candidates are the edges (x, y) after `lo` in lex order with
+    x <= min(rows, top), top = min(u, n - 1), and y <= top in rows x < u or
+    y <= min(u + 1, n - 1) in row u, u the smallest unused label; a candidate
+    passes when `OracleState.try_add` accepts it.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_yields_the_passing_candidates_and_counts_every_one(self, data):
+        n = data.draw(st.integers(2, 10))
+        t = data.draw(st.integers(1, 5))
+        pairs = list(itertools.combinations(range(n), 2))
+        state = OracleState(n, t)
+        for _ in range(data.draw(st.integers(0, 30))):
+            x, y = data.draw(st.sampled_from(pairs))
+            state.try_add(data.draw(st.integers(0, t - 1)), x, y)
+        i = data.draw(st.integers(0, t - 1))
+        lo = data.draw(st.none() | st.sampled_from(pairs))
+        rows = data.draw(st.integers(0, n))
+        blocked = state.members[i]     # B_i = V_i | N(V_i)
+        for v in range(n):
+            if state.members[i] >> v & 1:
+                blocked |= state.nbr[v]
+        before = (list(state.incidence), list(state.nbr), list(state.members), state.used)
+
+        u = state.used
+        top = min(u, n - 1)
+        generated = [(x, y) for x, y in pairs
+                     if x <= min(rows, top) and y <= (top if x < u else min(u + 1, n - 1))
+                     and (lo is None or (x, y) > lo)]
+        passing = []
+        for x, y in generated:
+            prev_used = state.used
+            if state.try_add(i, x, y):
+                state.remove(i, x, y, prev_used)
+                passing.append((x, y))
+
+        got = list(search._candidates(state, n, lo, rows, blocked))
+        assert got[-1][:2] == (None, None)
+        assert [(x, y) for x, y, _ in got[:-1]] == passing
+        assert sum(k for _, _, k in got) == len(generated)
+        # each k runs up to its own candidate: the running sum is its place in the order
+        assert list(itertools.accumulate(k for _, _, k in got[:-1])) == \
+            [generated.index(c) + 1 for c in passing]
+        assert (state.incidence, state.nbr, state.members, state.used) == before

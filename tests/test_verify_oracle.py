@@ -390,7 +390,7 @@ class TestReportCache:
         calls = []
         phase_1, phase_2 = core._verify, core._pair_intersections
         monkeypatch.setattr(core, "_verify", lambda dec: calls.append(1) or phase_1(dec))
-        monkeypatch.setattr(core, "_pair_intersections", lambda dec: calls.append(2) or phase_2(dec))
+        monkeypatch.setattr(core, "_pair_intersections", lambda dec, inc: calls.append(2) or phase_2(dec, inc))
         report = verify_decomposition(dec)
         assert calls == [2]
         assert report.to_dict() == pairwise_verify(dec).to_dict()
@@ -399,7 +399,7 @@ class TestReportCache:
     def test_failing_verdict_is_the_report(self, monkeypatch):
         calls = []
         phase_2 = core._pair_intersections
-        monkeypatch.setattr(core, "_pair_intersections", lambda dec: calls.append(dec) or phase_2(dec))
+        monkeypatch.setattr(core, "_pair_intersections", lambda dec, inc: calls.append(dec) or phase_2(dec, inc))
         src = kneser_rs(2)
         dec = MatchingDecomposition.make(src.graph, src.matchings, src.r + 1)
         verdict = verification_verdict(dec)
