@@ -437,7 +437,8 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     walked again by a plain BFS, which lists its witnesses in the order of a
     per-source check: by source, then by discovery order.
     """
-    if not verification_verdict(dec).passed:
+    verdict = verification_verdict(dec)
+    if not verdict.passed:
         raise PreconditionError("expansion_audit requires a verified decomposition")
 
     # cover vertices v and v + n lie in the matchings holding v in the input
@@ -455,9 +456,9 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     # the audit reads a degree as len(covering[v % n_in]), on a cover too
     assertions = [("incidence-degree", PASS, "|A_v| = d_v for every vertex")]
 
-    classes = Counter()
-    for u, v in g.edges:
-        classes[len(covering[u % n_in]) + len(covering[v % n_in]) - t] += 1
+    # the verdict counts the input's edges by degree sum; on a cover each input
+    # edge (u, v) gives (u, v + n_in) and (v, u + n_in), both of that degree sum
+    classes = {s - t: k * (1 + doubled) for s, k in verdict.edge_degree_sums.items()}
     e1 = classes.get(1, 0)
     e0 = classes.get(0, 0)
     over = [i for i in classes if i > 1]
@@ -534,7 +535,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
 
     return AuditReport(
         n=n, r=r, t=t, doubled=doubled,
-        edge_classes=dict(classes),
+        edge_classes=classes,
         e1=e1, e0=e0, s=s, s_prime=s_prime,
         f_min_degree_threshold=threshold,
         f_vertex_count=len(f_vertices),

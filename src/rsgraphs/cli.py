@@ -16,7 +16,7 @@ from .constructions import (
     ResourceLimitError,
     ap_free_set,
     cayley_rs,
-    check_cayley_size,
+    check_cayley_modulus,
     disjoint_union,
     double_cover,
     hypercube_rs,
@@ -92,7 +92,7 @@ def cmd_construct(args) -> int:
             dec = double_cover(_load(_need(args, "input")))
         elif family == "cayley-ap":
             modulus = _need(args, "modulus")
-            check_cayley_size(modulus)     # before building S, whose cost grows with the limit
+            check_cayley_modulus(modulus)     # before building S, whose cost grows with the limit
             limit = args.limit if args.limit is not None else (modulus - 1) // 3
             if 3 * limit > modulus - 1:
                 raise ParameterError(f"--limit {limit} exceeds (N-1)/3 = {(modulus - 1) // 3}")

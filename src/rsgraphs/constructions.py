@@ -257,8 +257,11 @@ def ap_free_set(method: str, limit: int) -> APFreeSet:
     return APFreeSet(limit, tuple(elements), used, note)
 
 
-def check_cayley_size(modulus: int) -> None:
-    """Refuse a modulus N whose Cayley graph is over budget for every S: n + |E| >= 3N."""
+def check_cayley_modulus(modulus: int) -> None:
+    """Refuse a modulus N that is even or below 1, or whose Cayley graph is over
+    budget for every S (n + |E| >= 3N), before any S is built."""
+    if modulus < 1 or modulus % 2 == 0:
+        raise ParameterError(f"modulus must be odd and >= 1, got {modulus}")
     _check_size(f"Cayley graph on Z_{modulus}", 3 * modulus)
 
 
@@ -271,8 +274,7 @@ def cayley_rs(modulus: int, s: APFreeSet) -> MatchingDecomposition:
     makes it induced.  The output is certified by the verifier before return.
     """
     n_mod = modulus
-    if n_mod < 1 or n_mod % 2 == 0:
-        raise ParameterError("modulus must be odd")
+    check_cayley_modulus(n_mod)
     elems = s.elements
     if not elems:
         raise ParameterError("difference set is empty")

@@ -26,24 +26,21 @@ self-certification, the input checks of `disjoint_union` and `double_cover`,
 `verify_decomposition` (the `rsg verify` report) adds phase 2 to a passing
 verdict once, for its max_pair_intersection statistic.
 
-Both phases read the incidence map A_v = {i : v in V_i} in one of two forms.
-Where a t-bit int per covered vertex takes no more 64-bit words than the
-`covering` lists hold entries (`_incidence`), they use the ints: phase 1
-checks each edge (u, w) with one AND, since on an edge that passes
-A_u & A_w is exactly the bit of the matching listing it, and phase 2 sums
-the ints of V_i's vertices in bit-planes, as the expansion audit sums its
-columns.  Otherwise, as on thousands of one-edge matchings, the ints would
-grow as n*t/64 words while the lists stay linear in the file, so both
-phases keep the lists: a set intersection per sorted edge, and a `Counter`
-over the covering lists for the pair counts.  The two paths give the same
-report.  Degrees are counted over the edges only, so no phase allocates
-per vertex of n.
+Both phases read the incidence map A_v = {i : v in V_i} as a t-bit int per
+covered vertex where that takes no more 64-bit words than the `covering`
+lists hold entries (`_incidence`), and as those lists otherwise (thousands of
+one-edge matchings would make the ints n*t/64 words).  Phase 1's one edge
+loop counts the edges by d_u + d_v (`edge_degree_sums`, the audit's edge
+classes); the form decides only how it tests A_u cap A_w, which on an edge
+that passes is exactly the matching listing it.  Phase 2 sums the ints in
+bit-planes, or counts the lists with a `Counter`.  The two forms give the
+same report.  No phase allocates per vertex of n.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 
@@ -172,15 +169,20 @@ class MatchingDecomposition:
     @cached_property
     def _verdict(self) -> "VerificationReport":
         """Phase 1 of the verifier, computed once; read it through `verification_verdict`."""
-        return _verify(self)
+        return _verify(self, _incidence(self))
 
     @cached_property
     def _report(self) -> "VerificationReport":
         """The verifier's full report, computed once; read it through `verify_decomposition`."""
-        verdict = self._verdict
+        if "_verdict" in vars(self):
+            verdict = self._verdict
+            inc = _incidence(self) if verdict.passed else None
+        else:       # phase 1 runs here, so phase 2 reads the `_incidence` it built
+            inc = _incidence(self)
+            verdict = vars(self)["_verdict"] = _verify(self, inc)
         if not verdict.passed:
             return verdict
-        max_inter, violations = _pair_intersections(self, _incidence(self))
+        max_inter, violations = _pair_intersections(self, inc)
         return replace(verdict, violations=violations, max_pair_intersection=max_inter)
 
 
@@ -200,6 +202,7 @@ class VerificationReport:
     max_pair_intersection: int
     isolated_vertices: int
     notes: tuple = ()
+    edge_degree_sums: dict = field(default_factory=dict)   # d_u + d_v -> number of edges; not in to_dict
 
     @property
     def passed(self) -> bool:
@@ -253,9 +256,10 @@ def _incidence(dec: MatchingDecomposition):
     """A_v as a t-bit int (bit i set iff matching i covers v), for each vertex of `covering`.
 
     None when the ints would take more 64-bit words than the `covering` lists
-    hold entries, so memory stays linear in the edge lists.  A failing phase 1
-    hands its ints to phase 2; a passing verdict's report builds them again,
-    as caching them on the decomposition would keep them alive beside the lists.
+    hold entries, so memory stays linear in the edge lists.  Both phases of one
+    `verify_decomposition` call read one build; a report on an already cached
+    verdict builds them again, as caching them on the decomposition would keep
+    them alive beside the lists.
     """
     covering = dec.covering
     if len(covering) * -(-dec.t // 64) > sum(map(len, covering.values())):
@@ -263,9 +267,9 @@ def _incidence(dec: MatchingDecomposition):
     return {v: sum(1 << i for i in c) for v, c in covering.items()}
 
 
-def _verify(dec: MatchingDecomposition) -> VerificationReport:
-    # Phase 1: one pass over the matchings and one over the edges, memory
-    # O(|E| + t) whatever n is.  A matching with no edges costs O(1).
+def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
+    # Phase 1 on `inc` = `_incidence(dec)`: one pass over the matchings and one
+    # over the edges, memory O(|E| + t) whatever n is.  An empty matching costs O(1).
     g = dec.graph
     t = dec.t
     r = dec.r
@@ -318,53 +322,32 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
                       f"{len(missing)} edges of the graph are not covered, first {first}")
         )
 
-    # A graph edge joining two vertices covered by matching i, but not listed
-    # by i, breaks the inducedness of i; each matching's witness is its
-    # lexicographically first such edge, and the degree-sum witness is the
-    # first edge with d_u + d_v > t + 1.
+    # Each matching's inducedness witness is its least graph edge joining two
+    # of its covered vertices without being listed by it.  A_u cap A_w holds
+    # owner(e), so on a listed edge only a second index is a candidate; a
+    # missing edge has no owner.  sums is a list: faster to index than a Counter.
     deg = Counter(chain.from_iterable(g.edges))     # d_v of each vertex with an edge
-    inc = _incidence(dec)
-    max_sum = 0
-    degsum_witness = None
+    sums = [0] * (2 * max(deg.values(), default=0) + 1)
     not_induced = {}
-    if inc is None:
-        # Edges run in sorted order, so the first hit is the witness.
-        last_u = None
-        for e in sorted(g.edges):
-            u, w = e
-            s = deg[u] + deg[w]
-            if s > max_sum:
-                max_sum = s
-            if s > t + 1 and degsum_witness is None:
-                degsum_witness = e
-            if u != last_u:
-                last_u, covers_u = u, set(covering.get(u, ()))
-            for i in covers_u.intersection(covering.get(w, ())):
-                if (i != owner.get(e) and (e, i) not in relisted and i not in not_induced
-                        and (u, i) not in phantom and (w, i) not in phantom):
-                    not_induced[i] = e
-    else:
-        # Edges run in any order and the witnesses are minima.  A_u & A_w
-        # holds owner(e), so on an edge that passes it is that one bit; a
-        # missing edge has no owner, so any bit there is a candidate.
-        get = inc.get
-        for e in g.edges:
-            u, w = e
-            s = deg[u] + deg[w]
-            if s > max_sum:
-                max_sum = s
-            if s > t + 1 and (degsum_witness is None or e < degsum_witness):
-                degsum_witness = e
-            common = get(u, 0) & get(w, 0)
-            if common & (common - 1) or common and e in missing:
-                o = owner.get(e)
-                while common:
-                    low = common & -common
-                    common ^= low
-                    i = low.bit_length() - 1
-                    if (i != o and (e, i) not in relisted and (u, i) not in phantom
-                            and (w, i) not in phantom and (i not in not_induced or e < not_induced[i])):
-                        not_induced[i] = e
+    get = (covering if inc is None else inc).get
+    for e in g.edges:
+        u, w = e
+        sums[deg[u] + deg[w]] += 1
+        if inc is None:
+            a, b = get(u, ()), get(w, ())
+            if (len(a) < 2 or len(b) < 2) and e not in missing:
+                continue
+            common = set(a).intersection(b)
+        else:
+            bits = get(u, 0) & get(w, 0)
+            if not (bits & (bits - 1) or bits and e in missing):
+                continue
+            common = _indices(bits)
+        o = owner.get(e)
+        for i in common:
+            if (i != o and (e, i) not in relisted and (u, i) not in phantom
+                    and (w, i) not in phantom and (i not in not_induced or e < not_induced[i])):
+                not_induced[i] = e
 
     for i in sorted(not_matching.keys() | not_induced.keys()):
         if i in not_matching:
@@ -380,10 +363,12 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
                           f"edge {witness} of the graph joins two covered vertices of matching {i}")
             )
 
-    if degsum_witness is not None:
-        u, v = degsum_witness
+    edge_degree_sums = {s: k for s, k in enumerate(sums) if k}
+    max_sum = max(edge_degree_sums, default=0)
+    if max_sum > t + 1:
+        u, v = min((u, v) for u, v in g.edges if deg[u] + deg[v] > t + 1)
         violations.append(
-            Violation("degree-sum", (), degsum_witness,
+            Violation("degree-sum", (), (u, v),
                       f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
         )
 
@@ -403,10 +388,19 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
         violations=tuple(violations),
         degree_histogram=dict(histogram),
         max_edge_degree_sum=max_sum,
+        edge_degree_sums=edge_degree_sums,
         max_pair_intersection=max_inter,
         isolated_vertices=isolated,
         notes=tuple(notes),
     )
+
+
+def _indices(bits: int):
+    """The positions of the set bits of `bits`, ascending."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield low.bit_length() - 1
 
 
 def _pair_intersections(dec: MatchingDecomposition, inc):
@@ -446,10 +440,7 @@ def _pair_intersections(dec: MatchingDecomposition, inc):
                     tied &= planes[p]
                 else:
                     above |= tied & planes[p]
-            while above:
-                low = above & -above
-                above ^= low
-                j = low.bit_length() - 1
+            for j in _indices(above):
                 count = sum(1 << p for p, plane in enumerate(planes) if plane >> j & 1)
                 j += i + 1
                 violations.append(

@@ -127,6 +127,15 @@ class TestConstructVerify:
         monkeypatch.undo()
         assert run(capsys, "construct", "cayley-ap", "--modulus", "41", "--limit", "13")[0] == EX_OK
 
+    @pytest.mark.parametrize("modulus", ["666666", "2", "0", "-7"])
+    def test_cayley_modulus_checked_before_the_difference_set(self, capsys, monkeypatch, modulus):
+        def unreachable(*args):
+            raise AssertionError("ap_free_set ran for an even or non-positive modulus")
+        monkeypatch.setattr(cli, "ap_free_set", unreachable)
+        code, out, err = run(capsys, "construct", "cayley-ap", "--modulus", modulus)
+        assert code == EX_USAGE and out == ""
+        assert err == f"error: modulus must be odd and >= 1, got {modulus}\n"
+
 
 class TestBound:
     def test_max_r_output(self, capsys):

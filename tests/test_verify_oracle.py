@@ -31,8 +31,10 @@ from rsgraphs import (
     ap_free_set,
     cayley_rs,
     distance_certificate,
+    emit_rsg,
     hypercube_rs,
     kneser_rs,
+    parse_rsg,
     verify_decomposition,
 )
 from rsgraphs import core
@@ -307,6 +309,17 @@ class TestAgainstPairwiseOracle:
         with list_path():
             check_verdict(data)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_edge_degree_sums(self, data):
+        check_edge_degree_sums(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_edge_degree_sums_on_the_list_path(self, data):
+        with list_path():
+            check_edge_degree_sums(data)
+
 
 def draw_mutant(data, min_mutations):
     src = base(data.draw(st.sampled_from(sorted(BASES))))
@@ -348,6 +361,12 @@ def check_verdict(data):
         assert verdict is verify_decomposition(dec)
 
 
+def check_edge_degree_sums(data):
+    dec = draw_mutant(data, 0)
+    deg = [len(a) for a in adjacency(dec.graph)]
+    assert verification_verdict(dec).edge_degree_sums == Counter(deg[u] + deg[v] for u, v in dec.graph.edges)
+
+
 @contextmanager
 def list_path():
     """Run the verifier without the incidence bitsets, as the memory gate does on sparse inputs."""
@@ -380,7 +399,7 @@ class TestReportCache:
     def test_certificate_of_a_construction_verifies_once(self, monkeypatch):
         calls = []
         uncached = core._verify
-        monkeypatch.setattr(core, "_verify", lambda dec: calls.append(dec) or uncached(dec))
+        monkeypatch.setattr(core, "_verify", lambda dec, inc: calls.append(dec) or uncached(dec, inc))
         dec = cayley(31)
         assert distance_certificate(dec).passed
         assert len(calls) == 1 and calls[0] is dec
@@ -389,12 +408,22 @@ class TestReportCache:
         dec = cayley(31)               # certified by its verdict
         calls = []
         phase_1, phase_2 = core._verify, core._pair_intersections
-        monkeypatch.setattr(core, "_verify", lambda dec: calls.append(1) or phase_1(dec))
+        monkeypatch.setattr(core, "_verify", lambda dec, inc: calls.append(1) or phase_1(dec, inc))
         monkeypatch.setattr(core, "_pair_intersections", lambda dec, inc: calls.append(2) or phase_2(dec, inc))
         report = verify_decomposition(dec)
         assert calls == [2]
         assert report.to_dict() == pairwise_verify(dec).to_dict()
         assert verify_decomposition(dec) is report and calls == [2]
+
+    def test_report_builds_the_incidence_once(self, monkeypatch):
+        dec = parse_rsg(emit_rsg(cayley(31)))      # a fresh object: no verdict cached
+        calls = []
+        build = core._incidence
+        monkeypatch.setattr(core, "_incidence", lambda dec: calls.append(dec) or build(dec))
+        report = verify_decomposition(dec)
+        assert calls == [dec]
+        assert report.to_dict() == pairwise_verify(dec).to_dict()
+        assert verification_verdict(dec).passed and calls == [dec]
 
     def test_failing_verdict_is_the_report(self, monkeypatch):
         calls = []
