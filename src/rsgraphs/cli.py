@@ -76,44 +76,25 @@ def _write_output(text: str, path):
         sys.stdout.write(text)
 
 
+def _cayley_ap(args):
+    check_cayley_modulus(args.modulus)     # before building S, whose cost grows with the limit
+    limit = args.limit if args.limit is not None else (args.modulus - 1) // 3
+    if 3 * limit > args.modulus - 1:
+        raise ParameterError(f"--limit {limit} exceeds (N-1)/3 = {(args.modulus - 1) // 3}")
+    s = ap_free_set(args.apset_method, limit)
+    if s.note:
+        print(f"note: {s.note}", file=sys.stderr)
+    return cayley_rs(args.modulus, s)
+
+
 def cmd_construct(args) -> int:
-    family = args.family
     try:
-        if family == "kneser":
-            dec = kneser_rs(_need(args, "k"))
-        elif family == "hypercube":
-            dec = hypercube_rs(_need(args, "k"), augmented=False)
-        elif family == "hypercube-augmented":
-            dec = hypercube_rs(_need(args, "k"), augmented=True)
-        elif family == "disjoint-union":
-            base = _load(_need(args, "input"))
-            dec = disjoint_union(base, _need(args, "copies"))
-        elif family == "double-cover":
-            dec = double_cover(_load(_need(args, "input")))
-        elif family == "cayley-ap":
-            modulus = _need(args, "modulus")
-            check_cayley_modulus(modulus)     # before building S, whose cost grows with the limit
-            limit = args.limit if args.limit is not None else (modulus - 1) // 3
-            if 3 * limit > modulus - 1:
-                raise ParameterError(f"--limit {limit} exceeds (N-1)/3 = {(modulus - 1) // 3}")
-            s = ap_free_set(args.apset_method, limit)
-            if s.note:
-                print(f"note: {s.note}", file=sys.stderr)
-            dec = cayley_rs(modulus, s)
+        dec = args.build(args)
     except (ParameterError, PreconditionError, ResourceLimitError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     _write_output(emit_rsg(dec), args.output)
     return EX_OK
-
-
-def _need(args, name):
-    value = getattr(args, name, None)
-    if value is None:
-        print(f"error: --{name.replace('_', '-')} is required for family {args.family!r}",
-              file=sys.stderr)
-        raise SystemExit(EX_USAGE)
-    return value
 
 
 def cmd_verify(args) -> int:
@@ -227,16 +208,28 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="generate a decomposition family")
-    p.add_argument("family", choices=["kneser", "hypercube", "hypercube-augmented",
-                                      "disjoint-union", "double-cover", "cayley-ap"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--copies", type=int)
-    p.add_argument("--modulus", type=int)
-    p.add_argument("--apset-method", choices=["greedy-base3", "behrend"], default="greedy-base3")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--input", help="input .rsg file for disjoint-union / double-cover")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_construct)
+    families = p.add_subparsers(dest="family", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output")
+    for name, build in (("kneser", lambda a: kneser_rs(a.k)),
+                        ("hypercube", lambda a: hypercube_rs(a.k, augmented=False)),
+                        ("hypercube-augmented", lambda a: hypercube_rs(a.k, augmented=True))):
+        f = families.add_parser(name, parents=[output])
+        f.add_argument("--k", type=int, required=True)
+        f.set_defaults(build=build)
+    f = families.add_parser("disjoint-union", parents=[output])
+    f.add_argument("--input", required=True, help="input .rsg file")
+    f.add_argument("--copies", type=int, required=True)
+    f.set_defaults(build=lambda a: disjoint_union(_load(a.input), a.copies))
+    f = families.add_parser("double-cover", parents=[output])
+    f.add_argument("--input", required=True, help="input .rsg file")
+    f.set_defaults(build=lambda a: double_cover(_load(a.input)))
+    f = families.add_parser("cayley-ap", parents=[output])
+    f.add_argument("--modulus", type=int, required=True)
+    f.add_argument("--apset-method", choices=["greedy-base3", "behrend"], default="greedy-base3")
+    f.add_argument("--limit", type=int)
+    f.set_defaults(build=_cayley_ap)
 
     p = sub.add_parser("verify", help="verify a .rsg decomposition file")
     p.add_argument("file")

@@ -258,10 +258,13 @@ def ap_free_set(method: str, limit: int) -> APFreeSet:
 
 
 def check_cayley_modulus(modulus: int) -> None:
-    """Refuse a modulus N that is even or below 1, or whose Cayley graph is over
-    budget for every S (n + |E| >= 3N), before any S is built."""
+    """Refuse a modulus N that is even, below 5 (no S fits in [1, (N-1)/3]), or
+    whose Cayley graph is over budget for every S (n + |E| >= 3N), before any S is built."""
     if modulus < 1 or modulus % 2 == 0:
         raise ParameterError(f"modulus must be odd and >= 1, got {modulus}")
+    if modulus < 5:
+        raise ParameterError(f"modulus {modulus} is below 5: "
+                             "no difference set fits in [1, (N-1)/3]")
     _check_size(f"Cayley graph on Z_{modulus}", 3 * modulus)
 
 

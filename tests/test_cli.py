@@ -1,12 +1,15 @@
 """End-to-end CLI tests, driven through main() and once as a child process, checking the
 exit-code contract."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsgraphs.cli import (
     EX_FAIL,
@@ -18,6 +21,15 @@ from rsgraphs.cli import (
     main,
 )
 from rsgraphs import cli
+from rsgraphs.constructions import (
+    ap_free_set,
+    cayley_rs,
+    disjoint_union,
+    double_cover,
+    hypercube_rs,
+    kneser_rs,
+)
+from rsgraphs.rsg_format import emit_rsg, parse_rsg
 
 
 def run(capsys, *argv):
@@ -135,6 +147,98 @@ class TestConstructVerify:
         code, out, err = run(capsys, "construct", "cayley-ap", "--modulus", modulus)
         assert code == EX_USAGE and out == ""
         assert err == f"error: modulus must be odd and >= 1, got {modulus}\n"
+
+    @pytest.mark.parametrize("modulus", ["1", "3"])
+    def test_cayley_modulus_below_five_is_refused_by_name(self, capsys, monkeypatch, modulus):
+        # the default limit (N-1)/3 is 0 here, but the user gave no --limit to blame
+        def unreachable(*args):
+            raise AssertionError("ap_free_set ran for a modulus with no difference set")
+        monkeypatch.setattr(cli, "ap_free_set", unreachable)
+        code, out, err = run(capsys, "construct", "cayley-ap", "--modulus", modulus)
+        assert code == EX_USAGE and out == ""
+        assert err.startswith(f"error: modulus {modulus} ") and "limit" not in err
+
+
+# the flags each construct family reads; all but OPTIONAL_FLAGS are required
+FAMILY_FLAGS = {
+    "kneser": {"--k"},
+    "hypercube": {"--k"},
+    "hypercube-augmented": {"--k"},
+    "disjoint-union": {"--input", "--copies"},
+    "double-cover": {"--input"},
+    "cayley-ap": {"--modulus", "--apset-method", "--limit"},
+}
+OPTIONAL_FLAGS = {"--apset-method", "--limit"}
+ALL_FLAGS = sorted(set().union(*FAMILY_FLAGS.values()))
+# passing flags for each family and their library call; {base} is petersen.rsg
+FAMILY_CASES = {
+    "kneser": (["--k", "2"], lambda base: kneser_rs(2)),
+    "hypercube": (["--k", "3"], lambda base: hypercube_rs(3)),
+    "hypercube-augmented": (["--k", "4"], lambda base: hypercube_rs(4, augmented=True)),
+    "disjoint-union": (["--input", "{base}", "--copies", "3"],
+                       lambda base: disjoint_union(base, 3)),
+    "double-cover": (["--input", "{base}"], double_cover),
+    "cayley-ap": (["--modulus", "41", "--limit", "13"],
+                  lambda base: cayley_rs(41, ap_free_set("greedy-base3", 13))),
+}
+
+
+@pytest.fixture(scope="module")
+def petersen(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grammar") / "petersen.rsg"
+    path.write_text(emit_rsg(kneser_rs(2)))
+    return path
+
+
+def family_argv(family, petersen):
+    return ["construct", family] + [a.format(base=petersen) for a in FAMILY_CASES[family][0]]
+
+
+class TestConstructGrammar:
+    @pytest.mark.parametrize("family", sorted(FAMILY_FLAGS))
+    def test_each_family_emits_its_library_call(self, capsys, petersen, family):
+        code, out, err = run(capsys, *family_argv(family, petersen))
+        assert (code, err) == (EX_OK, "")
+        assert out == emit_rsg(FAMILY_CASES[family][1](parse_rsg(petersen.read_text())))
+
+    @pytest.mark.parametrize("family, flag", [
+        (family, flag) for family in sorted(FAMILY_FLAGS)
+        for flag in ALL_FLAGS if flag not in FAMILY_FLAGS[family]])
+    def test_each_family_refuses_a_flag_it_does_not_read(self, capsys, petersen, family, flag):
+        value = {"--input": str(petersen), "--apset-method": "behrend"}.get(flag, "2")
+        code, out, err = run(capsys, *family_argv(family, petersen), flag, value)
+        assert code == EX_USAGE and out == ""
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    @pytest.mark.parametrize("argv", [["--k", "1", "kneser"],
+                                      ["-o", "{out}", "kneser", "--k", "1"]])
+    def test_a_flag_before_the_family_name_is_refused(self, tmp_path, capsys, argv):
+        out_path = tmp_path / "x.rsg"
+        code, out, _ = run(capsys, "construct", *[a.format(out=out_path) for a in argv])
+        assert code == EX_USAGE and out == "" and not out_path.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_drawn_argv_exits_by_the_grammar(self, petersen, data):
+        # these ints keep every build tiny, or refused by the size budget before it allocates
+        ints = st.sampled_from(["-1", "0", "1", "2", "3", "5", "41", str(10**9), str(2**63)])
+        values = {"--input": st.just(str(petersen)),
+                  "--apset-method": st.sampled_from(["greedy-base3", "behrend"]),
+                  "-o": st.just(str(petersen.parent / "drawn.rsg"))}
+        family = data.draw(st.sampled_from(sorted(FAMILY_FLAGS)))
+        flags = data.draw(st.lists(st.sampled_from(ALL_FLAGS + ["-o"]), unique=True))
+        argv = ["construct", family]
+        for flag in flags:
+            argv += [flag, data.draw(values.get(flag, ints))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EX_OK, EX_USAGE, EX_PARSE)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        foreign = set(flags) - FAMILY_FLAGS[family] - {"-o"}
+        missing = FAMILY_FLAGS[family] - OPTIONAL_FLAGS - set(flags)
+        if foreign or missing:
+            assert code == EX_USAGE
 
 
 class TestBound:
