@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
-    Graph,
     MatchingDecomposition,
     ParameterError,
     PreconditionError,
@@ -188,7 +187,7 @@ def distance_certificate(dec: MatchingDecomposition) -> DistanceCertificate:
     verdict = verification_verdict(dec)
     if not verdict.passed:
         raise PreconditionError("distance_certificate requires a verified decomposition")
-    n, t, r = dec.graph.n, dec.t, dec.r
+    n, t, r = dec.n, dec.t, dec.r
     dist_sum = sum(count * d * (t + 1 - d) for d, count in verdict.degree_histogram.items())
 
     lhs = 2 * r * math.comb(t + 1, 2)
@@ -442,7 +441,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
         raise PreconditionError("expansion_audit requires a verified decomposition")
 
     # cover vertices v and v + n lie in the matchings holding v in the input
-    covering, n_in = dec.covering, dec.graph.n
+    covering, n_in = dec.covering, dec.n
     doubled = False
     if is_bipartite(dec.graph) is None:
         dec = double_cover(dec)

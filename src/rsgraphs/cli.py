@@ -40,6 +40,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _FamilyParser(_Parser):
+    """A `construct` family, which refuses a flag it does not declare under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _read_text(path: str) -> str:
     """The file's text; a byte that is not UTF-8 is a parse error on its line."""
     try:
@@ -103,7 +113,7 @@ def cmd_verify(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        print(f"n={dec.graph.n} t={dec.t} r={dec.r} edges={len(dec.graph.edges)}")
+        print(f"n={dec.n} t={dec.t} r={dec.r} edges={len(dec.graph.edges)}")
         print(f"max edge degree sum: {report.max_edge_degree_sum}")
         print(f"max |V_i cap V_j|: {report.max_pair_intersection}")
         for note in report.notes:
@@ -209,7 +219,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("construct", help="generate a decomposition family")
     p.set_defaults(func=cmd_construct)
-    families = p.add_subparsers(dest="family", required=True)
+    families = p.add_subparsers(dest="family", required=True, parser_class=_FamilyParser)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("-o", "--output")
     for name, build in (("kneser", lambda a: kneser_rs(a.k)),

@@ -126,8 +126,8 @@ def disjoint_union(dec: MatchingDecomposition, copies: int) -> MatchingDecomposi
     """
     if copies < 1:
         raise ParameterError("copies must be >= 1")
-    n = dec.graph.n
-    _check_size(f"{copies} disjoint copies", copies * (n + len(dec.graph.edges)))
+    n = dec.n
+    _check_size(f"{copies} disjoint copies", copies * (n + sum(map(len, dec.matchings))))
     _require_verified(dec, "disjoint_union")
     # edge-major, so an empty matching costs nothing per copy; from_matchings sorts
     matchings = [
@@ -144,7 +144,7 @@ def double_cover(dec: MatchingDecomposition) -> MatchingDecomposition:
     (u, v) contributes both cross edges (u, v+n) and (v, u+n).
     """
     _require_verified(dec, "double_cover")
-    n = dec.graph.n
+    n = dec.n
     matchings = []
     for mi in dec.matchings:
         out = []

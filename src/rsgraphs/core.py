@@ -1,28 +1,28 @@
 """Graph / decomposition data model and the certifying verifier.
 
-A decomposition claims that the edge set of a graph splits into t pairwise
-edge-disjoint induced matchings of a common size r.  Nothing in this module
-trusts that claim: `verify_decomposition` re-checks every invariant and
-returns a report with explicit witnesses.  It is the package's one batch
-inducedness check; `search` keeps its own incremental one.
+A decomposition lists t matchings on n vertices, and its graph is their union,
+as in the paper's definition.  It claims that they are pairwise edge-disjoint
+induced matchings of a common size r.  Nothing in this module trusts that
+claim: `verify_decomposition` re-checks every invariant and returns a report
+with explicit witnesses.  It is the package's one batch inducedness check;
+`search` keeps its own incremental one.
 
-The verifier runs in two phases.  Phase 1 checks the sizes, that every
-listed edge is a graph edge, edge-disjointness, the partition, the matching
-property and inducedness, and takes the degree statistics in the same edge
-pass (d_u + d_v <= t + 1 among them).  Phase 2 counts |V_i cap V_j| over all
-pairs i < j.  Phase 2 cannot fail after phase 1 passes: when M_i is induced,
-an edge of M_j (j != i, so not listed by M_i) with both ends in V_i would be
-a chord of M_i, so each of the r edges of M_j puts at most one vertex in V_i
-and |V_i cap V_j| <= r.  (The same argument on the matchings covering an
+The verifier runs in two phases.  Phase 1 checks the sizes, edge-disjointness,
+the matching property and inducedness, and takes the degree statistics in the
+same edge pass (d_u + d_v <= t + 1 among them).  Phase 2 counts |V_i cap V_j|
+over all pairs i < j.  Phase 2 cannot fail after phase 1 passes: when M_i is
+induced, an edge of M_j (j != i, so not listed by M_i) with both ends in V_i
+would be a chord of M_i, so each of the r edges of M_j puts at most one vertex
+in V_i and |V_i cap V_j| <= r.  (The same argument on the matchings covering an
 edge's two ends gives d_u + d_v <= 2 + (t - 1).)
 
 Phase 1 is computed once per decomposition and cached on it as its verdict:
-a `MatchingDecomposition` is frozen, its graph's edges are a frozenset and
-its matchings are sorted tuples, so repeat verification of one object costs
-nothing.  A failing verdict runs phase 2 at once and is the full report.
-Callers that need only pass/fail read `verification_verdict`: the Cayley construction's
-self-certification, the input checks of `disjoint_union` and `double_cover`,
-`distance_certificate`, `expansion_audit` and the search certificate checks.
+a `MatchingDecomposition` is frozen and its matchings are sorted tuples, so
+repeat verification of one object costs nothing.  A failing verdict runs phase
+2 at once and is the full report.  Callers that need only pass/fail read
+`verification_verdict`: the Cayley construction's self-certification, the
+input checks of `disjoint_union` and `double_cover`, `distance_certificate`,
+`expansion_audit` and the search certificate checks.
 `verify_decomposition` (the `rsg verify` report) adds phase 2 to a passing
 verdict once, for its max_pair_intersection statistic.
 
@@ -120,32 +120,36 @@ def is_bipartite(g: Graph):
 
 @dataclass(frozen=True)
 class MatchingDecomposition:
-    """A graph together with t edge lists claimed to partition E into induced matchings of size r.
+    """t edge lists on vertices 0..n-1, claimed to be induced matchings of size r.
 
-    Each matching is a tuple of edges (u, v), u < v, in ascending order, which no reader
-    sorts again: only `make`, `from_matchings`, `parse_rsg` and `search`'s empty
-    certificate build a decomposition.
+    The graph is the union of the matchings, as in the paper's definition of an
+    (r, t)-RS graph, so the lists are the whole object: `graph` is derived from
+    them on first read.  Each matching is a tuple of edges (u, v), u < v, in
+    ascending order, which no reader sorts again: only `from_matchings`,
+    `parse_rsg` and `search`'s empty certificate build a decomposition.
     """
 
-    graph: Graph
+    n: int
     matchings: tuple
     r: int
 
     @classmethod
-    def make(cls, graph: Graph, matchings, r: int) -> "MatchingDecomposition":
-        if r < 0:
-            raise GraphError("claimed matching size must be non-negative")
-        return cls(graph, _canonical(matchings, graph.n), r)
-
-    @classmethod
     def from_matchings(cls, n: int, matchings, r: int) -> "MatchingDecomposition":
-        """`make` on `Graph.from_edges(n, <their edges>)`, errors included, normalising each edge once."""
+        """The decomposition of `matchings` on n vertices, each edge normalised once.
+
+        GraphError names what `Graph.from_edges(n, <their edges>)` would, then a negative r.
+        """
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         normed = _canonical(matchings, n)
         if r < 0:
             raise GraphError("claimed matching size must be non-negative")
-        return cls(Graph(n, frozenset(chain.from_iterable(normed))), normed, r)
+        return cls(n, normed, r)
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The union of the matchings, built on first read and kept."""
+        return Graph(self.n, frozenset(chain.from_iterable(self.matchings)))
 
     @property
     def t(self) -> int:
@@ -155,8 +159,8 @@ class MatchingDecomposition:
     def covering(self):
         """A_v: each vertex of a listed edge -> ascending indices of the matchings listing it.
 
-        Edges absent from the graph count too.  The map is sized by the edge
-        lists, whatever n and t are.  It is computed once and shared: do not mutate it.
+        The map is sized by the edge lists, whatever n and t are.  It is
+        computed once and shared: do not mutate it.
         """
         covering = defaultdict(list)
         for i, m in enumerate(self.matchings):
@@ -233,9 +237,9 @@ class VerificationReport:
 def verify_decomposition(dec: MatchingDecomposition) -> VerificationReport:
     """Certify the (r, t)-RS property of dec, collecting all violated invariants.
 
-    Besides the partition/matching/inducedness invariants this checks the two
-    edge-local consequences used throughout: d_u + d_v <= t + 1 on every edge,
-    and |V_i cap V_j| <= r for i != j.  Witnesses are the lexicographically
+    Besides the size, disjointness, matching and inducedness invariants this
+    checks the two edge-local consequences used throughout: d_u + d_v <= t + 1
+    on every edge, and |V_i cap V_j| <= r for i != j.  Witnesses are the lexicographically
     first offenders.  Stats are reported whether or not the verdict is pass.
     The report is computed on the first call and cached on dec.
     """
@@ -270,15 +274,12 @@ def _incidence(dec: MatchingDecomposition):
 def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
     # Phase 1 on `inc` = `_incidence(dec)`: one pass over the matchings and one
     # over the edges, memory O(|E| + t) whatever n is.  An empty matching costs O(1).
-    g = dec.graph
     t = dec.t
     r = dec.r
-    covering = dec.covering
     violations = []
 
-    owner = {}          # edge -> first matching listing it
+    owner = {}          # edge of the graph -> first matching listing it
     relisted = set()    # (edge, i): matching i lists an edge listed before
-    phantom = set()     # (v, i): v is in V_i only through edges absent from the graph
     not_matching = {}   # i -> first edge of matching i sharing an endpoint
     for i, m in enumerate(dec.matchings):
         if len(m) != r:
@@ -288,12 +289,6 @@ def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
             )
         if not m:
             continue
-        bad_member = next((e for e in m if e not in g.edges), None)     # m is sorted
-        if bad_member is not None:
-            violations.append(
-                Violation("edge-not-in-graph", (i,), bad_member,
-                          f"matching {i} lists {bad_member}, which is not an edge of the graph")
-            )
         for e in m:
             if e in owner:
                 j = owner[e]
@@ -305,48 +300,36 @@ def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
             else:
                 owner[e] = i
         covered = set()
-        for u, v in (e for e in m if e in g.edges):
+        for u, v in m:
             if u in covered or v in covered:
                 not_matching[i] = (u, v)
                 break
             covered.add(u)
             covered.add(v)
-        if bad_member is not None:
-            phantom.update((x, i) for e in m for x in e if x not in covered)
-
-    missing = g.edges - owner.keys()
-    if missing:
-        first = min(missing)
-        violations.append(
-            Violation("not-a-partition", (), first,
-                      f"{len(missing)} edges of the graph are not covered, first {first}")
-        )
 
     # Each matching's inducedness witness is its least graph edge joining two
     # of its covered vertices without being listed by it.  A_u cap A_w holds
-    # owner(e), so on a listed edge only a second index is a candidate; a
-    # missing edge has no owner.  sums is a list: faster to index than a Counter.
-    deg = Counter(chain.from_iterable(g.edges))     # d_v of each vertex with an edge
+    # owner(e), so only a second index is a candidate.  sums is a list: faster
+    # to index than a Counter.
+    deg = Counter(chain.from_iterable(owner))       # d_v of each vertex with an edge
     sums = [0] * (2 * max(deg.values(), default=0) + 1)
     not_induced = {}
-    get = (covering if inc is None else inc).get
-    for e in g.edges:
+    look = dec.covering if inc is None else inc
+    for e, o in owner.items():
         u, w = e
         sums[deg[u] + deg[w]] += 1
         if inc is None:
-            a, b = get(u, ()), get(w, ())
-            if (len(a) < 2 or len(b) < 2) and e not in missing:
+            a, b = look[u], look[w]
+            if len(a) < 2 or len(b) < 2:
                 continue
             common = set(a).intersection(b)
         else:
-            bits = get(u, 0) & get(w, 0)
-            if not (bits & (bits - 1) or bits and e in missing):
+            bits = look[u] & look[w]
+            if not bits & (bits - 1):
                 continue
             common = _indices(bits)
-        o = owner.get(e)
         for i in common:
-            if (i != o and (e, i) not in relisted and (u, i) not in phantom
-                    and (w, i) not in phantom and (i not in not_induced or e < not_induced[i])):
+            if i != o and (e, i) not in relisted and (i not in not_induced or e < not_induced[i]):
                 not_induced[i] = e
 
     for i in sorted(not_matching.keys() | not_induced.keys()):
@@ -366,13 +349,13 @@ def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
     edge_degree_sums = {s: k for s, k in enumerate(sums) if k}
     max_sum = max(edge_degree_sums, default=0)
     if max_sum > t + 1:
-        u, v = min((u, v) for u, v in g.edges if deg[u] + deg[v] > t + 1)
+        u, v = min((u, v) for u, v in owner if deg[u] + deg[v] > t + 1)
         violations.append(
             Violation("degree-sum", (), (u, v),
                       f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
         )
 
-    isolated = g.n - len(deg)
+    isolated = dec.n - len(deg)
     histogram = Counter(deg.values())
     if isolated:
         histogram[0] = isolated

@@ -1,6 +1,6 @@
 """Plain-text .rsg serialization: header `rsg n t r`, then `u v m` edge records.
 
-Parsing builds the graph and decomposition but never verifies them; corrupt or
+Parsing builds the decomposition but never verifies it; corrupt or
 inconsistent files stay inspectable.  Emission is canonical (records sorted by
 (m, u, v), newline-terminated) so parse-then-emit is byte-identical.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .core import Graph, MatchingDecomposition
+from .core import MatchingDecomposition
 
 
 class RsgParseError(ValueError):
@@ -53,15 +53,14 @@ def parse_rsg(text: str) -> MatchingDecomposition:
         records[m].append(e)
 
     # The records are checked distinct edges with 0 <= u < v < n, the form
-    # Graph.from_edges and MatchingDecomposition.make produce, so both are
+    # MatchingDecomposition.from_matchings produces, so the decomposition is
     # built directly.  A matching without records is the shared empty tuple:
     # a header's t costs one pointer per matching.
-    graph = Graph(n, frozenset(seen))
     matchings = tuple(tuple(sorted(records[i])) if i in records else () for i in range(t))
-    return MatchingDecomposition(graph, matchings, r)
+    return MatchingDecomposition(n, matchings, r)
 
 
 def emit_rsg(dec: MatchingDecomposition) -> str:
-    out = [f"rsg {dec.graph.n} {dec.t} {dec.r}"]
+    out = [f"rsg {dec.n} {dec.t} {dec.r}"]
     out.extend(f"{u} {v} {m}" for m, matching in enumerate(dec.matchings) for u, v in matching)
     return "\n".join(out) + "\n"

@@ -218,7 +218,7 @@ class _State:
 
 def _trivial_outcome(n, r, t, started):
     if r == 0 or t == 0:
-        dec = MatchingDecomposition(Graph(n, frozenset()), ((),) * t, r)
+        dec = MatchingDecomposition(n, ((),) * t, r)
         if not verification_verdict(dec).passed:
             raise AssertionError("degenerate certificate fails verification")
         return SearchOutcome(SAT, certificate=dec, wall_time=time.monotonic() - started,

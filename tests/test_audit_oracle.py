@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from rsgraphs import (
     MatchingDecomposition,
-    Graph,
     PreconditionError,
     ap_free_set,
     cayley_rs,
@@ -241,8 +240,7 @@ def random_decomposition(n, r, t, rng):
         if len(cur) < r:
             break
         matchings.append(cur)
-    graph = Graph.from_edges(n, [e for m in matchings for e in m])
-    return MatchingDecomposition.make(graph, matchings, r)
+    return MatchingDecomposition.from_matchings(n, matchings, r)
 
 
 class TestRandomDecompositions:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from rsgraphs import (
-    Graph,
     MatchingDecomposition,
     ParameterError,
     PreconditionError,
@@ -122,8 +121,7 @@ class TestDistanceCertificate:
         assert cert.passed
 
     def test_t1_trivial(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        dec = MatchingDecomposition.make(g, [[(0, 1), (2, 3)]], 2)
+        dec = MatchingDecomposition.from_matchings(4, [[(0, 1), (2, 3)]], 2)
         cert = distance_certificate(dec)
         assert cert.min_pairwise_distance == 4 == 2 * cert.r
         assert cert.passed
@@ -138,17 +136,15 @@ class TestDistanceCertificate:
     def test_partial_matchings_rejected(self):
         # isolated vertex keeps |V_1| = 2 but r = 1 on a 3-vertex graph is fine;
         # force |V_i| != 2r with an undersized matching instead
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        dec = MatchingDecomposition.make(g, [[(0, 1)], [(2, 3)]], 1)
+        dec = MatchingDecomposition.from_matchings(4, [[(0, 1)], [(2, 3)]], 1)
         cert = distance_certificate(dec)  # all |V_i| = 2 = 2r: fine
         assert cert.passed
-        bad = MatchingDecomposition.make(g, [[(0, 1), (2, 3)], []], 2)
+        bad = MatchingDecomposition.from_matchings(4, [[(0, 1), (2, 3)], []], 2)
         with pytest.raises(PreconditionError):
             distance_certificate(bad)
 
     def test_unverified_rejected(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        dec = MatchingDecomposition.make(g, [[(0, 1)]], 1)
+        dec = MatchingDecomposition.from_matchings(4, [[(0, 1)], [(2, 3)]], 2)    # sizes 1 != r
         with pytest.raises(PreconditionError):
             distance_certificate(dec)
 
@@ -182,8 +178,7 @@ class TestExpansionAudit:
 
     def test_path_decomposition_quarter_point(self):
         # P4 with singleton matchings sits exactly at r = n/4 = 1
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        dec = MatchingDecomposition.make(g, [[(0, 1)], [(1, 2)], [(2, 3)]], 1)
+        dec = MatchingDecomposition.from_matchings(4, [[(0, 1)], [(1, 2)], [(2, 3)]], 1)
         report = expansion_audit(dec)
         assert self._assertion(report, "degree-sum-classes") == PASS
         assert self._assertion(report, "cauchy-schwarz") == PASS
@@ -191,8 +186,7 @@ class TestExpansionAudit:
 
     def test_not_applicable_off_quarter(self):
         # same path plus an isolated vertex: r = 1 != n/4 = 5/4
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
-        dec = MatchingDecomposition.make(g, [[(0, 1)], [(1, 2)], [(2, 3)]], 1)
+        dec = MatchingDecomposition.from_matchings(5, [[(0, 1)], [(1, 2)], [(2, 3)]], 1)
         report = expansion_audit(dec)
         assert self._assertion(report, "degree-sum-classes") == PASS
         assert self._assertion(report, "cauchy-schwarz") == NOT_APPLICABLE
@@ -265,7 +259,7 @@ class TestExpansionAudit:
         # t-bit mask per vertex and its peak grows like the edge lists
         def peak(t):
             edges = [(2 * i, 2 * i + 1) for i in range(t)]
-            dec = MatchingDecomposition.make(Graph.from_edges(2 * t, edges), [[e] for e in edges], 1)
+            dec = MatchingDecomposition.from_matchings(2 * t, [[e] for e in edges], 1)
             tracemalloc.start()
             try:
                 report = expansion_audit(dec)
@@ -279,8 +273,7 @@ class TestExpansionAudit:
         assert large < 5.5 * small
 
     def test_unverified_rejected(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        dec = MatchingDecomposition.make(g, [[(0, 1)]], 1)
+        dec = MatchingDecomposition.from_matchings(4, [[(0, 1)], [(2, 3)]], 2)    # sizes 1 != r
         with pytest.raises(PreconditionError):
             expansion_audit(dec)
 

@@ -208,7 +208,15 @@ class TestConstructGrammar:
         value = {"--input": str(petersen), "--apset-method": "behrend"}.get(flag, "2")
         code, out, err = run(capsys, *family_argv(family, petersen), flag, value)
         assert code == EX_USAGE and out == ""
-        assert f"unrecognized arguments: {flag} {value}" in err
+        # under the family's own usage line, not the top-level one
+        assert err.startswith(f"usage: rsg construct {family} [-h] [-o OUTPUT] ")
+        assert err.endswith(f"\nrsg construct {family}: error: unrecognized arguments: {flag} {value}\n")
+
+    def test_the_family_usage_line_names_its_flags(self, capsys):
+        code, _, err = run(capsys, "construct", "kneser", "--k", "1", "--copies", "5")
+        assert code == EX_USAGE
+        assert err == ("usage: rsg construct kneser [-h] [-o OUTPUT] --k K\n"
+                       "rsg construct kneser: error: unrecognized arguments: --copies 5\n")
 
     @pytest.mark.parametrize("argv", [["--k", "1", "kneser"],
                                       ["-o", "{out}", "kneser", "--k", "1"]])

@@ -9,7 +9,6 @@ import pytest
 from oracles import degrees
 from rsgraphs import (
     APFreeSet,
-    Graph,
     ParameterError,
     PreconditionError,
     ResourceLimitError,
@@ -181,14 +180,13 @@ class TestDisjointUnion:
     def test_empty_matchings_cost_nothing_per_copy(self):
         # the budget counts n + |E|, not t: 1000 empty matchings times 10^6
         # copies must not be 10^9 steps
-        base = MatchingDecomposition.make(Graph.from_edges(1, []), [[]] * 1000, 0)
+        base = MatchingDecomposition.from_matchings(1, [[]] * 1000, 0)
         dec = disjoint_union(base, 10 ** 6)
         assert (dec.graph.n, dec.t, dec.r) == (10 ** 6, 1000, 0)
         assert dec.graph.edges == frozenset() and set(dec.matchings) == {()}
 
     def test_unverified_input_rejected(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        bad = MatchingDecomposition.make(g, [[(0, 1)]], 2)
+        bad = MatchingDecomposition.from_matchings(3, [[(0, 1)]], 2)
         with pytest.raises(PreconditionError):
             disjoint_union(bad, 2)
 

@@ -1,5 +1,6 @@
 """Verifier unit tests, including exhaustive agreement with a brute-force oracle."""
 
+import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +15,7 @@ from rsgraphs import (
     MatchingDecomposition,
     PreconditionError,
     distance_certificate,
+    emit_rsg,
     hypercube_rs,
     is_bipartite,
     kneser_rs,
@@ -27,7 +29,7 @@ def triangle():
 
 
 def triangle_dec(r=1):
-    return MatchingDecomposition.make(triangle(), [[(0, 1)], [(1, 2)], [(0, 2)]], r)
+    return MatchingDecomposition.from_matchings(3, [[(0, 1)], [(1, 2)], [(0, 2)]], r)
 
 
 def brute_force_induced_matching(g, m):
@@ -66,14 +68,18 @@ class TestGraph:
 
 
 def inducedness_witness(g, m):
-    """Check edge list m alone through the verifier, as a one-matching decomposition.
+    """Check edge list m of g through the verifier, as matching 0 of a decomposition of g.
 
-    Returns None when m is an induced matching of g, otherwise the verifier's
-    `not-a-matching` or `not-induced` witness.
+    Every other edge of g is a one-edge matching, which is always induced, so
+    the union of the matchings is g.  Returns None when m is an induced
+    matching of g, otherwise the verifier's `not-a-matching` or `not-induced`
+    witness for matching 0.
     """
-    report = verify_decomposition(MatchingDecomposition.make(g, [m], len(m)))
+    rest = [[e] for e in sorted(g.edges - set(m))]
+    report = verify_decomposition(MatchingDecomposition.from_matchings(g.n, [m, *rest], len(m)))
     for v in report.violations:
         if v.invariant in ("not-a-matching", "not-induced"):
+            assert v.matchings == (0,)
             return v.witness
     return None
 
@@ -91,13 +97,6 @@ class TestInducedMatchingCheck:
         dec = kneser_rs(2)
         for m in dec.matchings:
             assert inducedness_witness(dec.graph, m) is None
-
-    def test_edge_not_in_graph_is_witnessed(self):
-        g = Graph.from_edges(4, [(0, 1)])
-        report = verify_decomposition(MatchingDecomposition.make(g, [[(2, 3)]], 1))
-        assert [(v.invariant, v.witness) for v in report.violations
-                if v.invariant == "edge-not-in-graph"] == [("edge-not-in-graph", (2, 3))]
-        assert inducedness_witness(g, [(2, 3)]) is None
 
     def test_shared_endpoint_is_witnessed(self):
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
@@ -138,9 +137,8 @@ class TestVerifyDecomposition:
         assert report.max_pair_intersection == 1
 
     def test_covering_survives_verification(self):
-        # matching 1 also lists (0, 3), absent from the graph: its vertices count
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
-        dec = MatchingDecomposition.make(g, [[(0, 1)], [(1, 2), (0, 3)], [(0, 2)]], 1)
+        # matching 1 lists two edges and fails: its vertices count all the same
+        dec = MatchingDecomposition.from_matchings(4, [[(0, 1)], [(1, 2), (0, 3)], [(0, 2)]], 1)
         expected = {0: [0, 1, 2], 1: [0, 1], 2: [1, 2], 3: [1]}
         assert dec.covering == expected
         assert not verify_decomposition(dec).passed
@@ -160,32 +158,35 @@ class TestVerifyDecomposition:
         assert not report.passed
         assert {v.invariant for v in report.violations} == {"size-mismatch"}
 
-    def test_missing_edge_is_partition_violation(self):
-        dec = MatchingDecomposition.make(triangle(), [[(0, 1)], [(1, 2)]], 1)
-        report = verify_decomposition(dec)
-        assert any(v.invariant == "not-a-partition" for v in report.violations)
-
     def test_duplicated_edge_across_matchings(self):
-        dec = MatchingDecomposition.make(triangle(), [[(0, 1)], [(0, 1)], [(1, 2)], [(0, 2)]], 1)
+        dec = MatchingDecomposition.from_matchings(3, [[(0, 1)], [(0, 1)], [(1, 2)], [(0, 2)]], 1)
         report = verify_decomposition(dec)
         assert any(v.invariant == "not-edge-disjoint" for v in report.violations)
 
     def test_non_induced_matching_flagged(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        dec = MatchingDecomposition.make(g, [[(0, 1), (2, 3)], [(1, 2)]], 0)
+        dec = MatchingDecomposition.from_matchings(4, [[(0, 1), (2, 3)], [(1, 2)]], 0)
         report = verify_decomposition(dec)
         assert any(v.invariant == "not-induced" and v.witness == (1, 2)
                    for v in report.violations)
 
     def test_all_violations_collected(self):
-        dec = MatchingDecomposition.make(triangle(), [[(0, 1)], [(1, 2)]], 2)
+        dec = MatchingDecomposition.from_matchings(4, [[(0, 1), (1, 2)], [(0, 1)], [(2, 3)]], 2)
         report = verify_decomposition(dec)
         kinds = {v.invariant for v in report.violations}
-        assert "size-mismatch" in kinds and "not-a-partition" in kinds
+        assert kinds == {"size-mismatch", "not-edge-disjoint", "not-a-matching"}
+
+    def test_graph_is_the_union_built_on_first_read(self):
+        dec = parse_rsg(emit_rsg(kneser_rs(2)))
+        assert [f.name for f in dataclasses.fields(dec)] == ["n", "matchings", "r"]
+        assert verify_decomposition(dec).passed and emit_rsg(dec)
+        assert "graph" not in vars(dec)     # verifier and emitter read the matchings alone
+        assert dec.graph == Graph.from_edges(dec.n, [e for m in dec.matchings for e in m])
+        assert dec.graph is dec.graph
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.graph = triangle()
 
     def test_isolated_vertices_flagged_in_notes(self):
-        g = Graph.from_edges(4, [(0, 1)])
-        dec = MatchingDecomposition.make(g, [[(0, 1)]], 1)
+        dec = MatchingDecomposition.from_matchings(4, [[(0, 1)]], 1)
         report = verify_decomposition(dec)
         assert report.passed
         assert report.isolated_vertices == 2
@@ -230,7 +231,7 @@ class TestDecompositionStats:
         assert min(hist) == max(hist) == 5
 
     def test_empty_decomposition(self):
-        dec = MatchingDecomposition.make(Graph.from_edges(4, []), [], 0)
+        dec = MatchingDecomposition.from_matchings(4, [], 0)
         n, hist = self.stats(dec)
         assert (n, dec.r, dec.t) == (4, 0, 0)
         assert hist == {0: 4}

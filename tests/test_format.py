@@ -100,7 +100,7 @@ class TestEmit:
         assert text == emit_rsg(kneser_rs(2))  # stable across runs
 
     def test_empty_decomposition(self):
-        dec = MatchingDecomposition.make(Graph.from_edges(0, []), [], 0)
+        dec = MatchingDecomposition.from_matchings(0, [], 0)
         assert emit_rsg(dec) == "rsg 0 0 0\n"
 
 
@@ -132,8 +132,7 @@ class TestRoundTrip:
         matchings = [[] for _ in range(t)]
         for e, m in zip(edges, labels):
             matchings[m].append(e)
-        dec = MatchingDecomposition.make(
-            Graph.from_edges(n, edges), matchings, data.draw(st.integers(0, 4)))
+        dec = MatchingDecomposition.from_matchings(n, matchings, data.draw(st.integers(0, 4)))
         text = emit_rsg(dec)
         assert parse_rsg(text) == dec
         assert emit_rsg(parse_rsg(text)) == text
@@ -142,10 +141,10 @@ class TestRoundTrip:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_records_in_any_order_parse_as_make_builds(self, data):
-        # parse builds the graph and decomposition from its checked records
-        # without the constructors; in any record order they must equal what
-        # the constructors build
+    def test_records_in_any_order_parse_as_from_matchings_builds(self, data):
+        # parse builds the decomposition from its checked records without
+        # from_matchings; in any record order it must equal what from_matchings
+        # builds, and its graph must be the records' edges
         n = data.draw(st.integers(2, 9))
         t = data.draw(st.integers(1, 5))
         pairs = list(itertools.combinations(range(n), 2))
@@ -154,5 +153,6 @@ class TestRoundTrip:
         r = data.draw(st.integers(0, 4))
         text = f"rsg {n} {t} {r}\n" + "".join(f"{u} {v} {m}\n" for u, v, m in records)
         matchings = [[(u, v) for u, v, m in records if m == i] for i in range(t)]
-        expected = MatchingDecomposition.make(Graph.from_edges(n, edges), matchings, r)
+        expected = MatchingDecomposition.from_matchings(n, matchings, r)
         assert parse_rsg(text) == expected
+        assert parse_rsg(text).graph == Graph.from_edges(n, edges)

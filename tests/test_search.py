@@ -301,8 +301,7 @@ class TestStateOracle:
             i = data.draw(st.integers(0, t - 1))
             x, y = data.draw(st.sampled_from(pairs))
             trial = [list(m) + [(x, y)] * (j == i) for j, m in enumerate(matchings)]
-            graph = Graph.from_edges(n, [e for m in trial for e in m])
-            report = verify_decomposition(MatchingDecomposition.make(graph, trial, 0))
+            report = verify_decomposition(MatchingDecomposition.from_matchings(n, trial, 0))
             expected = not any(v.invariant in ("not-a-matching", "not-induced", "not-edge-disjoint")
                                for v in report.violations)
             prev_used = state.used

@@ -142,9 +142,7 @@ def recursive_exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = Tru
 
     certificate = None
     if verdict == SAT:
-        edges = [e for m in matchings for e in m]
-        graph = Graph.from_edges(n, edges)
-        certificate = MatchingDecomposition.make(graph, matchings, r)
+        certificate = MatchingDecomposition.from_matchings(n, matchings, r)
         report = verify_decomposition(certificate)
         if not report.passed:
             raise AssertionError("search produced a certificate that fails verification")
@@ -242,8 +240,8 @@ def recursive_max_t_on_graph(g: Graph, r: int, budget: Budget = None,
         certificate = None
         achieved = None
         if verdict == SAT:
-            certificate = MatchingDecomposition.make(g, chosen, r)
-            if not verify_decomposition(certificate).passed:
+            certificate = MatchingDecomposition.from_matchings(g.n, chosen, r)
+            if certificate.graph != g or not verify_decomposition(certificate).passed:
                 raise AssertionError("exact cover certificate fails verification")
             achieved = target
         return SearchOutcome(verdict, certificate=certificate, nodes_explored=nodes,
@@ -278,9 +276,7 @@ def recursive_max_t_on_graph(g: Graph, r: int, budget: Budget = None,
         verdict = INDETERMINATE
         note = f"budget exhausted ({nodes} nodes); best found t = {len(best)}"
 
-    packed_edges = [e for m in best for e in m]
-    sub = Graph.from_edges(g.n, packed_edges)
-    certificate = MatchingDecomposition.make(sub, best, r)
+    certificate = MatchingDecomposition.from_matchings(g.n, best, r)
     if not verify_decomposition(certificate).passed:
         raise AssertionError("packing certificate fails verification")
     return SearchOutcome(verdict, certificate=certificate, nodes_explored=nodes,

@@ -15,7 +15,7 @@ order included, on valid decompositions and on mutants of them.
 import math
 import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import cache
 from unittest import mock
@@ -69,15 +69,6 @@ def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
                 Violation("size-mismatch", (i,), (len(m),),
                           f"matching {i} has {len(m)} edges, declared r = {r}")
             )
-        bad_member = None
-        for e in m:
-            if e not in g.edges and (bad_member is None or e < bad_member):
-                bad_member = e
-        if bad_member is not None:
-            violations.append(
-                Violation("edge-not-in-graph", (i,), bad_member,
-                          f"matching {i} lists {bad_member}, which is not an edge of the graph")
-            )
         for e in m:
             if e in owner:
                 j = owner[e]
@@ -88,19 +79,11 @@ def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
             else:
                 owner[e] = i
 
-    missing = sorted(g.edges - set(owner))
-    if missing:
-        violations.append(
-            Violation("not-a-partition", (), missing[0],
-                      f"{len(missing)} edges of the graph are not covered, first {missing[0]}")
-        )
-
     vsets = endpoint_sets(dec)
     for i, m in enumerate(dec.matchings):
-        present = [e for e in m if e in g.edges]
         covered = set()
         matching_ok = True
-        for u, v in sorted(present):
+        for u, v in sorted(m):
             if u in covered or v in covered:
                 violations.append(
                     Violation("not-a-matching", (i,), (u, v),
@@ -111,7 +94,7 @@ def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
             covered.add(u)
             covered.add(v)
         if matching_ok:
-            eset = set(present)
+            eset = set(m)
             witness = None
             for u in sorted(covered):
                 for w in adj[u]:
@@ -238,29 +221,22 @@ def base(name):
     return BASES[name]()
 
 
-MUTATIONS = ("moved", "deleted", "chord", "unlisted-chord", "relisted", "wrong-r", "foreign")
+MUTATIONS = ("moved", "deleted", "chord", "relisted", "wrong-r")
 
 
-def mutate(data, kind, n, edges, matchings, r):
-    """Apply one mutation in place to the edge set and matching lists; return the new r."""
+def mutate(data, kind, matchings, r):
+    """Apply one mutation in place to the matching lists, whose union is the graph; return the new r."""
     t = len(matchings)
     full = [i for i in range(t) if matchings[i]]
     if kind == "wrong-r":
         return max(0, r + data.draw(st.sampled_from((-1, 1))))
-    if kind == "foreign":
-        absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
-        if absent:
-            matchings[data.draw(st.integers(0, t - 1))].append(data.draw(st.sampled_from(absent)))
-        return r
-    if kind in ("chord", "unlisted-chord"):
+    if kind == "chord":
         i = data.draw(st.integers(0, t - 1))
         covered = sorted({x for e in matchings[i] for x in e})
+        edges = {e for m in matchings for e in m}
         chords = [(u, v) for u in covered for v in covered if u < v and (u, v) not in edges]
         if chords:
-            e = data.draw(st.sampled_from(chords))
-            edges.add(e)
-            if kind == "chord":
-                matchings[data.draw(st.integers(0, t - 1))].append(e)
+            matchings[data.draw(st.integers(0, t - 1))].append(data.draw(st.sampled_from(chords)))
         return r
     if not full:
         return r
@@ -271,8 +247,6 @@ def mutate(data, kind, n, edges, matchings, r):
         matchings[data.draw(st.integers(0, t - 1))].append(e)
     elif kind == "deleted":
         matchings[i].remove(e)
-        if data.draw(st.booleans()):
-            edges.discard(e)
     else:  # relisted: a second matching, or the same one, lists the edge again
         matchings[data.draw(st.integers(0, t - 1))].append(e)
     return r
@@ -323,13 +297,11 @@ class TestAgainstPairwiseOracle:
 
 def draw_mutant(data, min_mutations):
     src = base(data.draw(st.sampled_from(sorted(BASES))))
-    n = src.graph.n
-    edges = set(src.graph.edges)
     matchings = [list(m) for m in src.matchings]
     r = src.r
     for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=min_mutations, max_size=3)):
-        r = mutate(data, kind, n, edges, matchings, r)
-    return MatchingDecomposition.make(Graph.from_edges(n, edges), matchings, r)
+        r = mutate(data, kind, matchings, r)
+    return MatchingDecomposition.from_matchings(src.n, matchings, r)
 
 
 def check_mutant(data):
@@ -391,6 +363,32 @@ class TestIncidenceGate:
         assert {v: [i for i in range(dec.t) if a >> i & 1] for v, a in inc.items()} == dec.covering
 
 
+class TestEveryInvariantOnBothForms:
+    """One decomposition that breaks all six invariants, with its witnesses fixed, on either form."""
+
+    @pytest.mark.parametrize("lists", [False, True], ids=["bits", "lists"])
+    def test_each_invariant_is_reported(self, lists):
+        # M_0 has a chord listed by M_1 and M_2, which share it; M_3 is a star
+        # at 3, whose degree 4 gives d_2 + d_3 = 6 > t + 1
+        dec = MatchingDecomposition.from_matchings(
+            7, [[(0, 1), (2, 3)], [(1, 2)], [(1, 2)], [(3, 4), (3, 5), (3, 6)]], 1)
+        with list_path() if lists else nullcontext():
+            assert (core._incidence(dec) is None) == lists
+            report = verify_decomposition(dec)
+        assert [(v.invariant, v.matchings, v.witness) for v in report.violations] == [
+            ("size-mismatch", (0,), (2,)),
+            ("not-edge-disjoint", (1, 2), (1, 2)),
+            ("size-mismatch", (3,), (3,)),
+            ("not-induced", (0,), (1, 2)),
+            ("not-a-matching", (3,), (3, 5)),
+            ("degree-sum", (), (2, 3)),
+            ("endpoint-intersection", (0, 1), (2,)),
+            ("endpoint-intersection", (0, 2), (2,)),
+            ("endpoint-intersection", (1, 2), (2,)),
+        ]
+        assert report.to_dict() == pairwise_verify(dec).to_dict()
+
+
 class TestReportCache:
     def test_second_call_returns_the_same_report(self):
         dec = kneser_rs(2)
@@ -430,7 +428,7 @@ class TestReportCache:
         phase_2 = core._pair_intersections
         monkeypatch.setattr(core, "_pair_intersections", lambda dec, inc: calls.append(dec) or phase_2(dec, inc))
         src = kneser_rs(2)
-        dec = MatchingDecomposition.make(src.graph, src.matchings, src.r + 1)
+        dec = MatchingDecomposition.from_matchings(src.n, src.matchings, src.r + 1)
         verdict = verification_verdict(dec)
         assert not verdict.passed and len(calls) == 1
         assert verify_decomposition(dec) is verdict and len(calls) == 1
@@ -438,7 +436,7 @@ class TestReportCache:
 
 
 class TestEdgeNormalisation:
-    """`from_edges`, `make` and `from_matchings` normalise in one pass and name the first bad edge."""
+    """`from_edges` and `from_matchings` normalise in one pass and name the first bad edge."""
 
     BAD = (
         ([(1, 0), (2, 2), (0, 5)], "self-loop at vertex 2"),
@@ -456,10 +454,6 @@ class TestEdgeNormalisation:
         with pytest.raises(GraphError) as err:
             Graph.from_edges(3, iter(pairs))
         assert str(err.value) == message
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        with pytest.raises(GraphError) as err:
-            MatchingDecomposition.make(g, [[(1, 0)], pairs], 1)
-        assert str(err.value) == message
         for matchings in ([[(1, 0)], pairs], [[(1, 0)], iter(pairs)], [pairs, [(5, 5)]]):
             with pytest.raises(GraphError) as err:
                 MatchingDecomposition.from_matchings(3, matchings, -1)
@@ -468,8 +462,6 @@ class TestEdgeNormalisation:
     def test_out_of_order_edges_are_normalised(self):
         g = Graph.from_edges(4, iter([(3, 0), (1, 2), (0, 3)]))
         assert g.edges == frozenset({(0, 3), (1, 2)})
-        dec = MatchingDecomposition.make(g, [iter([(3, 0), (2, 1)]), []], 2)
-        assert dec.matchings == (((0, 3), (1, 2)), ())
         assert all(type(e) is tuple for e in g.edges)
         union = MatchingDecomposition.from_matchings(4, [iter([(3, 0), (2, 1)]), [], [(3, 2)]], 2)
         assert union.matchings == (((0, 3), (1, 2)), (), ((2, 3),))
@@ -480,22 +472,25 @@ class TestEdgeNormalisation:
     @given(n=st.integers(-1, 5), r=st.integers(-1, 2),
            matchings=st.lists(st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5)),
                                        max_size=4), max_size=4))
-    def test_from_matchings_is_from_edges_then_make(self, n, r, matchings):
+    def test_from_matchings_graph_is_from_edges(self, n, r, matchings):
+        # the graph is the union of the matchings, and a bad edge is named as
+        # from_edges names it, before a negative r
         def outcome(build):
             try:
                 return build()
             except GraphError as exc:
                 return str(exc)
-        edges = [e for m in matchings for e in m]
-        expected = outcome(lambda: MatchingDecomposition.make(Graph.from_edges(n, edges), matchings, r))
-        assert outcome(lambda: MatchingDecomposition.from_matchings(n, matchings, r)) == expected
+        expected = outcome(lambda: Graph.from_edges(n, [e for m in matchings for e in m]))
+        if r < 0 and isinstance(expected, Graph):
+            expected = "claimed matching size must be non-negative"
+        assert outcome(lambda: MatchingDecomposition.from_matchings(n, matchings, r).graph) == expected
 
 
 class TestLargeSparse:
     def test_disjoint_one_edge_matchings(self):
         n, t = 10 ** 6, 5000
         edges = [(2 * i, 2 * i + 1) for i in range(t)]
-        dec = MatchingDecomposition.make(Graph.from_edges(n, edges), [[e] for e in edges], 1)
+        dec = MatchingDecomposition.from_matchings(n, [[e] for e in edges], 1)
         tracemalloc.start()
         try:
             report = verify_decomposition(dec)
