@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (

@@ -24,7 +24,7 @@ from .constructions import (
 )
 from .core import GraphError, ParameterError, PreconditionError, verify_decomposition
 from .rsg_format import RsgParseError, emit_rsg, parse_rsg
-from .search import INDETERMINATE, SAT, UNSAT, Budget, exists_rs
+from .search import SAT, UNSAT, Budget, exists_rs
 
 EX_OK = 0
 EX_FAIL = 1
@@ -113,7 +113,7 @@ def cmd_verify(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        print(f"n={dec.n} t={dec.t} r={dec.r} edges={len(dec.graph.edges)}")
+        print(f"n={dec.n} t={dec.t} r={dec.r} edges={sum(map(len, dec.matchings))}")
         print(f"max edge degree sum: {report.max_edge_degree_sum}")
         print(f"max |V_i cap V_j|: {report.max_pair_intersection}")
         for note in report.notes:
@@ -153,12 +153,9 @@ def cmd_bound(args) -> int:
 
 
 def _budget_from(args) -> Budget:
-    budget = Budget.default()
-    if args.max_nodes is not None:
-        budget = Budget(max_nodes=args.max_nodes, max_seconds=budget.max_seconds)
-    if args.timeout is not None:
-        budget = Budget(max_nodes=budget.max_nodes, max_seconds=args.timeout)
-    return budget
+    default = Budget.default()
+    return Budget(max_nodes=default.max_nodes if args.max_nodes is None else args.max_nodes,
+                  max_seconds=default.max_seconds if args.timeout is None else args.timeout)
 
 
 def cmd_search(args) -> int:
@@ -182,11 +179,7 @@ def cmd_search(args) -> int:
             print(f"note: {outcome.note}")
         if outcome.certificate is not None and not args.output:
             sys.stdout.write(emit_rsg(outcome.certificate))
-    if outcome.verdict == SAT:
-        return EX_OK
-    if outcome.verdict == UNSAT:
-        return EX_FAIL
-    return EX_INDETERMINATE
+    return {SAT: EX_OK, UNSAT: EX_FAIL}.get(outcome.verdict, EX_INDETERMINATE)
 
 
 def cmd_audit(args) -> int:

@@ -38,7 +38,8 @@ lies in B_i or y lies in some V_j with j in A_x, so a row x in B_i fails
 whole, and the passing y of any other row are one mask (`_State.row_mask`),
 walked by lowest set bit.  B_i is carried down the stack: a new matching
 starts from 0, and placing (x, y) in M_i adds N(x) | N(y), which hold y
-and x.
+and x, except a seed label's partner in the pinned M_0, which stays out of
+`_State.nbr`: its pairs would take r^2 bits before node 1.
 
 Nodes are counted one per candidate edge generated, passing or not: the
 generator reports with each passing candidate, and at the end of its depth,
@@ -288,14 +289,15 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
 
     # labels enter as the smallest unused one, at most two per edge, so all stay below 2rt
     state = _State(min(n, 2 * r * t), 1)
-    seed = [(2 * j, 2 * j + 1) for j in range(r)]
-    for x, y in seed:
-        state.add(0, x, y)             # disjoint pairs of fresh labels, n >= 2r
+    seeded = 2 * r                     # M_0: the pairs (2j, 2j + 1), n >= 2r, with no `nbr` bits
+    state.incidence[:seeded] = [1] * seeded
+    state.members[0] = (1 << seeded) - 1
+    state.used = seeded
     meter = _Meter(budget.max_nodes, started + budget.max_seconds)
 
     # placed edges, one per depth d, as (x, y, prev_used); the seed fills
     # depths 0..r-1 and is never removed
-    path = [(x, y, None) for x, y in seed]
+    path = [(2 * j, 2 * j + 1, None) for j in range(r)]
     stack = []                         # (candidates, B_i) of each depth from r below the open one
     nodes = 0
     limit = meter.limit
@@ -340,7 +342,9 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
         state.add(d // r, x, y)
         stack.append((candidates, blocked))
         d += 1
-        blocked = blocked | state.nbr[x] | state.nbr[y] if d % r else 0
+        # a seed label v < 2r adds its M_0 partner v ^ 1
+        blocked = (blocked | state.nbr[x] | state.nbr[y] | (x < seeded) << (x ^ 1)
+                   | (y < seeded) << (y ^ 1)) if d % r else 0
         candidates = None
 
     note = ""

@@ -14,7 +14,6 @@ from oracles import degrees
 from rsgraphs import (
     Budget,
     SAT,
-    UNSAT,
     INDETERMINATE,
     ap_free_set,
     cayley_rs,

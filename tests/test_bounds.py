@@ -21,7 +21,7 @@ from rsgraphs import (
     verify_decomposition,
 )
 from rsgraphs import bounds
-from rsgraphs.bounds import FAIL, NOT_APPLICABLE, PASS
+from rsgraphs.bounds import NOT_APPLICABLE, PASS
 
 
 class TestMaxR:

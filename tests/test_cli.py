@@ -1,18 +1,13 @@
-"""End-to-end CLI tests, driven through main() and once as a child process, checking the
-exit-code contract."""
+"""CLI tests through main(): the checks a row of `contracts.py` cannot state, such as a library
+output, a monkeypatched module, an environment variable, a drawn argv or an empty stdout."""
 
 import contextlib
 import io
-import json
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsgraphs.cli import (
-    EX_FAIL,
     EX_INDETERMINATE,
     EX_OK,
     EX_PARSE,
@@ -29,6 +24,7 @@ from rsgraphs.constructions import (
     hypercube_rs,
     kneser_rs,
 )
+from rsgraphs.core import MatchingDecomposition
 from rsgraphs.rsg_format import emit_rsg, parse_rsg
 
 
@@ -39,73 +35,16 @@ def run(capsys, *argv):
 
 
 class TestConstructVerify:
-    def test_kneser_pipeline(self, tmp_path, capsys):
-        out = tmp_path / "p.rsg"
-        code, _, _ = run(capsys, "construct", "kneser", "--k", "2", "-o", str(out))
-        assert code == EX_OK
-        code, stdout, _ = run(capsys, "verify", str(out))
-        assert code == EX_OK
-        assert "verdict: pass" in stdout
+    def test_verify_never_builds_the_union_graph(self, tmp_path, capsys, monkeypatch):
+        doc = tmp_path / "petersen.rsg"
+        doc.write_text(emit_rsg(kneser_rs(2)))
 
-    def test_construct_to_stdout(self, capsys):
-        code, stdout, _ = run(capsys, "construct", "kneser", "--k", "1")
-        assert code == EX_OK
-        assert stdout.startswith("rsg 3 3 1\n")
-
-    def test_all_families(self, tmp_path, capsys):
-        base = tmp_path / "base.rsg"
-        assert run(capsys, "construct", "hypercube", "--k", "3", "-o", str(base))[0] == EX_OK
-        assert run(capsys, "construct", "hypercube-augmented", "--k", "4")[0] == EX_OK
-        assert run(capsys, "construct", "double-cover", "--input", str(base))[0] == EX_OK
-        assert run(capsys, "construct", "disjoint-union", "--input", str(base),
-                   "--copies", "2")[0] == EX_OK
-        assert run(capsys, "construct", "cayley-ap", "--modulus", "41",
-                   "--limit", "13")[0] == EX_OK
-
-    def test_verify_failure_exit_code(self, tmp_path, capsys):
-        bad = tmp_path / "bad.rsg"
-        bad.write_text("rsg 3 3 2\n0 1 0\n1 2 1\n0 2 2\n")
-        code, stdout, _ = run(capsys, "verify", str(bad))
-        assert code == EX_FAIL
-        assert "size-mismatch" in stdout
-
-    def test_verify_json(self, tmp_path, capsys):
-        doc = tmp_path / "t.rsg"
-        doc.write_text("rsg 3 3 1\n0 1 0\n1 2 1\n0 2 2\n")
-        code, stdout, _ = run(capsys, "verify", str(doc), "--json")
-        assert code == EX_OK
-        payload = json.loads(stdout)
-        assert payload["passed"] is True
-        assert payload["stats"]["max_edge_degree_sum"] == 4
-
-    def test_parse_error_exit_code(self, tmp_path, capsys):
-        bad = tmp_path / "corrupt.rsg"
-        bad.write_text("rsg 3 3 1\n0 1 0\n0 1 1\n")
-        code, _, err = run(capsys, "verify", str(bad))
-        assert code == EX_PARSE
-        assert "line 3" in err
-
-    def test_unwritable_output_usage(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.rsg"
-        code, _, err = run(capsys, "construct", "kneser", "--k", "2", "-o", str(out))
-        assert code == EX_USAGE
-        assert err.startswith(f"error: cannot write {out}: ")
-
-    @pytest.mark.parametrize("command", ["verify", "audit"])
-    def test_non_utf8_parse_error(self, tmp_path, capsys, command):
-        bad = tmp_path / "latin1.rsg"
-        bad.write_bytes(b"rsg 3 3 1\n0 1 0\n\xe91 2 1\n0 2 2\n")
-        code, _, err = run(capsys, command, str(bad))
-        assert code == EX_PARSE
-        assert err.startswith(f"error: {bad}: line 3: byte 0xe9 is not valid UTF-8")
-
-    def test_missing_family_parameter(self, capsys):
-        code, _, err = run(capsys, "construct", "kneser")
-        assert code == EX_USAGE
-
-    def test_bad_parameter_value(self, capsys):
-        code, _, _ = run(capsys, "construct", "hypercube-augmented", "--k", "3")
-        assert code == EX_USAGE
+        def unreachable(self):
+            raise AssertionError("rsg verify built the union graph")
+        monkeypatch.setattr(MatchingDecomposition, "graph", property(unreachable))
+        code, stdout, err = run(capsys, "verify", str(doc))
+        assert (code, err) == (EX_OK, "")
+        assert stdout.startswith("n=10 t=5 r=3 edges=15\n")
 
     def test_over_size_budget_usage(self, tmp_path, capsys):
         base = tmp_path / "petersen.rsg"
@@ -115,7 +54,6 @@ class TestConstructVerify:
         assert code == EX_USAGE and out == ""
         assert err == ("error: 1000000000 disjoint copies: n + |E| would exceed"
                        " the size budget 2000000\n")
-
 
     def test_cayley_over_budget_before_the_difference_set(self, capsys, monkeypatch):
         def unreachable(*args):
@@ -136,8 +74,6 @@ class TestConstructVerify:
         assert err == "error: --limit 1000000000 exceeds (N-1)/3 = 2\n"
         # a limit whose S would fit, but above (N-1)/3, is refused the same way
         assert run(capsys, "construct", "cayley-ap", "--modulus", "7", "--limit", "3")[0] == EX_USAGE
-        monkeypatch.undo()
-        assert run(capsys, "construct", "cayley-ap", "--modulus", "41", "--limit", "13")[0] == EX_OK
 
     @pytest.mark.parametrize("modulus", ["666666", "2", "0", "-7"])
     def test_cayley_modulus_checked_before_the_difference_set(self, capsys, monkeypatch, modulus):
@@ -212,12 +148,6 @@ class TestConstructGrammar:
         assert err.startswith(f"usage: rsg construct {family} [-h] [-o OUTPUT] ")
         assert err.endswith(f"\nrsg construct {family}: error: unrecognized arguments: {flag} {value}\n")
 
-    def test_the_family_usage_line_names_its_flags(self, capsys):
-        code, _, err = run(capsys, "construct", "kneser", "--k", "1", "--copies", "5")
-        assert code == EX_USAGE
-        assert err == ("usage: rsg construct kneser [-h] [-o OUTPUT] --k K\n"
-                       "rsg construct kneser: error: unrecognized arguments: --copies 5\n")
-
     @pytest.mark.parametrize("argv", [["--k", "1", "kneser"],
                                       ["-o", "{out}", "kneser", "--k", "1"]])
     def test_a_flag_before_the_family_name_is_refused(self, tmp_path, capsys, argv):
@@ -250,145 +180,34 @@ class TestConstructGrammar:
 
 
 class TestBound:
-    def test_max_r_output(self, capsys):
-        code, stdout, _ = run(capsys, "bound", "--n", "10", "--t", "5")
-        assert code == EX_OK
-        assert "max r = 3" in stdout
-
-    def test_fractional_output(self, capsys):
-        code, stdout, _ = run(capsys, "bound", "--n", "6", "--t", "4")
-        assert code == EX_OK
-        assert "9/5" in stdout
-
-    def test_infeasible(self, capsys):
-        code, stdout, _ = run(capsys, "bound", "--n", "10", "--r", "3", "--t", "6")
-        assert code == EX_FAIL
-        assert "INFEASIBLE" in stdout
-
-    def test_feasible_json(self, capsys):
-        code, stdout, _ = run(capsys, "bound", "--n", "10", "--r", "3", "--t", "5", "--json")
-        assert code == EX_OK
-        payload = json.loads(stdout)
-        assert payload["tight"] is True
-
-    def test_impossible_parameters_usage(self, capsys):
-        code, _, _ = run(capsys, "bound", "--n", "5", "--r", "3", "--t", "2")
-        assert code == EX_USAGE
-
     def test_negative_r_usage(self, capsys):
         code, stdout, _ = run(capsys, "bound", "--n", "10", "--t", "5", "--r", "-1")
         assert code == EX_USAGE
         assert "feasible" not in stdout
 
-    def test_missing_required_flag(self, capsys):
-        code, _, _ = run(capsys, "bound", "--n", "10")
-        assert code == EX_USAGE
-
 
 class TestSearch:
-    def test_sat(self, capsys):
-        code, stdout, _ = run(capsys, "search", "--n", "3", "--r", "1", "--t", "3")
-        assert code == EX_OK
-        assert "SAT" in stdout
-
-    def test_unsat(self, capsys):
-        code, _, _ = run(capsys, "search", "--n", "6", "--r", "2", "--t", "4")
-        assert code == EX_FAIL
-
     def test_indeterminate(self, capsys, monkeypatch):
         monkeypatch.setenv("RSG_DEFAULT_BUDGET", "40")
         code, stdout, _ = run(capsys, "search", "--n", "7", "--r", "2", "--t", "6",
                               "--no-eq1-shortcut")
         assert code == EX_INDETERMINATE
 
-    def test_zero_node_budget(self, capsys):
-        code, stdout, _ = run(capsys, "search", "--n", "12", "--r", "3", "--t", "7",
-                              "--max-nodes", "0")
+    @pytest.mark.parametrize("flag, note", [("--max-nodes", "node budget exhausted (1 nodes)"),
+                                            ("--timeout", "time budget exhausted (0 s, 1 nodes)")])
+    def test_zero_budget(self, capsys, flag, note):
+        code, stdout, _ = run(capsys, "search", "--n", "12", "--r", "3", "--t", "7", flag, "0")
         assert code == EX_INDETERMINATE
-        assert "nodes=1 " in stdout
-        assert "note: node budget exhausted (1 nodes)" in stdout
-
-    def test_zero_timeout(self, capsys):
-        code, stdout, _ = run(capsys, "search", "--n", "12", "--r", "3", "--t", "7",
-                              "--timeout", "0")
-        assert code == EX_INDETERMINATE
-        assert "nodes=1 " in stdout
-        assert "note: time budget exhausted (0 s, 1 nodes)" in stdout
-
-    def test_deep_search_process(self):
-        # deeper than Python's recursion limit; run as its own process, as a user would
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "rsgraphs.cli", "search", "--n", "4000", "--r", "1", "--t", "1200"],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == EX_OK
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout.startswith("verdict: SAT  nodes=1199 ")
-
-    @pytest.mark.parametrize("flag", ["--max-nodes", "--timeout"])
-    def test_negative_budget_usage(self, capsys, flag):
-        code, _, err = run(capsys, "search", "--n", "12", "--r", "3", "--t", "7", flag, "-1")
-        assert code == EX_USAGE
-        assert "non-negative" in err
+        assert "nodes=1 " in stdout and f"note: {note}\n" in stdout
 
     def test_negative_default_budget_usage(self, capsys, monkeypatch):
         monkeypatch.setenv("RSG_DEFAULT_BUDGET", "-5")
         code, _, _ = run(capsys, "search", "--n", "6", "--r", "2", "--t", "3")
         assert code == EX_USAGE
 
-    def test_certificate_file(self, tmp_path, capsys):
-        out = tmp_path / "cert.rsg"
-        code, _, _ = run(capsys, "search", "--n", "6", "--r", "2", "--t", "3",
-                         "-o", str(out))
-        assert code == EX_OK
-        code, _, _ = run(capsys, "verify", str(out))
-        assert code == EX_OK
-
-    def test_unwritable_certificate_usage(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "cert.rsg"
-        code, _, err = run(capsys, "search", "--n", "6", "--r", "2", "--t", "3", "-o", str(out))
-        assert code == EX_USAGE
-        assert err.startswith(f"error: cannot write {out}: ")
-
-    def test_json(self, capsys):
-        code, stdout, _ = run(capsys, "search", "--n", "3", "--r", "1", "--t", "3", "--json")
-        assert code == EX_OK
-        payload = json.loads(stdout)
-        assert payload["verdict"] == "SAT"
-        assert payload["certificate"].startswith("rsg 3 3 1")
-
-
-class TestAudit:
-    def test_hypercube(self, tmp_path, capsys):
-        doc = tmp_path / "q4.rsg"
-        assert run(capsys, "construct", "hypercube", "--k", "4", "-o", str(doc))[0] == EX_OK
-        code, stdout, _ = run(capsys, "audit", str(doc))
-        assert code == EX_OK
-        assert "cauchy-schwarz: pass" in stdout
-
-    def test_json(self, tmp_path, capsys):
-        doc = tmp_path / "q2.rsg"
-        assert run(capsys, "construct", "hypercube", "--k", "2", "-o", str(doc))[0] == EX_OK
-        code, stdout, _ = run(capsys, "audit", str(doc), "--json")
-        assert code == EX_OK
-        payload = json.loads(stdout)
-        assert payload["E0"] == 4 and payload["E1"] == 0
-
-    def test_unverified_input_fails(self, tmp_path, capsys):
-        bad = tmp_path / "bad.rsg"
-        bad.write_text("rsg 4 1 1\n0 1 0\n2 3 0\n")  # r says 1, matching has 2 edges
-        code, _, err = run(capsys, "audit", str(bad))
-        assert code == EX_FAIL
 
 
 class TestUsage:
-    def test_unknown_command(self, capsys):
-        assert run(capsys, "frobnicate")[0] == EX_USAGE
-
-    def test_no_command(self, capsys):
-        assert run(capsys)[0] == EX_USAGE
-
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         # an exception no handler expects must not exit 1, which reads as UNSAT
         def boom(*args, **kwargs):
