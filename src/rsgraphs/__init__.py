@@ -1,55 +1,37 @@
-"""Workbench for graphs decomposable into equal-size induced matchings."""
+"""Workbench for graphs decomposable into equal-size induced matchings.
 
-from .core import (
-    Graph,
-    GraphError,
-    MatchingDecomposition,
-    ParameterError,
-    PreconditionError,
-    VerificationReport,
-    Violation,
-    is_bipartite,
-    verify_decomposition,
-)
-from .constructions import (
-    APFreeSet,
-    ResourceLimitError,
-    ap_free_set,
-    cayley_rs,
-    disjoint_union,
-    double_cover,
-    has_three_term_progression,
-    hypercube_rs,
-    kneser_rs,
-)
-from .bounds import (
-    AuditReport,
-    BoundVerdict,
-    DistanceCertificate,
-    distance_certificate,
-    expansion_audit,
-    feasibility_verdict,
-    max_r,
-)
-from .search import (
-    INDETERMINATE,
-    SAT,
-    UNSAT,
-    Budget,
-    SearchOutcome,
-    exists_rs,
-    max_t_on_graph,
-)
-from .rsg_format import RsgParseError, emit_rsg, parse_rsg
+`import rsgraphs` loads no submodule: each public name imports its module on
+first use (PEP 562), so an `rsg` process loads only what its subcommand runs.
+"""
 
-__all__ = [
-    "APFreeSet", "AuditReport", "BoundVerdict", "Budget", "DistanceCertificate",
-    "Graph", "GraphError", "INDETERMINATE", "MatchingDecomposition",
-    "ParameterError", "PreconditionError", "ResourceLimitError",
-    "RsgParseError", "SAT", "SearchOutcome", "UNSAT", "VerificationReport",
-    "Violation", "ap_free_set", "cayley_rs", "disjoint_union",
-    "distance_certificate", "double_cover", "emit_rsg", "exists_rs",
-    "expansion_audit", "feasibility_verdict", "has_three_term_progression",
-    "hypercube_rs", "is_bipartite", "kneser_rs",
-    "max_r", "max_t_on_graph", "parse_rsg", "verify_decomposition",
-]
+import importlib
+
+# each public name, under the module that defines it
+_PUBLIC = {
+    "core": ("Graph", "GraphError", "MatchingDecomposition", "ParameterError",
+             "PreconditionError", "VerificationReport", "Violation", "is_bipartite",
+             "verify_decomposition"),
+    "constructions": ("APFreeSet", "ResourceLimitError", "ap_free_set", "cayley_rs",
+                      "disjoint_union", "double_cover", "has_three_term_progression",
+                      "hypercube_rs", "kneser_rs"),
+    "bounds": ("AuditReport", "BoundVerdict", "DistanceCertificate", "distance_certificate",
+               "expansion_audit", "feasibility_verdict", "max_r"),
+    "search": ("INDETERMINATE", "SAT", "UNSAT", "Budget", "SearchOutcome", "exists_rs",
+               "max_t_on_graph"),
+    "rsg_format": ("RsgParseError", "emit_rsg", "parse_rsg"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _PUBLIC:        # a submodule, reachable after `import rsgraphs` as before
+        return importlib.import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -21,7 +21,6 @@ from .core import (
     is_bipartite,
     verification_verdict,
 )
-from .constructions import double_cover
 
 
 def max_r(n: int, t: int) -> Fraction:
@@ -444,6 +443,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     covering, n_in = dec.covering, dec.n
     doubled = False
     if is_bipartite(dec.graph) is None:
+        from .constructions import double_cover     # here, so `rsg bound` and `search` skip it
         dec = double_cover(dec)
         doubled = True
 

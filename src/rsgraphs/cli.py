@@ -11,20 +11,11 @@ import argparse
 import json
 import sys
 
-from .bounds import expansion_audit, feasibility_verdict, max_r
-from .constructions import (
-    ResourceLimitError,
-    ap_free_set,
-    cayley_rs,
-    check_cayley_modulus,
-    disjoint_union,
-    double_cover,
-    hypercube_rs,
-    kneser_rs,
-)
 from .core import GraphError, ParameterError, PreconditionError, verify_decomposition
 from .rsg_format import RsgParseError, emit_rsg, parse_rsg
-from .search import SAT, UNSAT, Budget, exists_rs
+
+# every other module is imported by the command that calls it, so that an `rsg`
+# process loads only what its subcommand runs: `verify` loads core and rsg_format
 
 EX_OK = 0
 EX_FAIL = 1
@@ -86,21 +77,24 @@ def _write_output(text: str, path):
         sys.stdout.write(text)
 
 
-def _cayley_ap(args):
-    check_cayley_modulus(args.modulus)     # before building S, whose cost grows with the limit
+def _cayley_ap(c, args):
+    c.check_cayley_modulus(args.modulus)   # before building S, whose cost grows with the limit
     limit = args.limit if args.limit is not None else (args.modulus - 1) // 3
     if 3 * limit > args.modulus - 1:
         raise ParameterError(f"--limit {limit} exceeds (N-1)/3 = {(args.modulus - 1) // 3}")
-    s = ap_free_set(args.apset_method, limit)
+    s = c.ap_free_set(args.apset_method, limit)
     if s.note:
         print(f"note: {s.note}", file=sys.stderr)
-    return cayley_rs(args.modulus, s)
+    return c.cayley_rs(args.modulus, s)
 
 
 def cmd_construct(args) -> int:
+    from . import constructions     # each family builds from it: build(constructions, args)
+
     try:
-        dec = args.build(args)
-    except (ParameterError, PreconditionError, ResourceLimitError, GraphError) as exc:
+        dec = args.build(constructions, args)
+    except (ParameterError, PreconditionError, constructions.ResourceLimitError,
+            GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     _write_output(emit_rsg(dec), args.output)
@@ -128,6 +122,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .bounds import feasibility_verdict, max_r
+
     try:
         if args.r is None:
             cap = max_r(args.n, args.t)
@@ -152,15 +148,14 @@ def cmd_bound(args) -> int:
     return EX_OK if verdict.feasible else EX_FAIL
 
 
-def _budget_from(args) -> Budget:
-    default = Budget.default()
-    return Budget(max_nodes=default.max_nodes if args.max_nodes is None else args.max_nodes,
-                  max_seconds=default.max_seconds if args.timeout is None else args.timeout)
-
-
 def cmd_search(args) -> int:
+    from .search import SAT, UNSAT, Budget, exists_rs
+
     try:
-        outcome = exists_rs(args.n, args.r, args.t, budget=_budget_from(args),
+        default = Budget.default()
+        budget = Budget(max_nodes=default.max_nodes if args.max_nodes is None else args.max_nodes,
+                        max_seconds=default.max_seconds if args.timeout is None else args.timeout)
+        outcome = exists_rs(args.n, args.r, args.t, budget=budget,
                             eq1_shortcut=not args.no_eq1_shortcut)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -183,6 +178,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .bounds import expansion_audit
+
     dec = _load(args.file)
     try:
         report = expansion_audit(dec)
@@ -215,19 +212,19 @@ def build_parser() -> _Parser:
     families = p.add_subparsers(dest="family", required=True, parser_class=_FamilyParser)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("-o", "--output")
-    for name, build in (("kneser", lambda a: kneser_rs(a.k)),
-                        ("hypercube", lambda a: hypercube_rs(a.k, augmented=False)),
-                        ("hypercube-augmented", lambda a: hypercube_rs(a.k, augmented=True))):
+    for name, build in (("kneser", lambda c, a: c.kneser_rs(a.k)),
+                        ("hypercube", lambda c, a: c.hypercube_rs(a.k, augmented=False)),
+                        ("hypercube-augmented", lambda c, a: c.hypercube_rs(a.k, augmented=True))):
         f = families.add_parser(name, parents=[output])
         f.add_argument("--k", type=int, required=True)
         f.set_defaults(build=build)
     f = families.add_parser("disjoint-union", parents=[output])
     f.add_argument("--input", required=True, help="input .rsg file")
     f.add_argument("--copies", type=int, required=True)
-    f.set_defaults(build=lambda a: disjoint_union(_load(a.input), a.copies))
+    f.set_defaults(build=lambda c, a: c.disjoint_union(_load(a.input), a.copies))
     f = families.add_parser("double-cover", parents=[output])
     f.add_argument("--input", required=True, help="input .rsg file")
-    f.set_defaults(build=lambda a: double_cover(_load(a.input)))
+    f.set_defaults(build=lambda c, a: c.double_cover(_load(a.input)))
     f = families.add_parser("cayley-ap", parents=[output])
     f.add_argument("--modulus", type=int, required=True)
     f.add_argument("--apset-method", choices=["greedy-base3", "behrend"], default="greedy-base3")
@@ -276,7 +273,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     except Exception as exc:
         message = str(exc).replace("\n", " ")
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}" + (f": {message}" if message else ""),
+              file=sys.stderr)
         return EX_SOFTWARE
 
 

@@ -15,7 +15,7 @@ from rsgraphs.cli import (
     EX_USAGE,
     main,
 )
-from rsgraphs import cli
+from rsgraphs import constructions, search
 from rsgraphs.constructions import (
     ap_free_set,
     cayley_rs,
@@ -58,7 +58,7 @@ class TestConstructVerify:
     def test_cayley_over_budget_before_the_difference_set(self, capsys, monkeypatch):
         def unreachable(*args):
             raise AssertionError("ap_free_set ran for a modulus over the size budget")
-        monkeypatch.setattr(cli, "ap_free_set", unreachable)
+        monkeypatch.setattr(constructions, "ap_free_set", unreachable)
         code, out, err = run(capsys, "construct", "cayley-ap", "--modulus", "30000001")
         assert code == EX_USAGE and out == ""
         assert err == ("error: Cayley graph on Z_30000001: n + |E| would exceed"
@@ -67,7 +67,7 @@ class TestConstructVerify:
     def test_cayley_limit_above_a_third_before_the_difference_set(self, capsys, monkeypatch):
         def unreachable(*args):
             raise AssertionError("ap_free_set ran for a limit above (N-1)/3")
-        monkeypatch.setattr(cli, "ap_free_set", unreachable)
+        monkeypatch.setattr(constructions, "ap_free_set", unreachable)
         code, out, err = run(capsys, "construct", "cayley-ap", "--modulus", "7",
                              "--limit", "1000000000")
         assert code == EX_USAGE and out == ""
@@ -79,7 +79,7 @@ class TestConstructVerify:
     def test_cayley_modulus_checked_before_the_difference_set(self, capsys, monkeypatch, modulus):
         def unreachable(*args):
             raise AssertionError("ap_free_set ran for an even or non-positive modulus")
-        monkeypatch.setattr(cli, "ap_free_set", unreachable)
+        monkeypatch.setattr(constructions, "ap_free_set", unreachable)
         code, out, err = run(capsys, "construct", "cayley-ap", "--modulus", modulus)
         assert code == EX_USAGE and out == ""
         assert err == f"error: modulus must be odd and >= 1, got {modulus}\n"
@@ -89,7 +89,7 @@ class TestConstructVerify:
         # the default limit (N-1)/3 is 0 here, but the user gave no --limit to blame
         def unreachable(*args):
             raise AssertionError("ap_free_set ran for a modulus with no difference set")
-        monkeypatch.setattr(cli, "ap_free_set", unreachable)
+        monkeypatch.setattr(constructions, "ap_free_set", unreachable)
         code, out, err = run(capsys, "construct", "cayley-ap", "--modulus", modulus)
         assert code == EX_USAGE and out == ""
         assert err.startswith(f"error: modulus {modulus} ") and "limit" not in err
@@ -212,9 +212,16 @@ class TestUsage:
         # an exception no handler expects must not exit 1, which reads as UNSAT
         def boom(*args, **kwargs):
             raise RuntimeError("search state\ncorrupted")
-        monkeypatch.setattr(cli, "exists_rs", boom)
+        monkeypatch.setattr(search, "exists_rs", boom)
         code, stdout, err = run(capsys, "search", "--n", "6", "--r", "2", "--t", "3")
         assert code == EX_SOFTWARE == 70
         assert stdout == ""
         assert err == "internal error: RuntimeError: search state corrupted\n"
         assert "Traceback" not in err
+
+    def test_an_exception_without_text_names_only_its_type(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr(search, "exists_rs", out_of_memory)
+        code, stdout, err = run(capsys, "search", "--n", "6", "--r", "2", "--t", "3")
+        assert (code, stdout, err) == (EX_SOFTWARE, "", "internal error: MemoryError\n")
