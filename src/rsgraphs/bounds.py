@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     MatchingDecomposition,
     ParameterError,
     PreconditionError,
+    _record,
     is_bipartite,
     verification_verdict,
 )
@@ -49,7 +49,7 @@ def _log2_cap_holds(t: int, n: int) -> bool:
     return t <= ((2 * n) ** 8).bit_length() - 1
 
 
-@dataclass(frozen=True)
+@_record
 class BoundVerdict:
     n: int
     r: int
@@ -139,7 +139,7 @@ def feasibility_verdict(n: int, r: int, t: int) -> BoundVerdict:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class DistanceCertificate:
     n: int
     r: int
@@ -212,7 +212,7 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
+@_record
 class LayerRow:
     index: int
     size: int
@@ -220,7 +220,7 @@ class LayerRow:
     meets: bool
 
 
-@dataclass(frozen=True)
+@_record
 class AuditReport:
     n: int
     r: int

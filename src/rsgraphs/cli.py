@@ -8,7 +8,6 @@ reported in one line, so that it never reads as a verdict).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import GraphError, ParameterError, PreconditionError, verify_decomposition
@@ -77,6 +76,11 @@ def _write_output(text: str, path):
         sys.stdout.write(text)
 
 
+def _print_json(payload, indent=2):
+    import json     # only under --json, as each command imports its own modules
+    print(json.dumps(payload, indent=indent))
+
+
 def _cayley_ap(c, args):
     c.check_cayley_modulus(args.modulus)   # before building S, whose cost grows with the limit
     limit = args.limit if args.limit is not None else (args.modulus - 1) // 3
@@ -105,7 +109,7 @@ def cmd_verify(args) -> int:
     dec = _load(args.file)
     report = verify_decomposition(dec)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        _print_json(report.to_dict())
     else:
         print(f"n={dec.n} t={dec.t} r={dec.r} edges={sum(map(len, dec.matchings))}")
         print(f"max edge degree sum: {report.max_edge_degree_sum}")
@@ -128,7 +132,7 @@ def cmd_bound(args) -> int:
         if args.r is None:
             cap = max_r(args.n, args.t)
             if args.json:
-                print(json.dumps({"n": args.n, "t": args.t, "max_r": str(cap)}))
+                _print_json({"n": args.n, "t": args.t, "max_r": str(cap)}, indent=None)
             else:
                 print(f"max r = {cap}")
             return EX_OK
@@ -137,7 +141,7 @@ def cmd_bound(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     if args.json:
-        print(json.dumps(verdict.to_dict(), indent=2))
+        _print_json(verdict.to_dict())
     else:
         print(f"regime: {verdict.regime}")
         if verdict.hard_bound is not None:
@@ -166,7 +170,7 @@ def cmd_search(args) -> int:
     if args.json:
         if outcome.certificate is not None:
             payload["certificate"] = emit_rsg(outcome.certificate)
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"verdict: {outcome.verdict}  nodes={outcome.nodes_explored}  "
               f"time={outcome.wall_time:.2f}s")
@@ -187,7 +191,7 @@ def cmd_audit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EX_FAIL
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        _print_json(report.to_dict())
     else:
         print(f"n={report.n} t={report.t} r={report.r}"
               + (" (audited on double cover)" if report.doubled else ""))

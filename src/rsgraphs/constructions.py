@@ -12,13 +12,13 @@ before it builds any list; `double_cover` only doubles an input already in memor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
     MatchingDecomposition,
     ParameterError,
     PreconditionError,
+    _record,
     verification_verdict,
 )
 
@@ -155,7 +155,7 @@ def double_cover(dec: MatchingDecomposition) -> MatchingDecomposition:
     return MatchingDecomposition.from_matchings(2 * n, matchings, 2 * dec.r)
 
 
-@dataclass(frozen=True)
+@_record
 class APFreeSet:
     """Strictly increasing positive integers <= limit with no 3-term progression."""
 

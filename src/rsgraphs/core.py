@@ -40,7 +40,6 @@ same report.  No phase allocates per vertex of n.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 
@@ -55,6 +54,39 @@ class ParameterError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation was handed input that fails its stated precondition."""
+
+
+def _record(cls):
+    """`cls` as a frozen value record, as `dataclass(frozen=True)` makes one, minus `inspect`:
+    the fields (`_fields`) in annotation order, a default with a `copy` method copied per instance."""
+    fields, names = tuple(cls.__annotations__), set(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+
+    def values(self):
+        return tuple(getattr(self, name) for name in fields)
+
+    def __init__(self, *args, **kwargs):
+        given = {name: d.copy() if hasattr(d, "copy") else d for name, d in defaults.items()}
+        given.update(zip(fields, args), **kwargs)
+        if given.keys() != names or len(args) > len(fields) or kwargs.keys() & fields[:len(args)]:
+            raise TypeError(f"{cls.__name__}() takes each field of {fields} once or its default")
+        self.__dict__.update(given)
+        getattr(self, "__post_init__", lambda: None)()
+
+    def __setattr__(self, name, value=None):        # __delattr__ too
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    def __eq__(self, other):
+        return values(self) == values(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        pairs = map("{}={!r}".format, fields, values(self))
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__setattr__ = cls.__delattr__ = __setattr__
+    cls.__hash__, cls._fields = lambda self: hash(values(self)), fields
+    return cls
 
 
 def _norm_edges(pairs, n: int):
@@ -75,7 +107,7 @@ def _canonical(matchings, n: int):
     return tuple(tuple(sorted(_norm_edges(m, n))) for m in matchings)
 
 
-@dataclass(frozen=True)
+@_record
 class Graph:
     """Undirected simple graph on vertices 0..n-1, edges stored as (u, v) with u < v."""
 
@@ -118,7 +150,7 @@ def is_bipartite(g: Graph):
     return color
 
 
-@dataclass(frozen=True)
+@_record
 class MatchingDecomposition:
     """t edge lists on vertices 0..n-1, claimed to be induced matchings of size r.
 
@@ -187,10 +219,11 @@ class MatchingDecomposition:
         if not verdict.passed:
             return verdict
         max_inter, violations = _pair_intersections(self, inc)
-        return replace(verdict, violations=violations, max_pair_intersection=max_inter)
+        return VerificationReport(**{**vars(verdict), "violations": violations,
+                                     "max_pair_intersection": max_inter})
 
 
-@dataclass(frozen=True)
+@_record
 class Violation:
     invariant: str
     matchings: tuple      # indices of the matchings involved (may be empty)
@@ -198,7 +231,7 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
+@_record
 class VerificationReport:
     violations: tuple
     degree_histogram: dict
@@ -206,7 +239,7 @@ class VerificationReport:
     max_pair_intersection: int
     isolated_vertices: int
     notes: tuple = ()
-    edge_degree_sums: dict = field(default_factory=dict)   # d_u + d_v -> number of edges; not in to_dict
+    edge_degree_sums: dict = {}      # d_u + d_v -> edge count, one dict per report; not in to_dict
 
     @property
     def passed(self) -> bool:

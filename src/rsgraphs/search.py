@@ -67,13 +67,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     Graph,
     MatchingDecomposition,
     ParameterError,
+    _record,
     verification_verdict,
 )
 from .bounds import max_r, min_vertices
@@ -88,7 +88,7 @@ DEFAULT_TIME_BUDGET = 60.0
 CLOCK_PERIOD = 4096            # nodes (or pool steps) between reads of the clock
 
 
-@dataclass(frozen=True)
+@_record
 class Budget:
     max_nodes: int = DEFAULT_NODE_BUDGET
     max_seconds: float = DEFAULT_TIME_BUDGET
@@ -116,7 +116,7 @@ class Budget:
         return f"node budget exhausted ({nodes} nodes)"
 
 
-@dataclass(frozen=True)
+@_record
 class SearchOutcome:
     verdict: str
     certificate: MatchingDecomposition = None

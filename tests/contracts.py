@@ -86,6 +86,8 @@ ROWS = [
     Row("search r=0", "search --n 8 --r 0 --t 1000000 -o zero.rsg"),
     Row("verify r=0", "verify zero.rsg"),
     Row("search huge t", "search --n 8 --r 2 --t 1000000000 --max-nodes 10", 2),
+    # defect: an r = 0 certificate lists its t empty matchings (ROADMAP item 4)
+    Row("search r=0 huge t", "search --n 10 --r 0 --t 1000000000", max_mb=100, defect=True),
     Row("search huge n", "search --n 100000000 --r 1 --t 1000 --max-nodes 10", 2, seconds=10),
     Row("search huge n SAT", "search --n 100000000 --r 1 --t 1 -o wide.rsg", seconds=10),
     Row("verify huge n", "verify wide.rsg", seconds=10),

@@ -1,6 +1,5 @@
 """Verifier unit tests, including exhaustive agreement with a brute-force oracle."""
 
-import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -10,10 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import degrees
 from rsgraphs import (
+    APFreeSet,
+    AuditReport,
+    BoundVerdict,
+    Budget,
+    DistanceCertificate,
     Graph,
     GraphError,
     MatchingDecomposition,
+    ParameterError,
     PreconditionError,
+    SearchOutcome,
+    VerificationReport,
+    Violation,
     distance_certificate,
     emit_rsg,
     hypercube_rs,
@@ -22,6 +30,7 @@ from rsgraphs import (
     parse_rsg,
     verify_decomposition,
 )
+from rsgraphs.bounds import LayerRow
 
 
 def triangle():
@@ -177,12 +186,12 @@ class TestVerifyDecomposition:
 
     def test_graph_is_the_union_built_on_first_read(self):
         dec = parse_rsg(emit_rsg(kneser_rs(2)))
-        assert [f.name for f in dataclasses.fields(dec)] == ["n", "matchings", "r"]
+        assert dec._fields == ("n", "matchings", "r")
         assert verify_decomposition(dec).passed and emit_rsg(dec)
         assert "graph" not in vars(dec)     # verifier and emitter read the matchings alone
         assert dec.graph == Graph.from_edges(dec.n, [e for m in dec.matchings for e in m])
         assert dec.graph is dec.graph
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             dec.graph = triangle()
 
     def test_isolated_vertices_flagged_in_notes(self):
@@ -243,3 +252,64 @@ class TestDecompositionStats:
         assert report.violations[0].invariant == "size-mismatch"
         with pytest.raises(PreconditionError):
             distance_certificate(dec)
+
+
+# each record class: the fields of one instance, its repr, and whether it hashes
+RECORDS = [
+    (Graph, (3, frozenset({(0, 1)})), "Graph(n=3, edges=frozenset({(0, 1)}))", True),
+    (MatchingDecomposition, (2, (((0, 1),),), 1),
+     "MatchingDecomposition(n=2, matchings=(((0, 1),),), r=1)", True),
+    (Violation, ("x", (0,), (1,), "d"),
+     "Violation(invariant='x', matchings=(0,), witness=(1,), detail='d')", True),
+    (VerificationReport, ((), {2: 3}, 4, 1, 0),
+     "VerificationReport(violations=(), degree_histogram={2: 3}, max_edge_degree_sum=4, "
+     "max_pair_intersection=1, isolated_vertices=0, notes=(), edge_degree_sums={})", False),
+    (BoundVerdict, (10, 3, 5, True, "above-quarter", Fraction(3), True, "w", ("a",)),
+     "BoundVerdict(n=10, r=3, t=5, feasible=True, regime='above-quarter', "
+     "hard_bound=Fraction(3, 1), tight=True, witness='w', advisory=('a',))", True),
+    (DistanceCertificate, (10, 3, 5, 6, 90, 90, Fraction(90), 0, True),
+     "DistanceCertificate(n=10, r=3, t=5, min_pairwise_distance=6, double_count_lhs=90, "
+     "pair_distance_sum=90, column_product_cap=Fraction(90, 1), slack=0, passed=True)", True),
+    (LayerRow, (1, 5, 5, True), "LayerRow(index=1, size=5, binomial_floor=5, meets=True)", True),
+    (AuditReport, (4, 1, 4, False, {0: 4}, 0, 4, Fraction(1), Fraction(0), Fraction(1, 2), 4, 2,
+                   (("a", "pass", "d"),), (), ()),
+     "AuditReport(n=4, r=1, t=4, doubled=False, edge_classes={0: 4}, e1=0, e0=4, "
+     "s=Fraction(1, 1), s_prime=Fraction(0, 1), f_min_degree_threshold=Fraction(1, 2), "
+     "f_vertex_count=4, f_achieved_min_degree=2, assertions=(('a', 'pass', 'd'),), "
+     "bfs_violations=(), layers=())", False),
+    (Budget, (10, 1.5), "Budget(max_nodes=10, max_seconds=1.5)", True),
+    (SearchOutcome, ("SAT",),
+     "SearchOutcome(verdict='SAT', certificate=None, nodes_explored=0, wall_time=0.0, t=None, "
+     "note='')", True),
+    (APFreeSet, (4, (1, 2, 4), "manual"),
+     "APFreeSet(limit=4, elements=(1, 2, 4), method='manual', note='')", True),
+]
+
+
+@pytest.mark.parametrize("cls, args, text, hashable", RECORDS,
+                         ids=[row[0].__name__ for row in RECORDS])
+def test_records_are_frozen_values(cls, args, text, hashable):
+    by_position = cls(*args)
+    by_keyword = cls(**dict(zip(cls._fields, args)))
+    assert by_position == by_keyword and by_position is not by_keyword
+    assert by_position != args
+    assert repr(by_position) == text
+    if hashable:
+        assert hash(by_position) == hash(by_keyword)
+    else:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(by_position)
+    with pytest.raises(AttributeError):
+        setattr(by_position, cls._fields[0], None)
+    for bad in ({"no_such_field": None}, {cls._fields[0]: args[0]}):     # unknown, given twice
+        with pytest.raises(TypeError):
+            cls(*args, **bad)
+
+
+def test_a_report_owns_its_default_dict_and_a_budget_checks_itself():
+    first, second = VerificationReport((), {}, 0, 0, 0), VerificationReport((), {}, 0, 0, 0)
+    assert first.edge_degree_sums == {} and first.edge_degree_sums is not second.edge_degree_sums
+    with pytest.raises(TypeError):      # isolated_vertices has no default
+        VerificationReport((), {}, 0, 0)
+    with pytest.raises(ParameterError):
+        Budget(max_nodes=-1)

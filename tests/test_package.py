@@ -58,15 +58,16 @@ def test_an_unknown_name_is_an_attribute_error_naming_the_module():
         rsgraphs.no_such_name
 
 
-# run argv as the `rsg` console script does, print the rsgraphs modules and whether
-# `fractions` was loaded, and exit as rsg did
+# run argv as the `rsg` console script does, print the rsgraphs modules and which of
+# `fractions`, `json`, `dataclasses` and `inspect` were loaded, and exit as rsg did
 CHILD = ("import sys; from rsgraphs.cli import main; code = main(sys.argv[1:]); "
-         "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('rsgraphs', 'fractions'))); "
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'rsgraphs' "
+         "or m in ('fractions', 'json', 'dataclasses', 'inspect'))); "
          "sys.exit(code)")
 BASE = {"rsgraphs", "rsgraphs.cli", "rsgraphs.core", "rsgraphs.rsg_format"}
 
 
-B, C, S, F = "rsgraphs.bounds", "rsgraphs.constructions", "rsgraphs.search", "fractions"
+B, C, S, F, J = "rsgraphs.bounds", "rsgraphs.constructions", "rsgraphs.search", "fractions", "json"
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -76,6 +77,8 @@ B, C, S, F = "rsgraphs.bounds", "rsgraphs.constructions", "rsgraphs.search", "fr
     (["audit", "petersen.rsg"], {B, C, F}),         # audited on its double cover
     (["audit", "q2.rsg"], {B, F}),                  # bipartite
     (["construct", "kneser", "--k", "2", "-o", "out.rsg"], {C}),
+    (["verify", "--json", "petersen.rsg"], {J}),    # `json` loads only under --json
+    (["bound", "--n", "10", "--t", "5", "--r", "3", "--json"], {B, F, J}),
 ], ids=lambda x: x[0] if isinstance(x, list) else None)
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, extra):
     (tmp_path / "petersen.rsg").write_text(emit_rsg(kneser_rs(2)))
