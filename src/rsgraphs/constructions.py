@@ -17,8 +17,8 @@ from itertools import combinations
 from .core import (
     MatchingDecomposition,
     ParameterError,
-    PreconditionError,
     _record,
+    _require_verified,
     verification_verdict,
 )
 
@@ -34,13 +34,6 @@ _K_CLIP = SIZE_BUDGET.bit_length()      # n >= 2^k: k-families are sized at min(
 def _check_size(what: str, size: int) -> None:
     if size > SIZE_BUDGET:
         raise ResourceLimitError(f"{what}: n + |E| would exceed the size budget {SIZE_BUDGET}")
-
-
-def _require_verified(dec: MatchingDecomposition, what: str) -> None:
-    verdict = verification_verdict(dec)
-    if not verdict.passed:
-        first = verdict.violations[0]
-        raise PreconditionError(f"{what}: input decomposition fails verification ({first.invariant})")
 
 
 def kneser_rs(k: int) -> MatchingDecomposition:
@@ -197,15 +190,15 @@ def _greedy_base3(m: int):
 
 
 def _behrend_layer(m: int):
-    d = max(1, round(math.sqrt(math.log(m))))
+    # for m >= 8, sqrt(ln m) > 1.4 so d >= 1, and the digit range is never empty:
+    # d = 1 gives q = m, and d >= 2 needs ln m >= (d - 1/2)^2, so
+    # m^(1/d) >= e^(9/8) > 3, q >= 3 and half >= 1
+    d = round(math.sqrt(math.log(m)))
     q = int(round(m ** (1.0 / d)))
     while q ** d > m:
         q -= 1
     half = q // 2
-    if half < 1:
-        return None
     layers = {}
-    digits = [0] * d
 
     def rec(pos, value, sq):
         if pos == d:
@@ -240,10 +233,6 @@ def ap_free_set(method: str, limit: int) -> APFreeSet:
             note = "behrend degenerate below 8; fell back to greedy-base3"
         else:
             elements = _behrend_layer(limit)
-            if elements is None:
-                elements = _greedy_base3(limit)
-                used = "greedy-base3"
-                note = "behrend digit range collapsed; fell back to greedy-base3"
     else:
         elements = _greedy_base3(limit)
 

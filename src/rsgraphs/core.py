@@ -20,9 +20,10 @@ Phase 1 is computed once per decomposition and cached on it as its verdict:
 a `MatchingDecomposition` is frozen and its matchings are sorted tuples, so
 repeat verification of one object costs nothing.  A failing verdict runs phase
 2 at once and is the full report.  Callers that need only pass/fail read
-`verification_verdict`: the Cayley construction's self-certification, the
-input checks of `disjoint_union` and `double_cover`, `distance_certificate`,
-`expansion_audit` and the search certificate checks.
+`verification_verdict`: the Cayley construction's self-certification and the
+search certificate checks.  `disjoint_union`, `double_cover`,
+`distance_certificate` and `expansion_audit` take their input through
+`_require_verified`, which refuses it naming the first failing invariant.
 `verify_decomposition` (the `rsg verify` report) adds phase 2 to a passing
 verdict once, for its max_pair_intersection statistic.
 
@@ -287,6 +288,15 @@ def verification_verdict(dec: MatchingDecomposition) -> VerificationReport:
     fills it cannot turn a pass into a fail.  Computed once and cached on dec.
     """
     return dec._verdict
+
+
+def _require_verified(dec: MatchingDecomposition, what: str) -> VerificationReport:
+    """The passing verdict of dec, or PreconditionError naming `what` and the first failing invariant."""
+    verdict = verification_verdict(dec)
+    if not verdict.passed:
+        raise PreconditionError(
+            f"{what} requires a verified decomposition ({verdict.violations[0].invariant})")
+    return verdict
 
 
 def _incidence(dec: MatchingDecomposition):

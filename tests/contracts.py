@@ -44,6 +44,9 @@ ROWS = [
     Row("hypercube", "construct hypercube --k 4 -o q4.rsg"),
     Row("hypercube-augmented", "construct hypercube-augmented --k 4 -o q4aug.rsg"),
     Row("cayley-ap 2001", "construct cayley-ap --modulus 2001 -o c2001.rsg", seconds=10),
+    Row("cayley-ap behrend below 8",
+        "construct cayley-ap --modulus 41 --limit 5 --apset-method behrend",
+        err="note: behrend degenerate below 8"),
     Row("verify cayley-ap 2001", "verify --json c2001.rsg", out='"passed": true', seconds=10),
     Row("verify json", "verify --json k3.rsg", out='"max_edge_degree_sum": 4,',
         files={"k3.rsg": "rsg 3 3 1\n0 1 0\n1 2 1\n0 2 2\n"}),
@@ -63,12 +66,14 @@ ROWS = [
     Row("audit json", "audit --json q2.rsg", out='"E1": 0,\n  "E0": 4,',
         files={"q2.rsg": "rsg 4 4 1\n0 1 0\n0 2 1\n2 3 2\n1 3 3\n"}),
     Row("audit sparse", "audit sparse.rsg", seconds=10),
-    Row("audit unverified", "audit r1.rsg", 1, files={"r1.rsg": "rsg 4 1 1\n0 1 0\n2 3 0\n"}),
+    Row("audit unverified", "audit r1.rsg", 1, files={"r1.rsg": "rsg 4 1 1\n0 1 0\n2 3 0\n"},
+        err="error: expansion_audit requires a verified decomposition (size-mismatch)"),
     Row("audit header-only", "audit huge.rsg", files={"huge.rsg": "rsg 200000 0 0\n"}),
     Row("audit wide header-only", "audit wide.rsg", files={"wide.rsg": "rsg 2000000000 0 0\n"},
         seconds=10),
     # bound
     Row("bound max r", "bound --n 10 --t 5", out="max r = 3"),
+    Row("bound max r json", "bound --n 10 --t 5 --json", out='{"n": 10, "t": 5, "max_r": "3"}'),
     Row("bound fractional", "bound --n 6 --t 4", out="9/5"),
     Row("bound tight json", "bound --n 10 --r 3 --t 5 --json", out='"tight": true'),
     Row("bound infeasible", "bound --n 10 --r 3 --t 6", 1, out="INFEASIBLE"),
@@ -117,6 +122,10 @@ ROWS = [
     Row("bound impossible", "bound --n 5 --r 3 --t 2", 64),
     Row("bound negative r", "bound --n 10 --t 5 --r -1", 64),
     Row("bound no t", "bound --n 10", 64),
+    Row("bound zero n", "bound --n 0 --r 0 --t 1", 64, err="n and t must be >= 1"),
+    Row("search negative n", "search --n -1 --r 0 --t 1", 64, err="must be non-negative"),
+    Row("cayley-ap zero limit", "construct cayley-ap --modulus 41 --limit 0", 64,
+        err="limit must be >= 1"),
     Row("search negative nodes", "search --n 12 --r 3 --t 7 --max-nodes -1", 64, err="non-negative"),
     Row("search negative timeout", "search --n 12 --r 3 --t 7 --timeout -1", 64, err="non-negative"),
     Row("search unwritable", "search --n 6 --r 2 --t 3 -o missing/cert.rsg", 64,
@@ -127,6 +136,14 @@ ROWS = [
     Row("verify not UTF-8", "verify latin1.rsg", 65, err=LATIN1,
         files={"latin1.rsg": b"rsg 3 3 1\n0 1 0\n1 2 1 \xe9\n"}),
     Row("audit not UTF-8", "audit latin1.rsg", 65, err=LATIN1),
+    Row("verify non-integer header", "verify word-header.rsg", 65,
+        err="line 1: non-integer header fields", files={"word-header.rsg": "rsg x 3 1\n"}),
+    Row("verify negative header", "verify negative-header.rsg", 65,
+        err="header fields must be non-negative", files={"negative-header.rsg": "rsg 3 -1 1\n"}),
+    Row("verify short record", "verify short-record.rsg", 65, err="line 2: malformed record",
+        files={"short-record.rsg": "rsg 3 1 1\n0 1\n"}),
+    Row("verify non-integer record", "verify word-record.rsg", 65,
+        err="line 2: non-integer record fields", files={"word-record.rsg": "rsg 3 1 1\n0 1 x\n"}),
 ]
 
 

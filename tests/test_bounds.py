@@ -236,24 +236,6 @@ class TestExpansionAudit:
         assert report.passed and not report.doubled
         assert peak < 1 << 20
 
-    def test_claim_check_gets_each_f_vertex_matchings(self, monkeypatch):
-        # every vertex of the double cover of q4aug is in F, so the claim
-        # check must get the matching set of every cover vertex, ascending
-        dec = hypercube_rs(4, augmented=True)
-        cover = double_cover(dec)
-        covering = [[] for _ in range(cover.graph.n)]
-        for i, m in enumerate(cover.matchings):
-            for u, v in m:
-                covering[u].append(i)
-                covering[v].append(i)
-        seen = []
-        real = bounds._claim_violations
-        monkeypatch.setattr(bounds, "_claim_violations",
-                            lambda nbrs, covering: seen.append(covering) or real(nbrs, covering))
-        report = expansion_audit(dec)
-        assert report.doubled and report.f_vertex_count == cover.graph.n
-        assert seen == [covering]
-
     def test_memory_linear_in_t(self):
         # t disjoint one-edge matchings: F is empty, so the audit keeps no
         # t-bit mask per vertex and its peak grows like the edge lists

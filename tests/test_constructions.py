@@ -236,6 +236,12 @@ class TestAPFreeSet:
         assert s.method == "greedy-base3"
         assert s.note
 
+    def test_behrend_never_falls_back_from_8_up(self):
+        # the digit range of every limit >= 8 is non-empty (the bound in _behrend_layer)
+        for limit in [*range(8, 600), 208_981, 10 ** 6]:
+            s = ap_free_set("behrend", limit)
+            assert s.method == "behrend" and "fell back" not in s.note, limit
+
     @pytest.mark.parametrize("limit", [10, 100, 1000, 10000])
     def test_behrend_oracle(self, limit):
         s = ap_free_set("behrend", limit)

@@ -22,8 +22,11 @@ from rsgraphs import (
     SearchOutcome,
     VerificationReport,
     Violation,
+    disjoint_union,
     distance_certificate,
+    double_cover,
     emit_rsg,
+    expansion_audit,
     hypercube_rs,
     is_bipartite,
     kneser_rs,
@@ -252,6 +255,17 @@ class TestDecompositionStats:
         assert report.violations[0].invariant == "size-mismatch"
         with pytest.raises(PreconditionError):
             distance_certificate(dec)
+
+    @pytest.mark.parametrize("what, call", [
+        ("disjoint_union", lambda dec: disjoint_union(dec, 2)),
+        ("double_cover", double_cover),
+        ("distance_certificate", distance_certificate),
+        ("expansion_audit", expansion_audit),
+    ])
+    def test_refusal_names_the_failing_invariant(self, what, call):
+        message = rf"^{what} requires a verified decomposition \(size-mismatch\)$"
+        with pytest.raises(PreconditionError, match=message):
+            call(triangle_dec(r=2))
 
 
 # each record class: the fields of one instance, its repr, and whether it hashes

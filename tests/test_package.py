@@ -1,5 +1,6 @@
 """The package's public surface, resolved lazily, and the modules each `rsg` subcommand loads."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -74,7 +75,7 @@ B, C, S, F, J = "rsgraphs.bounds", "rsgraphs.constructions", "rsgraphs.search", 
     (["verify", "petersen.rsg"], set()),
     (["bound", "--n", "10", "--t", "5", "--r", "3"], {B, F}),
     (["search", "--n", "6", "--r", "2", "--t", "3"], {B, S, F}),
-    (["audit", "petersen.rsg"], {B, C, F}),         # audited on its double cover
+    (["audit", "petersen.rsg"], {B, F}),            # audited on its double cover, never built
     (["audit", "q2.rsg"], {B, F}),                  # bipartite
     (["construct", "kneser", "--k", "2", "-o", "out.rsg"], {C}),
     (["verify", "--json", "petersen.rsg"], {J}),    # `json` loads only under --json
@@ -87,3 +88,17 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, extra):
                           capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.splitlines()[-1].split()) == BASE | extra
+
+
+@pytest.mark.parametrize("short", ("__init__", "cli") + MODULES)
+def test_every_imported_name_is_read(short):
+    # imports at any depth, function-level ones included; `__future__` binds no name
+    with open(os.path.join(SRC, "rsgraphs", f"{short}.py")) as fh:
+        tree = ast.parse(fh.read())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert imported <= read, sorted(imported - read)
