@@ -50,22 +50,20 @@ def kneser_rs(k: int) -> MatchingDecomposition:
     _check_size(f"KG({m}, {k})", math.comb(2 * c + 1, c) * (c + 3) // 2)   # n + n(k+1)/2
     n = math.comb(m, k)
 
-    subsets = sorted(combinations(range(1, m + 1), k), key=lambda s: tuple(reversed(s)))
-    index = {s: i for i, s in enumerate(subsets)}
-    universe = frozenset(range(1, m + 1))
+    # Element e + 1 is bit e of a mask, so colex order is numeric mask order.
+    full = (1 << m) - 1
+    subsets = sorted(sum(1 << e for e in s) for s in combinations(range(m), k))
+    index = {a: i for i, a in enumerate(subsets)}
 
-    matchings = []
-    for i in range(1, m + 1):
-        mi = []
-        for a in subsets:
-            sa = set(a)
-            if i in sa:
-                continue
-            b = tuple(sorted(universe - sa - {i}))
-            ia, ib = index[a], index[b]
-            if ia < ib:
-                mi.append((ia, ib))
-        matchings.append(mi)
+    matchings = [[] for _ in range(m)]
+    for ia, a in enumerate(subsets):
+        rest = left = full ^ a
+        while left:                     # each bit of the complement, lowest first
+            bit = left & -left
+            left ^= bit
+            b = rest ^ bit              # the partner: the rest of the complement
+            if a < b:
+                matchings[bit.bit_length() - 1].append((ia, index[b]))
 
     r = math.comb(2 * k, k) // 2
     return MatchingDecomposition.from_matchings(n, matchings, r)

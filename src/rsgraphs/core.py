@@ -34,8 +34,12 @@ one-edge matchings would make the ints n*t/64 words).  Phase 1's one edge
 loop counts the edges by d_u + d_v (`edge_degree_sums`, the audit's edge
 classes); the form decides only how it tests A_u cap A_w, which on an edge
 that passes is exactly the matching listing it.  Phase 2 sums the ints in
-bit-planes, or counts the lists with a `Counter`.  The two forms give the
-same report.  No phase allocates per vertex of n.
+bit-planes, or counts the lists with a `Counter`.  Its bit-plane sum adds
+A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w) once per edge (u, w) of M_i: the
+edges of a matching cover V_i once each, so the work is sum_i |M_i| adds,
+half the sum_i |V_i| of one per vertex; a matching that phase 1 found
+sharing an endpoint pairs its sorted vertices instead.  The two forms give
+the same report.  No phase allocates per vertex of n.
 """
 
 from __future__ import annotations
@@ -408,7 +412,7 @@ def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
 
     max_inter = None
     if violations:
-        max_inter, pair_violations = _pair_intersections(dec, inc)
+        max_inter, pair_violations = _pair_intersections(dec, inc, not_matching)
         violations.extend(pair_violations)
     return VerificationReport(
         violations=tuple(violations),
@@ -429,18 +433,27 @@ def _indices(bits: int):
         yield low.bit_length() - 1
 
 
-def _pair_intersections(dec: MatchingDecomposition, inc):
+def _pair_intersections(dec: MatchingDecomposition, inc, not_matching=()):
     """Phase 2: max |V_i cap V_j| over i < j (0 if t < 2), and an
     endpoint-intersection violation for each pair above r.
 
-    `inc` is `_incidence(dec)`, from the caller.  With its bitsets, bit j of
-    the sum of A_x >> (i + 1) over x in V_i is |V_i cap V_{i+1+j}|, kept as
-    bit-planes by a ripple-carry add: its maximum takes one top-down pass
-    over the planes, and the mask of counts above r one more.  The work is
-    about sum_i |V_i| operations on t-bit ints.
+    `inc` is `_incidence(dec)`, from the caller, and `not_matching` holds the
+    matchings that phase 1 found sharing an endpoint.  With the bitsets, bit
+    j of the sum of A_x >> (i + 1) over x in V_i is |V_i cap V_{i+1+j}|, kept
+    as bit-planes by a ripple-carry add.  The sum runs over pairs (u, w) that
+    cover V_i once each: the edges of M_i, whose ends are V_i and distinct
+    when M_i is a matching, and otherwise V_i's sorted vertices two by two,
+    a lone last one paired with 0.  A pair adds the exact identity
+    A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w), the XOR at plane 0 and the AND
+    at plane 1.  On an edge that passes phase 1 the AND is {i}, which the
+    shift clears, so that term costs one test.  The maximum takes one
+    top-down pass over the planes, and the mask of counts above r one more.
+    The work is about sum_i |M_i| adds of t-bit ints, half of one per vertex.
     """
     if inc is None:
         return _pair_counts(dec)
+    if not_matching:
+        inc = {**inc, None: 0}
     r = dec.r
     max_inter = 0
     violations = []
@@ -448,8 +461,17 @@ def _pair_intersections(dec: MatchingDecomposition, inc):
         if not m:
             continue
         planes = [0] * (2 * len(m)).bit_length()
-        for x in {x for e in m for x in e}:
-            carry, p = inc[x] >> i + 1, 0
+        if i in not_matching:
+            xs = sorted({x for e in m for x in e})
+            m = zip(xs[::2], xs[1::2] + [None])
+        s = i + 1
+        for u, w in m:
+            a, b = inc[u], inc[w]
+            carry, p = (a ^ b) >> s, 0
+            while carry:
+                planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                p += 1
+            carry, p = (a & b) >> s, 1
             while carry:
                 planes[p], carry = planes[p] ^ carry, planes[p] & carry
                 p += 1

@@ -1,5 +1,6 @@
 """Generator tests: parameter identities plus verifier certification of every family."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -15,6 +16,7 @@ from rsgraphs import (
     ap_free_set,
     cayley_rs,
     disjoint_union,
+    emit_rsg,
     double_cover,
     has_three_term_progression,
     hypercube_rs,
@@ -297,3 +299,30 @@ class TestCayley:
     def test_over_budget(self):
         # n + |E| = 2N + N|S|: 1,999,998 at N = 666,667 with |S| = 1 is allowed
         raises_before_allocating(lambda: cayley_rs(666_669, APFreeSet(1, (1,), "manual")))
+
+
+# sha256 of emit_rsg for kneser_rs(1..6) and the other three constructions the
+# certify benchmark builds, taken before kneser_rs moved to bit masks
+EMIT_DIGESTS = {
+    "kneser1": "671c17ba6da7a03b4188a601c85d370a64bf2dabab5fa5904d37214d46e056af",
+    "kneser2": "a0d6cca0578bea41a26ca8783affc24ba553db62d71f9f4bf13f238da0287a1a",
+    "kneser3": "f7624426ec0d991b241054084ceaacf508494eee8abc30b5247f461087522dbf",
+    "kneser4": "ad72a4f3d7f5103cf7dd83627be857dc4236a2a34e5ca406d98686edeb3ad014",
+    "kneser5": "76db8cade61cd5e5f89a8286fe2dc2cd02202764d807163a8ce8c28195f82e99",
+    "kneser6": "d13eed80f16685c0b396a348df0aa82217a466b9b53bc74c55e54741589bc321",
+    "cayley301": "07431914b7f066e06da248dc5a8a430dc9a93c25b5c050f1fcc4cbeea7364522",
+    "cayley1001": "5d3640ae0c5efed6e03c3bdd6920c4230726d4acf470bbe224e66a48a678e01c",
+    "q12aug": "26b302a32dc7ff04ee03dc7080182dc6fb08fedfc3d4e364009be2857eea9a8e",
+}
+
+CONSTRUCTIONS = {
+    **{f"kneser{k}": (lambda k=k: kneser_rs(k)) for k in range(1, 7)},
+    "cayley301": lambda: cayley_rs(301, ap_free_set("greedy-base3", 100)),
+    "cayley1001": lambda: cayley_rs(1001, ap_free_set("greedy-base3", 333)),
+    "q12aug": lambda: hypercube_rs(12, augmented=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMIT_DIGESTS))
+def test_construction_bytes_are_pinned(name):
+    assert hashlib.sha256(emit_rsg(CONSTRUCTIONS[name]()).encode()).hexdigest() == EMIT_DIGESTS[name]

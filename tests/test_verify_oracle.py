@@ -13,6 +13,7 @@ order included, on valid decompositions and on mutants of them.
 """
 
 import math
+import os
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager, nullcontext
@@ -40,6 +41,9 @@ from rsgraphs import (
 from rsgraphs import core
 from rsgraphs.bounds import DistanceCertificate
 from rsgraphs.core import VerificationReport, Violation, verification_verdict
+
+# examples per property test: ten times as many under RSG_SLOW_TESTS=1, as CI runs them
+EXAMPLES = 3000 if os.environ.get("RSG_SLOW_TESTS") == "1" else 300
 
 
 def adjacency(g):
@@ -261,34 +265,34 @@ class TestAgainstPairwiseOracle:
         assert report.to_dict() == pairwise_verify(dec).to_dict()
         assert distance_certificate(dec).to_dict() == hamming_certificate(dec).to_dict()
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_mutants(self, data):
         check_mutant(data)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_verdict_needs_no_pair_count(self, data):
         check_verdict(data)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_mutants_on_the_list_path(self, data):
         with list_path():
             check_mutant(data)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_verdict_needs_no_pair_count_on_the_list_path(self, data):
         with list_path():
             check_verdict(data)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_edge_degree_sums(self, data):
         check_edge_degree_sums(data)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_edge_degree_sums_on_the_list_path(self, data):
         with list_path():
@@ -389,6 +393,35 @@ class TestEveryInvariantOnBothForms:
         assert report.to_dict() == pairwise_verify(dec).to_dict()
 
 
+class TestPhaseTwoPairs:
+    """Phase 2 sums A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w) over pairs covering V_i once;
+    one fixed case per term, each of whose counts a wrong term would change."""
+
+    CASES = {
+        # (0, 1) is listed by M_0 and M_1: |V_0 cap V_1| = 2 > r, the second
+        # end counted only by the AND term at plane 1
+        "relisted-edge": ([[(0, 1)], [(0, 1)]], 1, 2),
+        # M_0 lists (0, 1) twice, so it pairs its vertices, not its edges:
+        # |V_0 cap V_1| = 1 = r, where summing both edges would give 2
+        "edge-twice": ([[(0, 1), (0, 1)], [(0, 2)]], 1, 1),
+        # M_0 is no matching and V_0 = {1, 2, 3} is odd: 3 is paired with 0,
+        # so |V_0 cap V_1| = 1, not 0 (3 dropped) or 2 (3 paired with itself or vertex 0)
+        "odd-non-matching": ([[(1, 2), (2, 3)], [(0, 3)]], 2, 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pairs_cover_each_vertex_once(self, name):
+        matchings, r, max_inter = self.CASES[name]
+        dec = MatchingDecomposition.from_matchings(4, matchings, r)
+        assert core._incidence(dec) is not None
+        report = verify_decomposition(dec)
+        assert report.max_pair_intersection == max_inter
+        assert report.to_dict() == pairwise_verify(dec).to_dict()
+        with list_path():
+            lists = verify_decomposition(MatchingDecomposition.from_matchings(4, matchings, r))
+        assert lists.to_dict() == report.to_dict()
+
+
 class TestReportCache:
     def test_second_call_returns_the_same_report(self):
         dec = kneser_rs(2)
@@ -407,7 +440,7 @@ class TestReportCache:
         calls = []
         phase_1, phase_2 = core._verify, core._pair_intersections
         monkeypatch.setattr(core, "_verify", lambda dec, inc: calls.append(1) or phase_1(dec, inc))
-        monkeypatch.setattr(core, "_pair_intersections", lambda dec, inc: calls.append(2) or phase_2(dec, inc))
+        monkeypatch.setattr(core, "_pair_intersections", lambda *args: calls.append(2) or phase_2(*args))
         report = verify_decomposition(dec)
         assert calls == [2]
         assert report.to_dict() == pairwise_verify(dec).to_dict()
@@ -426,7 +459,7 @@ class TestReportCache:
     def test_failing_verdict_is_the_report(self, monkeypatch):
         calls = []
         phase_2 = core._pair_intersections
-        monkeypatch.setattr(core, "_pair_intersections", lambda dec, inc: calls.append(dec) or phase_2(dec, inc))
+        monkeypatch.setattr(core, "_pair_intersections", lambda dec, *args: calls.append(dec) or phase_2(dec, *args))
         src = kneser_rs(2)
         dec = MatchingDecomposition.from_matchings(src.n, src.matchings, src.r + 1)
         verdict = verification_verdict(dec)
@@ -468,7 +501,7 @@ class TestEdgeNormalisation:
         assert union.graph == Graph.from_edges(4, [(0, 3), (1, 2), (2, 3)])
         assert all(type(e) is tuple for m in union.matchings for e in m)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(n=st.integers(-1, 5), r=st.integers(-1, 2),
            matchings=st.lists(st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5)),
                                        max_size=4), max_size=4))
