@@ -1,13 +1,12 @@
-"""Exact bound evaluation and executable audits of the proof machinery.
+"""Exact bound evaluation and audits of the proof machinery on concrete inputs.
 
 All bound arithmetic is exact rational; floats appear only in rendered text.
 The hard cap on r comes from a Plotkin-style double count over characteristic
 vectors of the matching endpoint sets.  For the r = n/4 regime the audit
-re-runs the degree-sum / edge-class / expansion argument on concrete inputs
-as checkable assertions rather than asymptotics.  Whatever of that argument
-follows from verification alone is read off the verifier's verdict or, for
-the BFS distance claims, proved once in `expansion_audit`'s docstring, not
-recomputed.
+reports the degree-sum / edge-class / expansion quantities of one input.
+Every check of the distance certificate and the audit that follows from
+verification alone is proved once, in the docstring of the function that
+relies on it, and not recomputed; only the audit's layer floors are computed.
 """
 
 from __future__ import annotations
@@ -149,9 +148,9 @@ class DistanceCertificate:
     min_pairwise_distance: int
     double_count_lhs: int            # 2r * C(t+1, 2)
     pair_distance_sum: int           # sum over coordinates of a_i * b_i
-    column_product_cap: Fraction     # n(t+1)^2/4 or nt(t+2)/4 by parity of t
+    column_product_cap: Fraction     # n floor((t+1)^2 / 4)
     slack: int
-    passed: bool
+    passed: bool = True              # a lemma: see distance_certificate
 
     def to_dict(self):
         return {
@@ -171,44 +170,42 @@ def distance_certificate(dec: MatchingDecomposition) -> DistanceCertificate:
     """Hamming-distance certificate over the characteristic vectors of V_1..V_t.
 
     Requires a verified decomposition; verification makes every |V_i| = 2r,
-    so the all-zero vector can join the code.  Asserts pairwise distance
-    >= 2r over all 0 <= i < j <= t and evaluates both sides of the double
-    count exactly, from the verifier's cached verdict alone
+    so the all-zero vector can join the code.  Reports the minimum pairwise
+    distance over all 0 <= i < j <= t and both sides of Plotkin's (1960)
+    double count, exactly, from the verifier's cached verdict alone
     (`core.verification_verdict`, which skips the pair count).
 
-    The distance sum is Plotkin's (1960) column count: stack the t + 1
-    vectors as rows; column v holds d_v ones (each edge at v lies in exactly
-    one matching, and no matching covers v twice), so it adds d_v (t+1-d_v)
-    to the sum over all pairs of rows.  For the minimum, d(0, V_i) = 2r and
-    d(V_i, V_j) = 4r - 2|V_i cap V_j|, so it is min(2r, 4r - 2 max|V_i cap V_j|).
-    That is 2r on any decomposition that passes: inducedness lets each edge
-    of M_j put at most one end in V_i, so |V_i cap V_j| <= r (the lemma in
-    the `core` docstring), and no pair maximum is needed.
+    The distance sum is a column count: stack the t + 1 vectors as rows;
+    column v holds d_v ones (each edge at v lies in exactly one matching, and
+    no matching covers v twice), so it adds d_v (t+1-d_v) to the sum over all
+    pairs of rows.  For the minimum, d(0, V_i) = 2r and d(V_i, V_j) =
+    4r - 2|V_i cap V_j|, so it is min(2r, 4r - 2 max|V_i cap V_j|).  That is
+    2r on any decomposition that passes: inducedness lets each edge of M_j
+    put at most one end in V_i, so |V_i cap V_j| <= r (the lemma in the
+    `core` docstring), and no pair maximum is needed.
+
+    The certificate passes on every input it accepts, so `passed` is a
+    constant.  Each of the C(t+1, 2) pairs of rows is at least 2r apart, so
+    the sum is at least 2r C(t+1, 2): slack >= 0.  A column's d (t+1-d) is a
+    product of two non-negative integers summing to t + 1, at most
+    floor((t+1)^2 / 4), so the sum is at most n floor((t+1)^2 / 4), the cap:
+    n(t+1)^2/4 for odd t and nt(t+2)/4 for even t.
     """
     verdict = _require_verified(dec, "distance_certificate")
     n, t, r = dec.n, dec.t, dec.r
     dist_sum = sum(count * d * (t + 1 - d) for d, count in verdict.degree_histogram.items())
-
     lhs = 2 * r * math.comb(t + 1, 2)
-    if t % 2 == 1:
-        cap = Fraction(n * (t + 1) ** 2, 4)
-    else:
-        cap = Fraction(n * t * (t + 2), 4)
-    slack = dist_sum - lhs
-    passed = slack >= 0 and dist_sum <= cap
     return DistanceCertificate(
         n=n, r=r, t=t,
         min_pairwise_distance=2 * r,
         double_count_lhs=lhs,
         pair_distance_sum=dist_sum,
-        column_product_cap=cap,
-        slack=slack,
-        passed=passed,
+        column_product_cap=Fraction(n * ((t + 1) ** 2 // 4)),
+        slack=dist_sum - lhs,
     )
 
 
 PASS = "pass"
-FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 
@@ -238,9 +235,7 @@ class AuditReport:
     bfs_violations: tuple            # always empty: (d) is a lemma of verification
     layers: tuple                    # LayerRow from the lexicographically first F vertex
 
-    @property
-    def passed(self) -> bool:
-        return all(status != FAIL for _, status, _ in self.assertions)
+    passed = True                    # every assertion is a lemma: see expansion_audit
 
     def to_dict(self):
         return {
@@ -280,23 +275,34 @@ def _bfs(nbrs, source):
 
 
 def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
-    """Run the r = n/4 proof machinery as concrete checks on one decomposition.
+    """Run the r = n/4 proof machinery on one decomposition.
 
     Non-bipartite inputs are audited on their double cover (the proof's own
-    reduction).  Checks: (a) every edge has degree sum <= t + 1; (b) when
+    reduction).  Steps: (a) every edge has degree sum <= t + 1; (b) when
     r = n/4 exactly, 2*E1 + E0 >= nt/4; (c) strip vertices of degree < t/8
     from H, the subgraph of the edges with degree sum >= t, and report whether
     anything survives as F; (d) for u, v in F at odd distance k the matching
     incidence sets satisfy |A_u cap A_v| <= k, at even k |A_u minus A_v| <= k;
-    (e) informational layer sizes against binomial floors, from a BFS out of
-    the first F vertex.
+    (e) layer sizes against binomial floors, from a BFS out of the first F
+    vertex.  (a), (b) and (d) are lemmas of verification, stated here and not
+    computed, so every assertion passes and `passed` is a constant.  The
+    floors in (e) are computed: no proof of them is on record.
 
-    (d) is a lemma of verification, so it is stated here, not computed, and
-    bfs_violations is always empty.  Let M_o be the matching that lists the
-    edge xy.  Then A_x cap A_y = {o}: a second shared index j would make xy a
-    chord of M_j.  On an H edge |A_x cup A_y| = |A_x| + |A_y| - 1 >= t - 1, so
-    at most one matching m misses both ends.  A step from x_j to x_{j+1} along
-    a path of H edges from u gives
+    (a) is the verifier's degree-sum invariant, which the input has passed.
+
+    (b) The t matchings of size r are edge-disjoint, so |E| = rt and
+    sum_v d_v = 2rt.  By Cauchy-Schwarz, sum_e (d_u + d_v) = sum_v d_v^2 >=
+    (2rt)^2 / n, which at r = n/4 is nt^2/4 = t|E|.  So the terms d_u + d_v - t
+    sum to at least 0; by (a) each is at most 1, so E1 is at least the number
+    of negative terms, |E| - E1 - E0, and 2*E1 + E0 >= |E| = nt/4.  A double
+    cover is itself a verified decomposition with the input's degrees and t,
+    and n, r and each class doubled, so (b) holds there too.
+
+    (d) Let M_o be the matching that lists the edge xy.  Then A_x cap A_y =
+    {o}: a second shared index j would make xy a chord of M_j.  On an H edge
+    |A_x cup A_y| = |A_x| + |A_y| - 1 >= t - 1, so at most one matching m
+    misses both ends.  A step from x_j to x_{j+1} along a path of H edges
+    from u gives
 
         A_u cap A_{x_{j+1}}    lies in  {o} cup (A_u minus A_{x_j}),
         A_u minus A_{x_{j+1}}  lies in  (A_u cap A_{x_j}) cup {m}.
@@ -304,7 +310,8 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     Alternating these from A_u minus A_u = {} adds at most one index per step,
     which gives both claims at every length k.  F edges are H edges and a BFS
     distance is the length of a path, so (d) holds on F.  A cover edge
-    (u, v + n) carries the input's A_u and A_v, so it holds on a cover too.
+    (u, v + n) carries the input's A_u and A_v, so it holds on a cover too;
+    bfs_violations is always empty.
     """
     verdict = _require_verified(dec, "expansion_audit")
 
@@ -324,20 +331,11 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     classes = {s - t: k * (1 + doubled) for s, k in verdict.edge_degree_sums.items()}
     e1 = classes.get(1, 0)
     e0 = classes.get(0, 0)
-    over = [i for i in classes if i > 1]
-    assertions.append((
-        "degree-sum-classes",
-        PASS if not over else FAIL,
-        "no edge exceeds degree sum t + 1" if not over else f"classes above +1 present: {sorted(over)}",
-    ))
-
-    quarter = 4 * r == n
-    if quarter:
-        ok = 4 * (2 * e1 + e0) >= n * t
+    # (a) and (b), the lemmas in the docstring
+    assertions.append(("degree-sum-classes", PASS, "no edge exceeds degree sum t + 1"))
+    if 4 * r == n:
         assertions.append((
-            "cauchy-schwarz",
-            PASS if ok else FAIL,
-            f"2*E1 + E0 = {2 * e1 + e0} vs nt/4 = {Fraction(n * t, 4)}",
+            "cauchy-schwarz", PASS, f"2*E1 + E0 = {2 * e1 + e0} vs nt/4 = {Fraction(n * t, 4)}",
         ))
     else:
         assertions.append((

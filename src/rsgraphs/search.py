@@ -65,7 +65,6 @@ time budget also bounds it.
 
 from __future__ import annotations
 
-import os
 import time
 from fractions import Fraction
 
@@ -97,17 +96,6 @@ class Budget:
         if self.max_nodes < 0 or not self.max_seconds >= 0:   # refuses NaN too
             raise ParameterError(f"budget must be non-negative, got max_nodes = {self.max_nodes}, "
                                  f"max_seconds = {self.max_seconds}")
-
-    @classmethod
-    def default(cls) -> "Budget":
-        env = os.environ.get("RSG_DEFAULT_BUDGET")
-        if env:
-            try:
-                max_nodes = int(env)
-            except ValueError:
-                raise ParameterError(f"RSG_DEFAULT_BUDGET must be an integer node count, got {env!r}")
-            return cls(max_nodes=max_nodes)
-        return cls()
 
     def exhausted(self, timed_out: bool, nodes: int) -> str:
         """The INDETERMINATE note: which budget ran out, after how many nodes."""
@@ -259,7 +247,7 @@ def _candidates(state, n, lo, rows, blocked):
     yield None, None, k
 
 
-def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
+def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
               matching_order_pruning: bool = True) -> SearchOutcome:
     """Decide whether some n-vertex graph splits into t induced matchings of size r.
 
@@ -274,7 +262,6 @@ def exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = True,
         raise ParameterError("n, r, t must be non-negative")
     if 2 * r > n:
         raise ParameterError(f"impossible parameters: 2r = {2 * r} > n = {n}")
-    budget = budget or Budget.default()
     started = time.monotonic()
 
     trivial = _trivial_outcome(n, r, t, started)
@@ -517,7 +504,7 @@ def _pack(pool, holders, r, meter):
             idx, avail = size, 0       # bound: the rest cannot beat best
 
 
-def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
+def max_t_on_graph(g: Graph, r: int, budget: Budget = Budget(),
                    exact_cover: bool = False) -> SearchOutcome:
     """Pack as many edge-disjoint induced matchings of size r into g as possible.
 
@@ -529,7 +516,6 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = None,
     """
     if r < 1:
         raise ParameterError("r must be >= 1")
-    budget = budget or Budget.default()
     started = time.monotonic()
     if exact_cover and len(g.edges) % r:
         raise ParameterError(f"exact cover impossible: r = {r} does not divide |E| = {len(g.edges)}")

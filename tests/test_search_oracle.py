@@ -62,7 +62,7 @@ def recursive_exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = Tru
         raise ParameterError("n, r, t must be non-negative")
     if 2 * r > n:
         raise ParameterError(f"impossible parameters: 2r = {2 * r} > n = {n}")
-    budget = budget or Budget.default()
+    budget = budget or Budget()
     started = time.monotonic()
 
     trivial = _trivial_outcome(n, r, t, started)
@@ -189,7 +189,7 @@ def recursive_max_t_on_graph(g: Graph, r: int, budget: Budget = None,
     """
     if r < 1:
         raise ParameterError("r must be >= 1")
-    budget = budget or Budget.default()
+    budget = budget or Budget()
     started = time.monotonic()
     if exact_cover and len(g.edges) % r:
         raise ParameterError(f"exact cover impossible: r = {r} does not divide |E| = {len(g.edges)}")
