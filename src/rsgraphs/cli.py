@@ -51,8 +51,8 @@ def _read_text(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the bad byte's line, with lines split as parse_rsg splits them
-        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        # the bad byte's line, with lines ended at "\n" as parse_rsg ends them
+        line = data.count(b"\n", 0, exc.start) + 1
         raise RsgParseError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8")
 
 

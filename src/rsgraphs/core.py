@@ -30,16 +30,38 @@ verdict once, for its max_pair_intersection statistic.
 Both phases read the incidence map A_v = {i : v in V_i} as a t-bit int per
 covered vertex where that takes no more 64-bit words than the `covering`
 lists hold entries (`_incidence`), and as those lists otherwise (thousands of
-one-edge matchings would make the ints n*t/64 words).  Phase 1's one edge
-loop counts the edges by d_u + d_v (`edge_degree_sums`, the audit's edge
-classes); the form decides only how it tests A_u cap A_w, which on an edge
-that passes is exactly the matching listing it.  Phase 2 sums the ints in
-bit-planes, or counts the lists with a `Counter`.  Its bit-plane sum adds
-A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w) once per edge (u, w) of M_i: the
-edges of a matching cover V_i once each, so the work is sum_i |M_i| adds,
-half the sum_i |V_i| of one per vertex; a matching that phase 1 found
-sharing an endpoint pairs its sorted vertices instead.  The two forms give
-the same report.  No phase allocates per vertex of n.
+one-edge matchings would make the ints n*t/64 words).
+
+On the ints, phase 1 is a screen (`_screen`) that needs no witness:
+
+    Lemma (the screen).  If every |M_i| = r, sum_v |A_v| = 2 sum_i |M_i|,
+    and A_u & A_w = {o} on every edge (u, w) of every M_o, phase 1 passes;
+    and every input that passes phase 1 passes these checks.
+    Proof.  sum_v |A_v| = sum_i |V_i|, and |V_i| <= 2 |M_i| with equality
+    only when no two edges listed by M_i share an endpoint (an edge listed
+    twice shares both), so the identity makes every M_i a matching.  An edge
+    (u, w) of M_o that M_j (j != o) lists too, or that joins two vertices of
+    V_j as a chord of M_j, puts j in A_u & A_w, which always holds o.  So the
+    checks leave edge-disjoint induced matchings of size r, and the lemma
+    above gives d_u + d_v <= t + 1.  Conversely, on such matchings an extra
+    j in A_u & A_w would be one of those two faults.
+
+On a passing screen d_v = |A_v|, a popcount: each matching covering v adds
+one edge at v, and no edge is listed twice.  The screen checks the sizes
+first, then the identity, then one matching at a time the AND of its two
+endpoint columns, in C, counting the edges by d_u + d_v (`edge_degree_sums`,
+the audit's edge classes) over the same columns.  On the lists, or at the
+screen's first flag, phase 1 runs the witness loop (`_witnesses`): one pass
+over the edges that finds every witness and counts the edges by d_u + d_v,
+the form deciding only how it tests A_u cap A_w.  So a failing input pays
+for the screen up to its first flag, next to nothing on a size mismatch,
+plus the loop.  Phase 2 sums the ints in bit-planes, or counts the lists
+with a `Counter`.  Its bit-plane sum adds A_u + A_w = (A_u ^ A_w) +
+2 (A_u & A_w) once per edge (u, w) of M_i: the edges of a matching cover
+V_i once each, so the work is sum_i |M_i| adds, half the sum_i |V_i| of one
+per vertex; a matching that phase 1 found sharing an endpoint pairs its
+sorted vertices instead.  The two forms give the same report.  No phase
+allocates per vertex of n.
 """
 
 from __future__ import annotations
@@ -47,6 +69,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import cached_property
 from itertools import chain
+from operator import add, and_
 
 
 class GraphError(ValueError):
@@ -307,20 +330,69 @@ def _incidence(dec: MatchingDecomposition):
     """A_v as a t-bit int (bit i set iff matching i covers v), for each vertex of `covering`.
 
     None when the ints would take more 64-bit words than the `covering` lists
-    hold entries, so memory stays linear in the edge lists.  Both phases of one
-    `verify_decomposition` call read one build; a report on an already cached
-    verdict builds them again, as caching them on the decomposition would keep
-    them alive beside the lists.
+    hold entries, so memory stays linear in the edge lists.  Each list is
+    summed from a table of the t powers 1 << i, which needs no shift per
+    entry; the table takes about t^2/128 words, so past t = 2 |covering| (t
+    copies of one edge, say), where it would outgrow the ints themselves,
+    each power is shifted instead.  Both phases of one `verify_decomposition`
+    call read one build; a report on an already cached verdict builds them
+    again, as caching them on the decomposition would keep them alive beside
+    the lists.
     """
     covering = dec.covering
-    if len(covering) * -(-dec.t // 64) > sum(map(len, covering.values())):
+    t = dec.t
+    if len(covering) * -(-t // 64) > sum(map(len, covering.values())):
         return None
-    return {v: sum(1 << i for i in c) for v, c in covering.items()}
+    power = [1 << i for i in range(t)].__getitem__ if t <= 2 * len(covering) else (1).__lshift__
+    return {v: sum(map(power, c)) for v, c in covering.items()}
 
 
 def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
-    # Phase 1 on `inc` = `_incidence(dec)`: one pass over the matchings and one
-    # over the edges, memory O(|E| + t) whatever n is.  An empty matching costs O(1).
+    """Phase 1 on `inc` = `_incidence(dec)`: the screen on the ints, the witness loop where it flags.
+
+    By the screen's lemma (module docstring) the screen passes exactly the
+    input that passes phase 1; `_witnesses` finds the witnesses of the rest,
+    and of any input on the lists.
+    """
+    stats = None if inc is None else _screen(dec, inc)
+    if stats is None:
+        return _witnesses(dec, inc)
+    return _phase_1_report(dec, inc, [], *stats)
+
+
+def _screen(dec: MatchingDecomposition, inc):
+    """(d, edge_degree_sums) if the screen (module docstring) passes dec, else None.
+
+    The checks run cheapest first and stop at the first flag: the sizes (at
+    r = 0 all there is to check), the identity sum_v |A_v| = 2 sum_i |M_i|,
+    then one matching at a time the AND of its two endpoint columns, mapped
+    in C.  d lists the vertices in the order the edges first name them, as
+    the witness loop's does, which fixes the degree histogram's key order.
+    """
+    r, matchings = dec.r, dec.matchings
+    if not r:
+        return None if any(matchings) else ({}, {})
+    if not set(map(len, matchings)) <= {r}:
+        return None
+    if sum(map(len, dec.covering.values())) != 2 * r * len(matchings):
+        return None
+    a_of = inc.__getitem__
+    names = dict.fromkeys(chain.from_iterable(chain.from_iterable(matchings)))
+    deg = dict(zip(names, map(int.bit_count, map(a_of, names))))
+    d_of = deg.__getitem__
+    sums = Counter()
+    for o, m in enumerate(matchings):
+        us, ws = zip(*m)
+        if list(map(and_, map(a_of, us), map(a_of, ws))).count(1 << o) != r:
+            return None
+        sums.update(map(add, map(d_of, us), map(d_of, ws)))
+    return deg, dict(sorted(sums.items()))
+
+
+def _witnesses(dec: MatchingDecomposition, inc) -> VerificationReport:
+    # Phase 1's witness loop, on either form of `inc`: one pass over the
+    # matchings and one over the edges, memory O(|E| + t) whatever n is.  An
+    # empty matching costs O(1).
     t = dec.t
     r = dec.r
     violations = []
@@ -394,22 +466,27 @@ def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
             )
 
     edge_degree_sums = {s: k for s, k in enumerate(sums) if k}
-    max_sum = max(edge_degree_sums, default=0)
-    if max_sum > t + 1:
+    if max(edge_degree_sums, default=0) > t + 1:
         u, v = min((u, v) for u, v in owner if deg[u] + deg[v] > t + 1)
         violations.append(
             Violation("degree-sum", (), (u, v),
                       f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
         )
 
+    return _phase_1_report(dec, inc, violations, deg, edge_degree_sums, not_matching)
+
+
+def _phase_1_report(dec: MatchingDecomposition, inc, violations, deg, edge_degree_sums, not_matching=()):
+    """The phase-1 report from the violations found, d_v by vertex and the edges by d_u + d_v.
+
+    `deg` lists the vertices in the order the edges first name them, which
+    fixes the histogram's key order.  A failing report takes phase 2 at once.
+    """
     isolated = dec.n - len(deg)
     histogram = Counter(deg.values())
     if isolated:
         histogram[0] = isolated
-    notes = []
-    if isolated:
-        notes.append(f"{isolated} isolated vertices present; they count toward n")
-
+    notes = (f"{isolated} isolated vertices present; they count toward n",) if isolated else ()
     max_inter = None
     if violations:
         max_inter, pair_violations = _pair_intersections(dec, inc, not_matching)
@@ -417,11 +494,11 @@ def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
     return VerificationReport(
         violations=tuple(violations),
         degree_histogram=dict(histogram),
-        max_edge_degree_sum=max_sum,
+        max_edge_degree_sum=max(edge_degree_sums, default=0),
         edge_degree_sums=edge_degree_sums,
         max_pair_intersection=max_inter,
         isolated_vertices=isolated,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 

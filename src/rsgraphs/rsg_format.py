@@ -19,7 +19,13 @@ class RsgParseError(ValueError):
 
 
 def parse_rsg(text: str) -> MatchingDecomposition:
-    lines = text.splitlines()
+    # Lines end at "\n" only: `str.splitlines` would also end one at \x0b,
+    # \x0c, \x1c-\x1e, \x85, U+2028 and U+2029, which `split()` reads as
+    # spaces inside a record, and so would misnumber the lines after them.
+    # A "\r\n" ending leaves a "\r", which `split()` drops too.
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()     # the text after the last newline, if empty, is no line
     if not lines:
         raise RsgParseError(1, "empty document, expected 'rsg n t r' header")
     tokens = lines[0].split()

@@ -136,6 +136,13 @@ ROWS = [
     Row("verify not UTF-8", "verify latin1.rsg", 65, err=LATIN1,
         files={"latin1.rsg": b"rsg 3 3 1\n0 1 0\n1 2 1 \xe9\n"}),
     Row("audit not UTF-8", "audit latin1.rsg", 65, err=LATIN1),
+    # a form feed is a space inside a record, not a line end
+    Row("verify form feed", "verify ff.rsg", 65,
+        err="error: ff.rsg: line 4: duplicate edge (0, 1), first seen on line 2",
+        files={"ff.rsg": "rsg 4 1 1\n0 1 0\x0c\n2 3 0\n0 1 0\n"}),
+    Row("verify not UTF-8 after a form feed", "verify ff-latin1.rsg", 65,
+        err="error: ff-latin1.rsg: line 3: byte 0xe9 is not valid UTF-8",
+        files={"ff-latin1.rsg": b"rsg 3 3 1\n0 1 0\x0c\n1 2 1 \xe9\n"}),
     Row("verify non-integer header", "verify word-header.rsg", 65,
         err="line 1: non-integer header fields", files={"word-header.rsg": "rsg x 3 1\n"}),
     Row("verify negative header", "verify negative-header.rsg", 65,

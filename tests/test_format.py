@@ -66,6 +66,20 @@ class TestParse:
             parse_rsg(text)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_a_newline_ends_a_line(self, sep):
+        # str.splitlines ends a line at each of these; in a record they are spaces
+        with pytest.raises(RsgParseError) as err:
+            parse_rsg(f"rsg 4 1 1\n0 1 0{sep}\n2 3 0\n0 1 0\n")
+        assert str(err.value) == "line 4: duplicate edge (0, 1), first seen on line 2"
+        assert parse_rsg(f"rsg 4 1 2\n0 1{sep}0\n2 3 0{sep}").matchings == (((0, 1), (2, 3)),)
+
+    def test_crlf_line_endings(self):
+        assert parse_rsg(TRIANGLE_DOC.replace("\n", "\r\n")) == parse_rsg(TRIANGLE_DOC)
+        with pytest.raises(RsgParseError) as err:
+            parse_rsg("rsg 3 3 1\r\n0 1 0\r\n0 1 1\r\n")
+        assert err.value.line == 3
+
     def test_malformed_header(self):
         with pytest.raises(RsgParseError):
             parse_rsg("graph 3 3 1\n")

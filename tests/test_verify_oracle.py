@@ -217,6 +217,7 @@ BASES = {
     "cayley7": lambda: cayley(7),
     "cayley13": lambda: cayley(13),
     "cayley31": lambda: cayley(31),
+    "cayley101": lambda: cayley(101),       # t = 101: A_v spans two 64-bit words
 }
 
 
@@ -322,12 +323,15 @@ def check_mutant(data):
 
 def check_verdict(data):
     # the lemma in the core docstring: once phase 1 passes, the pair
-    # count and the degree-sum cap cannot fail
+    # count and the degree-sum cap cannot fail; and the screen's lemma: on
+    # the bitsets the witness loop runs exactly when the verdict fails
     dec = draw_mutant(data, 0)
     r = dec.r
     expected = pairwise_verify(dec)
-    verdict = verification_verdict(dec)
+    with witness_loop_runs() as runs:
+        verdict = verification_verdict(dec)
     assert verdict.passed == expected.passed
+    assert runs == ([] if verdict.passed and core._incidence(dec) is not None else [dec])
     if expected.passed:
         assert expected.max_pair_intersection <= r
         assert expected.max_edge_degree_sum <= dec.t + 1
@@ -344,6 +348,15 @@ def check_edge_degree_sums(data):
 
 
 @contextmanager
+def witness_loop_runs():
+    """The decompositions phase 1's witness loop runs on inside the block, in order."""
+    runs = []
+    loop = core._witnesses
+    with mock.patch.object(core, "_witnesses", lambda dec, inc: runs.append(dec) or loop(dec, inc)):
+        yield runs
+
+
+@contextmanager
 def list_path():
     """Run the verifier without the incidence bitsets, as the memory gate does on sparse inputs."""
     with mock.patch.object(core, "_incidence", lambda dec: None):
@@ -357,6 +370,21 @@ class TestIncidenceGate:
         t = 300
         dec = MatchingDecomposition.from_matchings(2 * t, [[(2 * i, 2 * i + 1)] for i in range(t)], 1)
         assert core._incidence(dec) is None
+
+    def test_many_copies_of_one_edge_shift_each_power(self):
+        # t = 3000 > 2 |covering|, where a table of the t powers would take
+        # about t^2/16 bytes (560 KB) against the two ints' 750 bytes
+        t = 3000
+        dec = MatchingDecomposition.from_matchings(2, [[(0, 1)]] * t, 1)
+        dec.covering
+        tracemalloc.start()
+        try:
+            inc = core._incidence(dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inc == {0: (1 << t) - 1, 1: (1 << t) - 1}
+        assert peak < 100_000
 
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_oracle_bases_take_the_bitset_path(self, name):
@@ -376,9 +404,10 @@ class TestEveryInvariantOnBothForms:
         # at 3, whose degree 4 gives d_2 + d_3 = 6 > t + 1
         dec = MatchingDecomposition.from_matchings(
             7, [[(0, 1), (2, 3)], [(1, 2)], [(1, 2)], [(3, 4), (3, 5), (3, 6)]], 1)
-        with list_path() if lists else nullcontext():
+        with list_path() if lists else nullcontext(), witness_loop_runs() as runs:
             assert (core._incidence(dec) is None) == lists
             report = verify_decomposition(dec)
+        assert runs == [dec]
         assert [(v.invariant, v.matchings, v.witness) for v in report.violations] == [
             ("size-mismatch", (0,), (2,)),
             ("not-edge-disjoint", (1, 2), (1, 2)),
@@ -414,12 +443,78 @@ class TestPhaseTwoPairs:
         matchings, r, max_inter = self.CASES[name]
         dec = MatchingDecomposition.from_matchings(4, matchings, r)
         assert core._incidence(dec) is not None
-        report = verify_decomposition(dec)
+        with witness_loop_runs() as runs:
+            report = verify_decomposition(dec)
+        assert runs == [dec]
         assert report.max_pair_intersection == max_inter
         assert report.to_dict() == pairwise_verify(dec).to_dict()
-        with list_path():
-            lists = verify_decomposition(MatchingDecomposition.from_matchings(4, matchings, r))
+        lists_dec = MatchingDecomposition.from_matchings(4, matchings, r)
+        with list_path(), witness_loop_runs() as runs:
+            lists = verify_decomposition(lists_dec)
+        assert runs == [lists_dec]
         assert lists.to_dict() == report.to_dict()
+
+
+def one_mutant(kind):
+    """kneser_rs(2) with one mutation of `kind` (as `mutate` makes them) at M_0's first edge."""
+    src = kneser_rs(2)
+    matchings = [list(m) for m in src.matchings]
+    r = src.r
+    if kind == "moved":
+        matchings[1].append(matchings[0].pop(0))
+    elif kind == "deleted":
+        matchings[0].pop(0)
+    elif kind == "chord":
+        covered = sorted({x for e in matchings[0] for x in e})
+        matchings[1].append(min((u, v) for u in covered for v in covered
+                                if u < v and (u, v) not in src.graph.edges))
+    elif kind == "relisted":
+        matchings[1].append(matchings[0][0])
+    else:
+        r += 1
+    return MatchingDecomposition.from_matchings(src.n, matchings, r)
+
+
+class TestScreenRouting:
+    """Phase 1's screen passes valid input without the witness loop, and sends it failing input."""
+
+    VALID = {
+        **{f"kneser{k}": (lambda k=k: kneser_rs(k)) for k in range(1, 7)},
+        "q12aug": lambda: hypercube_rs(12, augmented=True),
+        **{f"cayley{m}": (lambda m=m: cayley(m)) for m in (31, 301, 1001)},
+    }
+
+    @pytest.mark.parametrize("name", VALID)
+    def test_valid_input_skips_the_witness_loop(self, name):
+        with witness_loop_runs() as runs:
+            dec = self.VALID[name]()
+            assert verification_verdict(dec).passed
+        assert runs == []
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_screened_report_is_the_witness_loops(self, data):
+        # dropping whole matchings keeps a decomposition valid and seldom
+        # regular, so the histogram has several keys, whose order repr shows
+        src = base(data.draw(st.sampled_from(sorted(BASES))))
+        keep = data.draw(st.lists(st.booleans(), min_size=src.t, max_size=src.t))
+        matchings = [m for m, k in zip(src.matchings, keep) if k]
+        dec, twin = (MatchingDecomposition.from_matchings(src.n, matchings, src.r) for _ in range(2))
+        with witness_loop_runs() as runs:
+            screened = verification_verdict(dec)
+        with mock.patch.object(core, "_screen", lambda dec, inc: None):
+            looped = verification_verdict(twin)
+        assert runs == [] and screened.passed
+        assert repr(screened) == repr(looped)
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    def test_a_mutant_of_each_kind_runs_it(self, kind):
+        dec = one_mutant(kind)
+        assert core._incidence(dec) is not None
+        with witness_loop_runs() as runs:
+            verdict = verification_verdict(dec)
+        assert runs == [dec]
+        assert verdict.to_dict() == pairwise_verify(dec).to_dict()
 
 
 class TestReportCache:
