@@ -47,28 +47,42 @@ On the ints, phase 1 is a screen (`_screen`) that needs no witness:
     j in A_u & A_w would be one of those two faults.
 
 On a passing screen d_v = |A_v|, a popcount: each matching covering v adds
-one edge at v, and no edge is listed twice.  The screen checks the sizes
-first, then the identity, then one matching at a time the AND of its two
-endpoint columns, in C, counting the edges by d_u + d_v (`edge_degree_sums`,
-the audit's edge classes) over the same columns.  On the lists, or at the
-screen's first flag, phase 1 runs the witness loop (`_witnesses`): one pass
-over the edges that finds every witness and counts the edges by d_u + d_v,
-the form deciding only how it tests A_u cap A_w.  So a failing input pays
-for the screen up to its first flag, next to nothing on a size mismatch,
-plus the loop.  Phase 2 sums the ints in bit-planes, or counts the lists
-with a `Counter`.  Its bit-plane sum adds A_u + A_w = (A_u ^ A_w) +
-2 (A_u & A_w) once per edge (u, w) of M_i: the edges of a matching cover
-V_i once each, so the work is sum_i |M_i| adds, half the sum_i |V_i| of one
-per vertex; a matching that phase 1 found sharing an endpoint pairs its
-sorted vertices instead.  The two forms give the same report.  No phase
-allocates per vertex of n.
+one edge at v, and no edge is listed twice.  So the screen's statistics need
+no edge walk when the degrees agree:
+
+    Lemma (one degree).  If the screen passes and |A_v| = d for every
+    covered vertex v, the covered vertices' degree histogram is {d: their
+    count} and the edges counted by d_u + d_v (`edge_degree_sums`, the
+    audit's edge classes) are {2d: r t}.
+    Proof.  d_v = |A_v| = d at both ends of every edge, and the t matchings
+    list r t distinct edges.
+
+Every family that `rsg construct` builds from scratch is regular, and its
+copies and double cover stay so.  The screen checks the sizes first, then
+the identity, then one matching at a time the AND of its two endpoint
+columns, in C.  Only where the degrees of a passing input differ does it
+walk the edges (`_degree_walks`), twice: once for the order in which they
+first name the vertices, which fixes the histogram's key order, and once to
+count them by d_u + d_v.  On the lists, or at the screen's first flag,
+phase 1 runs the witness loop (`_witnesses`): one pass over the edges that
+finds every witness and counts the edges by d_u + d_v, the form deciding
+only how it tests A_u cap A_w.  So a failing input pays for the screen up
+to its first flag, next to nothing on a size mismatch, plus the loop.
+Phase 2 sums the ints in bit-planes, or counts the lists with a `Counter`.
+Its bit-plane sum adds A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w) once per
+edge (u, w) of M_i: the edges of a matching cover V_i once each, so the
+work is sum_i |M_i| adds, half the sum_i |V_i| of one per vertex; a
+matching that phase 1 found sharing an endpoint pairs its sorted vertices
+instead.  The two forms give the same report.  `covering` and phase 2 skip
+the empty matchings in C (`_listed`), and no phase allocates per vertex of
+n.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count
 from operator import add, and_
 
 
@@ -223,10 +237,9 @@ class MatchingDecomposition:
         computed once and shared: do not mutate it.
         """
         covering = defaultdict(list)
-        for i, m in enumerate(self.matchings):
-            if m:
-                for x in {x for e in m for x in e}:
-                    covering[x].append(i)
+        for i, m in _listed(self.matchings):
+            for x in {x for e in m for x in e}:
+                covering[x].append(i)
         covering.default_factory = None     # a vertex outside the map raises KeyError
         return covering
 
@@ -361,32 +374,45 @@ def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
 
 
 def _screen(dec: MatchingDecomposition, inc):
-    """(d, edge_degree_sums) if the screen (module docstring) passes dec, else None.
+    """(histogram, edge_degree_sums) if the screen (module docstring) passes dec, else None.
 
     The checks run cheapest first and stop at the first flag: the sizes (at
-    r = 0 all there is to check), the identity sum_v |A_v| = 2 sum_i |M_i|,
-    then one matching at a time the AND of its two endpoint columns, mapped
-    in C.  d lists the vertices in the order the edges first name them, as
-    the witness loop's does, which fixes the degree histogram's key order.
+    r = 0 all there is to check), the identity sum_v |A_v| = 2 sum_i |M_i|
+    on the popcounts, then one matching at a time the AND of its two
+    endpoint columns, mapped in C.  `histogram` counts the covered vertices
+    by degree.  With one degree both statistics follow from the one-degree
+    lemma; otherwise `_degree_walks` takes them from the edges.
     """
     r, matchings = dec.r, dec.matchings
     if not r:
         return None if any(matchings) else ({}, {})
     if not set(map(len, matchings)) <= {r}:
         return None
-    if sum(map(len, dec.covering.values())) != 2 * r * len(matchings):
+    degrees = list(map(int.bit_count, inc.values()))       # |A_v|, which is d_v if the screen passes
+    if sum(degrees) != 2 * r * len(matchings):
         return None
     a_of = inc.__getitem__
-    names = dict.fromkeys(chain.from_iterable(chain.from_iterable(matchings)))
-    deg = dict(zip(names, map(int.bit_count, map(a_of, names))))
-    d_of = deg.__getitem__
-    sums = Counter()
     for o, m in enumerate(matchings):
         us, ws = zip(*m)
         if list(map(and_, map(a_of, us), map(a_of, ws))).count(1 << o) != r:
             return None
-        sums.update(map(add, map(d_of, us), map(d_of, ws)))
-    return deg, dict(sorted(sums.items()))
+    if len(set(degrees)) == 1:
+        d = degrees[0]
+        return {d: len(degrees)}, {2 * d: r * len(matchings)}
+    return _degree_walks(matchings, inc)
+
+
+def _degree_walks(matchings, inc):
+    """The passing screen's statistics where no one degree is shared, from two walks over the edges.
+
+    The first keys d_v = |A_v| in the order the edges first name the
+    vertices, as the witness loop does, which fixes the histogram's key
+    order; the second counts the edges by d_u + d_v.
+    """
+    ends = list(chain.from_iterable(chain.from_iterable(matchings)))       # u, w of each edge in turn
+    deg = {v: inc[v].bit_count() for v in dict.fromkeys(ends)}
+    d = list(map(deg.__getitem__, ends))
+    return Counter(deg.values()), dict(sorted(Counter(map(add, d[::2], d[1::2])).items()))
 
 
 def _witnesses(dec: MatchingDecomposition, inc) -> VerificationReport:
@@ -473,17 +499,19 @@ def _witnesses(dec: MatchingDecomposition, inc) -> VerificationReport:
                       f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
         )
 
-    return _phase_1_report(dec, inc, violations, deg, edge_degree_sums, not_matching)
+    return _phase_1_report(dec, inc, violations, Counter(deg.values()), edge_degree_sums, not_matching)
 
 
-def _phase_1_report(dec: MatchingDecomposition, inc, violations, deg, edge_degree_sums, not_matching=()):
-    """The phase-1 report from the violations found, d_v by vertex and the edges by d_u + d_v.
+def _phase_1_report(dec: MatchingDecomposition, inc, violations, covered, edge_degree_sums,
+                    not_matching=()):
+    """The phase-1 report from the violations found, the covered vertices by
+    degree (`covered`, in the histogram's key order) and the edges by d_u + d_v.
 
-    `deg` lists the vertices in the order the edges first name them, which
-    fixes the histogram's key order.  A failing report takes phase 2 at once.
+    The isolated vertices join the histogram last, at degree 0.  A failing
+    report takes phase 2 at once.
     """
-    isolated = dec.n - len(deg)
-    histogram = Counter(deg.values())
+    isolated = dec.n - sum(covered.values())
+    histogram = dict(covered)
     if isolated:
         histogram[0] = isolated
     notes = (f"{isolated} isolated vertices present; they count toward n",) if isolated else ()
@@ -493,13 +521,18 @@ def _phase_1_report(dec: MatchingDecomposition, inc, violations, deg, edge_degre
         violations.extend(pair_violations)
     return VerificationReport(
         violations=tuple(violations),
-        degree_histogram=dict(histogram),
+        degree_histogram=histogram,
         max_edge_degree_sum=max(edge_degree_sums, default=0),
         edge_degree_sums=edge_degree_sums,
         max_pair_intersection=max_inter,
         isolated_vertices=isolated,
         notes=notes,
     )
+
+
+def _listed(matchings):
+    """(i, M_i) for each non-empty matching, ascending; the empty ones cost no Python step."""
+    return zip(compress(count(), matchings), filter(None, matchings))
 
 
 def _indices(bits: int):
@@ -534,9 +567,7 @@ def _pair_intersections(dec: MatchingDecomposition, inc, not_matching=()):
     r = dec.r
     max_inter = 0
     violations = []
-    for i, m in enumerate(dec.matchings):
-        if not m:
-            continue
+    for i, m in _listed(dec.matchings):
         planes = [0] * (2 * len(m)).bit_length()
         if i in not_matching:
             xs = sorted({x for e in m for x in e})
@@ -589,9 +620,7 @@ def _pair_counts(dec: MatchingDecomposition):
     r = dec.r
     max_inter = 0
     violations = []
-    for i, m in enumerate(dec.matchings):
-        if not m:
-            continue
+    for i, m in _listed(dec.matchings):
         lists = [rest[x] for x in {x for e in m for x in e} if x in rest]
         if not lists:
             continue

@@ -8,6 +8,7 @@ inconsistent files stay inspectable.  Emission is canonical (records sorted by
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 
 from .core import MatchingDecomposition
 
@@ -38,25 +39,23 @@ def parse_rsg(text: str) -> MatchingDecomposition:
     if n < 0 or t < 0 or r < 0:
         raise RsgParseError(1, "header fields must be non-negative")
 
+    # One lean loop: every fault raises ValueError (a token count other than
+    # three on unpacking, a non-integer token in `int`, a failed range test or
+    # a repeated edge), and only the first failing line is read again, by
+    # `_record_error`, which names the fault.
     records = defaultdict(list)     # matching index -> its edges, for indices with records
-    seen = {}
-    for offset, line in enumerate(lines[1:], start=2):
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise RsgParseError(offset, f"malformed record {line!r}, expected 'u v m'")
-        try:
-            u, v, m = map(int, tokens)
-        except ValueError:
-            raise RsgParseError(offset, f"non-integer record fields in {line!r}")
-        if not (0 <= u < v < n):
-            raise RsgParseError(offset, f"vertex pair ({u}, {v}) violates 0 <= u < v < n = {n}")
-        if not (0 <= m < t):
-            raise RsgParseError(offset, f"matching index {m} out of range [0, {t})")
-        e = (u, v)
-        if e in seen:
-            raise RsgParseError(offset, f"duplicate edge ({u}, {v}), first seen on line {seen[e]}")
-        seen[e] = offset
-        records[m].append(e)
+    seen = {}                       # edge -> the line listing it
+    try:
+        for offset, line in enumerate(lines[1:], start=2):
+            u, v, m = line.split()
+            u, v, m = int(u), int(v), int(m)
+            e = (u, v)
+            if not (0 <= u < v < n and 0 <= m < t) or e in seen:
+                raise ValueError
+            seen[e] = offset
+            records[m].append(e)
+    except ValueError:
+        raise _record_error(offset, line, n, t, seen) from None
 
     # The records are checked distinct edges with 0 <= u < v < n, the form
     # MatchingDecomposition.from_matchings produces, so the decomposition is
@@ -66,7 +65,26 @@ def parse_rsg(text: str) -> MatchingDecomposition:
     return MatchingDecomposition(n, matchings, r)
 
 
+def _record_error(offset: int, line: str, n: int, t: int, seen) -> RsgParseError:
+    """The error naming the first fault of record `line`, on line `offset`, checked in this
+    order: the token count, the integers, the vertex pair, the matching index, a repeated edge."""
+    tokens = line.split()
+    if len(tokens) != 3:
+        return RsgParseError(offset, f"malformed record {line!r}, expected 'u v m'")
+    try:
+        u, v, m = map(int, tokens)
+    except ValueError:
+        return RsgParseError(offset, f"non-integer record fields in {line!r}")
+    if not (0 <= u < v < n):
+        return RsgParseError(offset, f"vertex pair ({u}, {v}) violates 0 <= u < v < n = {n}")
+    if not (0 <= m < t):
+        return RsgParseError(offset, f"matching index {m} out of range [0, {t})")
+    return RsgParseError(offset, f"duplicate edge ({u}, {v}), first seen on line {seen[u, v]}")
+
+
 def emit_rsg(dec: MatchingDecomposition) -> str:
-    out = [f"rsg {dec.n} {dec.t} {dec.r}"]
-    out.extend(f"{u} {v} {m}" for m, matching in enumerate(dec.matchings) for u, v in matching)
-    return "\n".join(out) + "\n"
+    # one `%` per matching over its flattened edges, its index written once
+    out = [f"rsg {dec.n} {dec.t} {dec.r}\n"]
+    out.extend(("%d %d " + str(m) + "\n") * len(matching) % tuple(chain.from_iterable(matching))
+               for m, matching in enumerate(dec.matchings) if matching)
+    return "".join(out)

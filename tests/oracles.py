@@ -5,8 +5,17 @@ The package places search edges only through `_State.row_mask` and
 audit's random decompositions test one candidate at a time with
 `OracleState.try_add`.  The package reads degrees from a decomposition's
 `covering` lists; the tests count them from a graph's edges with `degrees`.
+`parse_rsg` is the package's parser as it was before its records were read
+in one loop, kept verbatim: it checks each record field by field, and the
+package's parser must agree with it on every document.
+`random_decomposition` grows valid decompositions for the audit and verifier
+oracles.
 """
 
+from collections import defaultdict
+
+from rsgraphs import MatchingDecomposition
+from rsgraphs.rsg_format import RsgParseError
 from rsgraphs.search import _State
 
 
@@ -32,3 +41,70 @@ class OracleState(_State):
             return False               # an endpoint joins V_i while adjacent to it
         self.add(i, x, y)
         return True
+
+
+def random_decomposition(n, r, t, rng):
+    """Up to t induced matchings of size r on n vertices, grown edge by edge at random."""
+    state = OracleState(n, t)
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    matchings = []
+    for i in range(t):
+        rng.shuffle(pairs)
+        cur = []
+        for x, y in pairs:
+            if state.try_add(i, x, y):
+                cur.append((x, y))
+                if len(cur) == r:
+                    break
+        if len(cur) < r:
+            break
+        matchings.append(cur)
+    return MatchingDecomposition.from_matchings(n, matchings, r)
+
+
+def parse_rsg(text: str) -> MatchingDecomposition:
+    # Lines end at "\n" only: `str.splitlines` would also end one at \x0b,
+    # \x0c, \x1c-\x1e, \x85, U+2028 and U+2029, which `split()` reads as
+    # spaces inside a record, and so would misnumber the lines after them.
+    # A "\r\n" ending leaves a "\r", which `split()` drops too.
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()     # the text after the last newline, if empty, is no line
+    if not lines:
+        raise RsgParseError(1, "empty document, expected 'rsg n t r' header")
+    tokens = lines[0].split()
+    if len(tokens) != 4 or tokens[0] != "rsg":
+        raise RsgParseError(1, f"malformed header {lines[0]!r}, expected 'rsg n t r'")
+    try:
+        n, t, r = (int(tok) for tok in tokens[1:])
+    except ValueError:
+        raise RsgParseError(1, f"non-integer header fields in {lines[0]!r}")
+    if n < 0 or t < 0 or r < 0:
+        raise RsgParseError(1, "header fields must be non-negative")
+
+    records = defaultdict(list)     # matching index -> its edges, for indices with records
+    seen = {}
+    for offset, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise RsgParseError(offset, f"malformed record {line!r}, expected 'u v m'")
+        try:
+            u, v, m = map(int, tokens)
+        except ValueError:
+            raise RsgParseError(offset, f"non-integer record fields in {line!r}")
+        if not (0 <= u < v < n):
+            raise RsgParseError(offset, f"vertex pair ({u}, {v}) violates 0 <= u < v < n = {n}")
+        if not (0 <= m < t):
+            raise RsgParseError(offset, f"matching index {m} out of range [0, {t})")
+        e = (u, v)
+        if e in seen:
+            raise RsgParseError(offset, f"duplicate edge ({u}, {v}), first seen on line {seen[e]}")
+        seen[e] = offset
+        records[m].append(e)
+
+    # The records are checked distinct edges with 0 <= u < v < n, the form
+    # MatchingDecomposition.from_matchings produces, so the decomposition is
+    # built directly.  A matching without records is the shared empty tuple:
+    # a header's t costs one pointer per matching.
+    matchings = tuple(tuple(sorted(records[i])) if i in records else () for i in range(t))
+    return MatchingDecomposition(n, matchings, r)

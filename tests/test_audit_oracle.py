@@ -39,7 +39,7 @@ from rsgraphs import (
     verify_decomposition,
 )
 from rsgraphs.bounds import NOT_APPLICABLE, PASS, AuditReport, LayerRow
-from oracles import OracleState, degrees
+from oracles import degrees, random_decomposition
 
 FAIL = "fail"       # the package's assertions are lemmas and never fail; the oracle's can
 
@@ -235,25 +235,6 @@ class TestSweep:
     def test_kneser5(self):
         dec = kneser_rs(5)
         assert expansion_audit(dec).to_dict() == per_source_audit(dec).to_dict()
-
-
-def random_decomposition(n, r, t, rng):
-    """Up to t induced matchings of size r on n vertices, grown edge by edge at random."""
-    state = OracleState(n, t)
-    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    matchings = []
-    for i in range(t):
-        rng.shuffle(pairs)
-        cur = []
-        for x, y in pairs:
-            if state.try_add(i, x, y):
-                cur.append((x, y))
-                if len(cur) == r:
-                    break
-        if len(cur) < r:
-            break
-        matchings.append(cur)
-    return MatchingDecomposition.from_matchings(n, matchings, r)
 
 
 class TestRandomDecompositions:

@@ -1,6 +1,7 @@
 """Round-trip and error-reporting tests for the .rsg format."""
 
 import itertools
+import os
 import time
 import tracemalloc
 
@@ -18,6 +19,14 @@ from rsgraphs import (
     parse_rsg,
     verify_decomposition,
 )
+
+from oracles import parse_rsg as field_by_field_parse_rsg
+
+# examples per property test: ten times as many under RSG_SLOW_TESTS=1, as CI runs them
+EXAMPLES = 3000 if os.environ.get("RSG_SLOW_TESTS") == "1" else 300
+
+# the line breaks of str.splitlines other than "\n", which split() reads as spaces
+SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 TRIANGLE_DOC = "rsg 3 3 1\n0 1 0\n1 2 1\n0 2 2\n"
 
@@ -66,7 +75,7 @@ class TestParse:
             parse_rsg(text)
         assert err.value.line == 3
 
-    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("sep", SEPARATORS)
     def test_only_a_newline_ends_a_line(self, sep):
         # str.splitlines ends a line at each of these; in a record they are spaces
         with pytest.raises(RsgParseError) as err:
@@ -170,3 +179,68 @@ class TestRoundTrip:
         expected = MatchingDecomposition.from_matchings(n, matchings, r)
         assert parse_rsg(text) == expected
         assert parse_rsg(text).graph == Graph.from_edges(n, edges)
+
+
+def corrupt(data, fault, records, n, t):
+    """One record line with `fault`, drawn against the valid records before it."""
+    u, v, m = records[-1] if records else (0, 1, 0)
+    if fault == "token-count":
+        tokens = data.draw(st.lists(st.integers(-2, n + 1).map(str), max_size=6).filter(lambda x: len(x) != 3))
+        return data.draw(st.sampled_from([" ", "  ", "\t"])).join(tokens)
+    if fault == "non-integer":
+        tokens = [str(u), str(v), str(m)]
+        tokens[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(["x", "1.5", "0x1", "--1", "1e3"]))
+        return " ".join(tokens)
+    if fault in ("u>=v", "negative-u", "v>=n"):
+        m = data.draw(st.sampled_from([m, t]))      # the vertex fault is named before a bad m
+    if fault == "u>=v":
+        u = data.draw(st.integers(0, n - 1))
+        return f"{u} {data.draw(st.integers(0, u))} {m}"
+    if fault == "negative-u":
+        return f"{data.draw(st.integers(-5, -1))} {v} {m}"
+    if fault == "v>=n":
+        return f"{u} {data.draw(st.integers(n, n + 3))} {m}"
+    if fault == "m-range":
+        return f"{u} {v} {data.draw(st.sampled_from([-1, t, t + 7]))}"
+    if fault == "duplicate":
+        u, v, _ = data.draw(st.sampled_from(records)) if records else (u, v, m)
+        return f"{u} {v} {data.draw(st.integers(0, t - 1))}"
+    sep = data.draw(st.sampled_from(SEPARATORS))        # a record still valid, or a second copy
+    return data.draw(st.sampled_from([f"{u}{sep}{v} {m}", f"{u} {v} {m}{sep}", f"{sep}{u} {v} {m}"]))
+
+
+FAULTS = ("token-count", "non-integer", "u>=v", "negative-u", "v>=n", "m-range", "duplicate", "separator")
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except RsgParseError as err:
+        return err.line, str(err)
+
+
+class TestAgainstTheFieldByFieldParser:
+    """The one-loop parser reads only a failing line twice; its verdicts are the
+    field-by-field parser's, decompositions, messages and line numbers alike."""
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_one_corrupted_line(self, data):
+        n = data.draw(st.integers(2, 9))
+        t = data.draw(st.integers(1, 5))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        records = data.draw(st.permutations([(u, v, data.draw(st.integers(0, t - 1))) for u, v in edges]))
+        lines = [f"{u} {v} {m}" for u, v, m in records]
+        at = data.draw(st.integers(0, len(lines)))
+        fault = data.draw(st.sampled_from(FAULTS))
+        bad = corrupt(data, fault, records[:at], n, t)
+        if at < len(lines) and data.draw(st.booleans()):
+            lines[at] = bad
+        else:
+            lines.insert(at, bad)
+        text = f"rsg {n} {t} {data.draw(st.integers(0, 4))}\n" + "".join(line + "\n" for line in lines)
+        expected = outcome(field_by_field_parse_rsg, text)
+        assert outcome(parse_rsg, text) == expected
+        if fault not in ("separator", "duplicate"):
+            assert isinstance(expected, tuple)

@@ -42,6 +42,8 @@ from rsgraphs import core
 from rsgraphs.bounds import DistanceCertificate
 from rsgraphs.core import VerificationReport, Violation, verification_verdict
 
+from oracles import random_decomposition
+
 # examples per property test: ten times as many under RSG_SLOW_TESTS=1, as CI runs them
 EXAMPLES = 3000 if os.environ.get("RSG_SLOW_TESTS") == "1" else 300
 
@@ -357,6 +359,16 @@ def witness_loop_runs():
 
 
 @contextmanager
+def degree_walks_run():
+    """The matching lists the passing screen walks for its degree statistics inside the block."""
+    runs = []
+    walks = core._degree_walks
+    with mock.patch.object(core, "_degree_walks",
+                           lambda matchings, inc: runs.append(matchings) or walks(matchings, inc)):
+        yield runs
+
+
+@contextmanager
 def list_path():
     """Run the verifier without the incidence bitsets, as the memory gate does on sparse inputs."""
     with mock.patch.object(core, "_incidence", lambda dec: None):
@@ -486,10 +498,10 @@ class TestScreenRouting:
 
     @pytest.mark.parametrize("name", VALID)
     def test_valid_input_skips_the_witness_loop(self, name):
-        with witness_loop_runs() as runs:
+        with witness_loop_runs() as runs, degree_walks_run() as walks:
             dec = self.VALID[name]()
             assert verification_verdict(dec).passed
-        assert runs == []
+        assert runs == [] and walks == []
 
     @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
@@ -507,6 +519,49 @@ class TestScreenRouting:
         assert runs == [] and screened.passed
         assert repr(screened) == repr(looped)
 
+    # one degree: the one-degree lemma gives the statistics without an edge walk
+    REGULAR = {
+        **{f"kneser{k}": (lambda k=k: kneser_rs(k)) for k in range(1, 7)},
+        **{f"q{k}aug": (lambda k=k: hypercube_rs(k, augmented=True)) for k in range(2, 13, 2)},
+        **{f"cayley{m}": (lambda m=m: cayley(m)) for m in (31, 101, 301)},
+    }
+
+    # two degrees: two families of one r side by side, M_i of the first
+    # family before those of the second
+    MIXED = {
+        "kneser1+q2aug": (kneser_rs(1), hypercube_rs(2, augmented=True)),       # degrees 2 and 3
+        "q4+q4aug": (hypercube_rs(4), hypercube_rs(4, augmented=True)),         # degrees 4 and 5
+        "q4aug+q4": (hypercube_rs(4, augmented=True), hypercube_rs(4)),
+    }
+
+    @pytest.mark.parametrize("name", REGULAR)
+    def test_regular_input_skips_the_degree_walks(self, name):
+        src = self.REGULAR[name]()
+        screened, walks = screened_verdict(src)
+        assert walks == []
+        assert len(screened.degree_histogram) == 1 + (screened.isolated_vertices > 0)
+        assert_reports_equal(screened, looped_verdict(src))
+
+    @pytest.mark.parametrize("name", MIXED)
+    def test_mixed_degrees_take_the_degree_walks(self, name):
+        a, b = self.MIXED[name]
+        matchings = a.matchings + tuple(tuple((u + a.n, v + a.n) for u, v in m) for m in b.matchings)
+        src = MatchingDecomposition(a.n + b.n, matchings, a.r)
+        screened, walks = screened_verdict(src)
+        assert walks == [matchings]
+        assert len(screened.degree_histogram) == 2
+        assert_reports_equal(screened, looped_verdict(src))
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data(), rng=st.randoms(use_true_random=False))
+    def test_random_decompositions(self, data, rng):
+        n = data.draw(st.integers(2, 12))
+        src = random_decomposition(n, data.draw(st.integers(1, n // 2)), data.draw(st.integers(1, 8)), rng)
+        screened, walks = screened_verdict(src)
+        degrees = len(screened.degree_histogram) - (screened.isolated_vertices > 0)
+        assert walks == ([] if degrees == 1 else [src.matchings])
+        assert_reports_equal(screened, looped_verdict(src))
+
     @pytest.mark.parametrize("kind", MUTATIONS)
     def test_a_mutant_of_each_kind_runs_it(self, kind):
         dec = one_mutant(kind)
@@ -515,6 +570,28 @@ class TestScreenRouting:
             verdict = verification_verdict(dec)
         assert runs == [dec]
         assert verdict.to_dict() == pairwise_verify(dec).to_dict()
+
+
+def screened_verdict(src):
+    """Phase 1 of a fresh copy of src, passed by the screen, and the lists its degree walks read."""
+    dec = MatchingDecomposition(src.n, src.matchings, src.r)
+    with witness_loop_runs() as runs, degree_walks_run() as walks:
+        verdict = verification_verdict(dec)
+    assert runs == [] and verdict.passed
+    return verdict, walks
+
+
+def looped_verdict(src):
+    """Phase 1 of a fresh copy of src by the witness loop, the screen skipped."""
+    dec = MatchingDecomposition(src.n, src.matchings, src.r)
+    return core._witnesses(dec, core._incidence(dec))
+
+
+def assert_reports_equal(a, b):
+    # repr shows the order of the histogram's keys and of the degree sums
+    assert repr(a) == repr(b)
+    assert a.to_dict() == b.to_dict()
+    assert a.edge_degree_sums == b.edge_degree_sums
 
 
 class TestReportCache:
