@@ -18,6 +18,7 @@ from fractions import Fraction
 from .core import (
     MatchingDecomposition,
     ParameterError,
+    _plain,
     _record,
     _require_verified,
     is_bipartite,
@@ -62,18 +63,7 @@ class BoundVerdict:
     witness: str = ""
     advisory: tuple = ()
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "r": self.r,
-            "t": self.t,
-            "feasible": self.feasible,
-            "regime": self.regime,
-            "hard_bound": str(self.hard_bound) if self.hard_bound is not None else None,
-            "tight": self.tight,
-            "witness": self.witness,
-            "advisory": list(self.advisory),
-        }
+    to_dict = _plain
 
 
 def feasibility_verdict(n: int, r: int, t: int) -> BoundVerdict:
@@ -152,18 +142,7 @@ class DistanceCertificate:
     slack: int
     passed: bool = True              # a lemma: see distance_certificate
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "r": self.r,
-            "t": self.t,
-            "min_pairwise_distance": self.min_pairwise_distance,
-            "double_count_lhs": self.double_count_lhs,
-            "pair_distance_sum": self.pair_distance_sum,
-            "column_product_cap": str(self.column_product_cap),
-            "slack": self.slack,
-            "passed": self.passed,
-        }
+    to_dict = _plain
 
 
 def distance_certificate(dec: MatchingDecomposition) -> DistanceCertificate:
@@ -243,7 +222,7 @@ class AuditReport:
             "r": self.r,
             "t": self.t,
             "doubled": self.doubled,
-            "edge_classes": {str(k): v for k, v in sorted(self.edge_classes.items())},
+            "edge_classes": _plain(self.edge_classes),
             "E1": self.e1,
             "E0": self.e0,
             "s": str(self.s),
@@ -251,8 +230,8 @@ class AuditReport:
             "f_min_degree_threshold": str(self.f_min_degree_threshold),
             "f_vertex_count": self.f_vertex_count,
             "f_achieved_min_degree": self.f_achieved_min_degree,
-            "assertions": [list(a) for a in self.assertions],
-            "bfs_violations": [list(v) for v in self.bfs_violations],
+            "assertions": _plain(self.assertions),
+            "bfs_violations": _plain(self.bfs_violations),
             "layers": [
                 {"i": row.index, "size": row.size, "binomial_floor": row.binomial_floor, "meets": row.meets}
                 for row in self.layers
@@ -317,13 +296,14 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
 
     # the double cover's vertices v and v + n_in both lie in the matchings
     # holding v in the input
-    covering, n_in, t = dec.covering, dec.n, dec.t
+    bits, a_of = dec._matchings_at
+    n_in, t = dec.n, dec.t
     doubled = is_bipartite(dec.graph) is None
     n, r = (2 * n_in, 2 * dec.r) if doubled else (n_in, dec.r)
 
     # on a verified decomposition every edge at v lies in exactly one matching
     # and no matching covers v twice, so |A_v| = d_v holds for every vertex:
-    # the audit reads a degree as the length of the input's covering list
+    # the audit reads a degree as |A_v| off the verifier's incidence map
     assertions = [("incidence-degree", PASS, "|A_v| = d_v for every vertex")]
 
     # the verdict counts the input's edges by degree sum; on a cover each input
@@ -349,8 +329,9 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     # H: edges with degree sum >= t, neighbour lists only for vertices with an
     # H edge, built from the input's edges; then iteratively strip H-degree < t/8
     h_adj = defaultdict(list)
+    size = int.bit_count if bits else len
     for u, v in dec.graph.edges:
-        if len(covering[u]) + len(covering[v]) >= t:
+        if size(a_of[u]) + size(a_of[v]) >= t:
             for x, y in ((u, v + n_in), (v, u + n_in)) if doubled else ((u, v),):
                 h_adj[x].append(y)
                 h_adj[y].append(x)

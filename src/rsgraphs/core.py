@@ -27,10 +27,13 @@ search certificate checks.  `disjoint_union`, `double_cover`,
 `verify_decomposition` (the `rsg verify` report) adds phase 2 to a passing
 verdict once, for its max_pair_intersection statistic.
 
-Both phases read the incidence map A_v = {i : v in V_i} as a t-bit int per
-covered vertex where that takes no more 64-bit words than the `covering`
-lists hold entries (`_incidence`), and as those lists otherwise (thousands of
-one-edge matchings would make the ints n*t/64 words).
+Each decomposition builds what the verifier reads once and keeps it: the
+listing of its non-empty matchings (`_listed`, the empty ones skipped in C)
+and the incidence map A_v = {i : v in V_i} of each covered vertex
+(`_matchings_at`).  A_v is a t-bit int where that takes no more 64-bit words
+than the ascending lists hold entries (`_bitsets` decides), and the list
+otherwise (thousands of one-edge matchings would make the ints n*t/64
+words).  Every phase, the report and the audit read that one map.
 
 On the ints, phase 1 is a screen (`_screen`) that needs no witness:
 
@@ -61,21 +64,20 @@ Every family that `rsg construct` builds from scratch is regular, and its
 copies and double cover stay so.  The screen checks the sizes first, then
 the identity, then one matching at a time the AND of its two endpoint
 columns, in C.  Only where the degrees of a passing input differ does it
-walk the edges (`_degree_walks`), twice: once for the order in which they
-first name the vertices, which fixes the histogram's key order, and once to
-count them by d_u + d_v.  On the lists, or at the screen's first flag,
-phase 1 runs the witness loop (`_witnesses`): one pass over the edges that
-finds every witness and counts the edges by d_u + d_v, the form deciding
-only how it tests A_u cap A_w.  So a failing input pays for the screen up
-to its first flag, next to nothing on a size mismatch, plus the loop.
-Phase 2 sums the ints in bit-planes, or counts the lists with a `Counter`.
-Its bit-plane sum adds A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w) once per
-edge (u, w) of M_i: the edges of a matching cover V_i once each, so the
-work is sum_i |M_i| adds, half the sum_i |V_i| of one per vertex; a
-matching that phase 1 found sharing an endpoint pairs its sorted vertices
-instead.  The two forms give the same report.  `covering` and phase 2 skip
-the empty matchings in C (`_listed`), and no phase allocates per vertex of
-n.
+walk the edges, through the one routine that takes the degree statistics of
+distinct edges (`_degree_stats`): the order in which the edges first name
+the vertices fixes the histogram's key order, and the edges are counted by
+d_u + d_v.  On the lists, or at the screen's first flag, phase 1 runs the
+witness loop (`_witnesses`): one pass over the edges that finds every
+witness, the form deciding only how it tests A_u cap A_w, then that routine
+on the distinct edges it met.  So a failing input pays for the screen up to
+its first flag, next to nothing on a size mismatch, plus the loop.  Phase 2
+sums the ints in bit-planes, or counts the lists with a `Counter`.  Its
+bit-plane sum adds A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w) once per edge
+(u, w) of M_i: the edges of a matching cover V_i once each, so the work is
+sum_i |M_i| adds, half the sum_i |V_i| of one per vertex; a matching that
+phase 1 found sharing an endpoint pairs its sorted vertices instead.  The
+two forms give the same report, and no phase allocates per vertex of n.
 """
 
 from __future__ import annotations
@@ -129,6 +131,19 @@ def _record(cls):
     cls.__setattr__ = cls.__delattr__ = __setattr__
     cls.__hash__, cls._fields = lambda self: hash(values(self)), fields
     return cls
+
+
+def _plain(value):
+    """`value` as the JSON reports print it, each part in turn: a record's `_fields` as a dict in
+    field order, a tuple as a list, a dict with str keys in ascending order, None, bool, int,
+    float and str as they are, and any other value (a Fraction) as its str."""
+    if hasattr(value, "_fields"):
+        return {name: _plain(getattr(value, name)) for name in value._fields}
+    if isinstance(value, tuple):
+        return list(map(_plain, value))
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in sorted(value.items())}
+    return value if value is None or isinstance(value, (int, float, str)) else str(value)
 
 
 def _norm_edges(pairs, n: int):
@@ -230,38 +245,58 @@ class MatchingDecomposition:
         return len(self.matchings)
 
     @cached_property
-    def covering(self):
-        """A_v: each vertex of a listed edge -> ascending indices of the matchings listing it.
+    def _listed(self):
+        """{i: M_i} for each non-empty matching, ascending, listed once: the empty ones cost no Python step."""
+        return dict(zip(compress(count(), self.matchings), filter(None, self.matchings)))
 
-        The map is sized by the edge lists, whatever n and t are.  It is
-        computed once and shared: do not mutate it.
+    @cached_property
+    def _matchings_at(self):
+        """(bits, A): A_v = {i : v in V_i} for each vertex of a listed edge, and the form it takes.
+
+        A_v is the ascending list of the matchings listing v, turned in place
+        into a t-bit int (bit i set iff i is in A_v) when `_bitsets` admits the
+        ints, so only one form is kept; `bits` says which.  The map is sized by
+        the edge lists, whatever n and t are.  Each list is summed from a table
+        of the t powers 1 << i, which needs no shift per entry; the table takes
+        about t^2/128 words, so past t = 2 |A| (t copies of one edge, say),
+        where it would outgrow the ints themselves, each power is shifted
+        instead.  Built once and shared by every phase: do not mutate it.
         """
-        covering = defaultdict(list)
-        for i, m in _listed(self.matchings):
+        a = defaultdict(list)
+        for i, m in self._listed.items():
             for x in {x for e in m for x in e}:
-                covering[x].append(i)
-        covering.default_factory = None     # a vertex outside the map raises KeyError
-        return covering
+                a[x].append(i)
+        a.default_factory = None     # a vertex outside the map raises KeyError
+        t = self.t
+        bits = _bitsets(t, len(a), sum(map(len, a.values())))
+        if bits:
+            power = [1 << i for i in range(t)].__getitem__ if t <= 2 * len(a) else (1).__lshift__
+            for x, c in a.items():
+                a[x] = sum(map(power, c))
+        return bits, a
 
     @cached_property
     def _verdict(self) -> "VerificationReport":
         """Phase 1 of the verifier, computed once; read it through `verification_verdict`."""
-        return _verify(self, _incidence(self))
+        return _verify(self)
 
     @cached_property
     def _report(self) -> "VerificationReport":
         """The verifier's full report, computed once; read it through `verify_decomposition`."""
-        if "_verdict" in vars(self):
-            verdict = self._verdict
-            inc = _incidence(self) if verdict.passed else None
-        else:       # phase 1 runs here, so phase 2 reads the `_incidence` it built
-            inc = _incidence(self)
-            verdict = vars(self)["_verdict"] = _verify(self, inc)
+        verdict = self._verdict
         if not verdict.passed:
             return verdict
-        max_inter, violations = _pair_intersections(self, inc)
+        max_inter, violations = _pair_intersections(self)
         return VerificationReport(**{**vars(verdict), "violations": violations,
                                      "max_pair_intersection": max_inter})
+
+
+def _bitsets(t: int, vertices: int, entries: int) -> bool:
+    """Whether A_v is kept as a t-bit int: when the ints of `vertices` covered
+    vertices take no more 64-bit words than their lists hold `entries`, so
+    memory stays linear in the edge lists (thousands of one-edge matchings
+    would make the ints n*t/64 words)."""
+    return vertices * -(-t // 64) <= entries
 
 
 @_record
@@ -270,6 +305,8 @@ class Violation:
     matchings: tuple      # indices of the matchings involved (may be empty)
     witness: tuple        # offending vertices / edges / sizes
     detail: str
+
+    to_dict = _plain
 
 
 @_record
@@ -289,22 +326,14 @@ class VerificationReport:
     def to_dict(self):
         return {
             "passed": self.passed,
-            "violations": [
-                {
-                    "invariant": v.invariant,
-                    "matchings": list(v.matchings),
-                    "witness": list(v.witness),
-                    "detail": v.detail,
-                }
-                for v in self.violations
-            ],
+            "violations": _plain(self.violations),
             "stats": {
-                "degree_histogram": {str(k): v for k, v in sorted(self.degree_histogram.items())},
+                "degree_histogram": _plain(self.degree_histogram),
                 "max_edge_degree_sum": self.max_edge_degree_sum,
                 "max_pair_intersection": self.max_pair_intersection,
                 "isolated_vertices": self.isolated_vertices,
             },
-            "notes": list(self.notes),
+            "notes": _plain(self.notes),
         }
 
 
@@ -339,41 +368,20 @@ def _require_verified(dec: MatchingDecomposition, what: str) -> VerificationRepo
     return verdict
 
 
-def _incidence(dec: MatchingDecomposition):
-    """A_v as a t-bit int (bit i set iff matching i covers v), for each vertex of `covering`.
-
-    None when the ints would take more 64-bit words than the `covering` lists
-    hold entries, so memory stays linear in the edge lists.  Each list is
-    summed from a table of the t powers 1 << i, which needs no shift per
-    entry; the table takes about t^2/128 words, so past t = 2 |covering| (t
-    copies of one edge, say), where it would outgrow the ints themselves,
-    each power is shifted instead.  Both phases of one `verify_decomposition`
-    call read one build; a report on an already cached verdict builds them
-    again, as caching them on the decomposition would keep them alive beside
-    the lists.
-    """
-    covering = dec.covering
-    t = dec.t
-    if len(covering) * -(-t // 64) > sum(map(len, covering.values())):
-        return None
-    power = [1 << i for i in range(t)].__getitem__ if t <= 2 * len(covering) else (1).__lshift__
-    return {v: sum(map(power, c)) for v, c in covering.items()}
-
-
-def _verify(dec: MatchingDecomposition, inc) -> VerificationReport:
-    """Phase 1 on `inc` = `_incidence(dec)`: the screen on the ints, the witness loop where it flags.
+def _verify(dec: MatchingDecomposition) -> VerificationReport:
+    """Phase 1: the screen where A_v is an int, the witness loop where it flags or A_v is a list.
 
     By the screen's lemma (module docstring) the screen passes exactly the
     input that passes phase 1; `_witnesses` finds the witnesses of the rest,
     and of any input on the lists.
     """
-    stats = None if inc is None else _screen(dec, inc)
+    stats = _screen(dec) if dec._matchings_at[0] else None
     if stats is None:
-        return _witnesses(dec, inc)
-    return _phase_1_report(dec, inc, [], *stats)
+        return _witnesses(dec)
+    return _phase_1_report(dec, [], *stats)
 
 
-def _screen(dec: MatchingDecomposition, inc):
+def _screen(dec: MatchingDecomposition):
     """(histogram, edge_degree_sums) if the screen (module docstring) passes dec, else None.
 
     The checks run cheapest first and stop at the first flag: the sizes (at
@@ -381,17 +389,18 @@ def _screen(dec: MatchingDecomposition, inc):
     on the popcounts, then one matching at a time the AND of its two
     endpoint columns, mapped in C.  `histogram` counts the covered vertices
     by degree.  With one degree both statistics follow from the one-degree
-    lemma; otherwise `_degree_walks` takes them from the edges.
+    lemma; otherwise `_degree_stats` takes them from the edges.
     """
     r, matchings = dec.r, dec.matchings
     if not r:
         return None if any(matchings) else ({}, {})
     if not set(map(len, matchings)) <= {r}:
         return None
-    degrees = list(map(int.bit_count, inc.values()))       # |A_v|, which is d_v if the screen passes
+    at = dec._matchings_at[1]
+    degrees = list(map(int.bit_count, at.values()))       # |A_v|, which is d_v if the screen passes
     if sum(degrees) != 2 * r * len(matchings):
         return None
-    a_of = inc.__getitem__
+    a_of = at.__getitem__
     for o, m in enumerate(matchings):
         us, ws = zip(*m)
         if list(map(and_, map(a_of, us), map(a_of, ws))).count(1 << o) != r:
@@ -399,24 +408,25 @@ def _screen(dec: MatchingDecomposition, inc):
     if len(set(degrees)) == 1:
         d = degrees[0]
         return {d: len(degrees)}, {2 * d: r * len(matchings)}
-    return _degree_walks(matchings, inc)
+    return _degree_stats(chain.from_iterable(matchings))[1:]
 
 
-def _degree_walks(matchings, inc):
-    """The passing screen's statistics where no one degree is shared, from two walks over the edges.
+def _degree_stats(edges):
+    """(d, histogram, edge_degree_sums) of distinct `edges`, from two walks over their ends.
 
-    The first keys d_v = |A_v| in the order the edges first name the
-    vertices, as the witness loop does, which fixes the histogram's key
-    order; the second counts the edges by d_u + d_v.
+    d_v counts the edges at v, keyed in the order the edges first name the
+    vertices, which fixes the histogram's key order; the histogram counts
+    the vertices by d_v and edge_degree_sums the edges by d_u + d_v, in
+    ascending order.
     """
-    ends = list(chain.from_iterable(chain.from_iterable(matchings)))       # u, w of each edge in turn
-    deg = {v: inc[v].bit_count() for v in dict.fromkeys(ends)}
-    d = list(map(deg.__getitem__, ends))
-    return Counter(deg.values()), dict(sorted(Counter(map(add, d[::2], d[1::2])).items()))
+    ends = list(chain.from_iterable(edges))       # u, w of each edge in turn
+    d = Counter(ends)
+    at = list(map(d.__getitem__, ends))
+    return d, Counter(d.values()), dict(sorted(Counter(map(add, at[::2], at[1::2])).items()))
 
 
-def _witnesses(dec: MatchingDecomposition, inc) -> VerificationReport:
-    # Phase 1's witness loop, on either form of `inc`: one pass over the
+def _witnesses(dec: MatchingDecomposition) -> VerificationReport:
+    # Phase 1's witness loop, on either form of A_v: one pass over the
     # matchings and one over the edges, memory O(|E| + t) whatever n is.  An
     # empty matching costs O(1).
     t = dec.t
@@ -454,25 +464,21 @@ def _witnesses(dec: MatchingDecomposition, inc) -> VerificationReport:
 
     # Each matching's inducedness witness is its least graph edge joining two
     # of its covered vertices without being listed by it.  A_u cap A_w holds
-    # owner(e), so only a second index is a candidate.  sums is a list: faster
-    # to index than a Counter.
-    deg = Counter(chain.from_iterable(owner))       # d_v of each vertex with an edge
-    sums = [0] * (2 * max(deg.values(), default=0) + 1)
+    # owner(e), so only a second index is a candidate.
+    bits, a_of = dec._matchings_at
     not_induced = {}
-    look = dec.covering if inc is None else inc
     for e, o in owner.items():
         u, w = e
-        sums[deg[u] + deg[w]] += 1
-        if inc is None:
-            a, b = look[u], look[w]
+        if bits:
+            common = a_of[u] & a_of[w]
+            if not common & (common - 1):
+                continue
+            common = _indices(common)
+        else:
+            a, b = a_of[u], a_of[w]
             if len(a) < 2 or len(b) < 2:
                 continue
             common = set(a).intersection(b)
-        else:
-            bits = look[u] & look[w]
-            if not bits & (bits - 1):
-                continue
-            common = _indices(bits)
         for i in common:
             if i != o and (e, i) not in relisted and (i not in not_induced or e < not_induced[i]):
                 not_induced[i] = e
@@ -491,7 +497,7 @@ def _witnesses(dec: MatchingDecomposition, inc) -> VerificationReport:
                           f"edge {witness} of the graph joins two covered vertices of matching {i}")
             )
 
-    edge_degree_sums = {s: k for s, k in enumerate(sums) if k}
+    deg, histogram, edge_degree_sums = _degree_stats(owner)
     if max(edge_degree_sums, default=0) > t + 1:
         u, v = min((u, v) for u, v in owner if deg[u] + deg[v] > t + 1)
         violations.append(
@@ -499,10 +505,10 @@ def _witnesses(dec: MatchingDecomposition, inc) -> VerificationReport:
                       f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
         )
 
-    return _phase_1_report(dec, inc, violations, Counter(deg.values()), edge_degree_sums, not_matching)
+    return _phase_1_report(dec, violations, histogram, edge_degree_sums, not_matching)
 
 
-def _phase_1_report(dec: MatchingDecomposition, inc, violations, covered, edge_degree_sums,
+def _phase_1_report(dec: MatchingDecomposition, violations, covered, edge_degree_sums,
                     not_matching=()):
     """The phase-1 report from the violations found, the covered vertices by
     degree (`covered`, in the histogram's key order) and the edges by d_u + d_v.
@@ -517,7 +523,7 @@ def _phase_1_report(dec: MatchingDecomposition, inc, violations, covered, edge_d
     notes = (f"{isolated} isolated vertices present; they count toward n",) if isolated else ()
     max_inter = None
     if violations:
-        max_inter, pair_violations = _pair_intersections(dec, inc, not_matching)
+        max_inter, pair_violations = _pair_intersections(dec, not_matching)
         violations.extend(pair_violations)
     return VerificationReport(
         violations=tuple(violations),
@@ -530,11 +536,6 @@ def _phase_1_report(dec: MatchingDecomposition, inc, violations, covered, edge_d
     )
 
 
-def _listed(matchings):
-    """(i, M_i) for each non-empty matching, ascending; the empty ones cost no Python step."""
-    return zip(compress(count(), matchings), filter(None, matchings))
-
-
 def _indices(bits: int):
     """The positions of the set bits of `bits`, ascending."""
     while bits:
@@ -543,38 +544,39 @@ def _indices(bits: int):
         yield low.bit_length() - 1
 
 
-def _pair_intersections(dec: MatchingDecomposition, inc, not_matching=()):
+def _pair_intersections(dec: MatchingDecomposition, not_matching=()):
     """Phase 2: max |V_i cap V_j| over i < j (0 if t < 2), and an
     endpoint-intersection violation for each pair above r.
 
-    `inc` is `_incidence(dec)`, from the caller, and `not_matching` holds the
-    matchings that phase 1 found sharing an endpoint.  With the bitsets, bit
-    j of the sum of A_x >> (i + 1) over x in V_i is |V_i cap V_{i+1+j}|, kept
-    as bit-planes by a ripple-carry add.  The sum runs over pairs (u, w) that
-    cover V_i once each: the edges of M_i, whose ends are V_i and distinct
-    when M_i is a matching, and otherwise V_i's sorted vertices two by two,
-    a lone last one paired with 0.  A pair adds the exact identity
-    A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w), the XOR at plane 0 and the AND
-    at plane 1.  On an edge that passes phase 1 the AND is {i}, which the
-    shift clears, so that term costs one test.  The maximum takes one
-    top-down pass over the planes, and the mask of counts above r one more.
-    The work is about sum_i |M_i| adds of t-bit ints, half of one per vertex.
+    `not_matching` holds the matchings that phase 1 found sharing an
+    endpoint.  With the bitsets, bit j of the sum of A_x >> (i + 1) over x in
+    V_i is |V_i cap V_{i+1+j}|, kept as bit-planes by a ripple-carry add.
+    The sum runs over pairs (u, w) that cover V_i once each: the edges of
+    M_i, whose ends are V_i and distinct when M_i is a matching, and
+    otherwise V_i's sorted vertices two by two, a lone last one paired with
+    0.  A pair adds the exact identity A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w),
+    the XOR at plane 0 and the AND at plane 1.  On an edge that passes phase
+    1 the AND is {i}, which the shift clears, so that term costs one test.
+    The maximum takes one top-down pass over the planes, and the mask of
+    counts above r one more.  The work is about sum_i |M_i| adds of t-bit
+    ints, half of one per vertex.
     """
-    if inc is None:
+    bits, a_of = dec._matchings_at
+    if not bits:
         return _pair_counts(dec)
     if not_matching:
-        inc = {**inc, None: 0}
+        a_of = {**a_of, None: 0}
     r = dec.r
     max_inter = 0
     violations = []
-    for i, m in _listed(dec.matchings):
+    for i, m in dec._listed.items():
         planes = [0] * (2 * len(m)).bit_length()
         if i in not_matching:
             xs = sorted({x for e in m for x in e})
             m = zip(xs[::2], xs[1::2] + [None])
         s = i + 1
         for u, w in m:
-            a, b = inc[u], inc[w]
+            a, b = a_of[u], a_of[w]
             carry, p = (a ^ b) >> s, 0
             while carry:
                 planes[p], carry = planes[p] ^ carry, planes[p] & carry
@@ -607,20 +609,20 @@ def _pair_intersections(dec: MatchingDecomposition, inc, not_matching=()):
 
 
 def _pair_counts(dec: MatchingDecomposition):
-    """`_pair_intersections` on the covering lists, where `_incidence` declines.
+    """`_pair_intersections` where A_v is the ascending list.
 
     |V_i cap V_j| for every j > i sharing a vertex with V_i comes from
     counting the matchings that cover V_i's vertices, so the work is
-    sum_v c_v^2, c_v = #{i : v in V_i}.  A reversed copy of each covering
-    list longer than one ends in the smallest matching not yet handled,
-    which at step i is i itself: popping it leaves the matchings after i.
-    A matching sharing no vertex with another costs O(|M_i|).
+    sum_v c_v^2, c_v = #{i : v in V_i}.  A reversed copy of each list
+    longer than one ends in the smallest matching not yet handled, which at
+    step i is i itself: popping it leaves the matchings after i.  A
+    matching sharing no vertex with another costs O(|M_i|).
     """
-    rest = {x: c[::-1] for x, c in dec.covering.items() if len(c) > 1}
+    rest = {x: c[::-1] for x, c in dec._matchings_at[1].items() if len(c) > 1}
     r = dec.r
     max_inter = 0
     violations = []
-    for i, m in _listed(dec.matchings):
+    for i, m in dec._listed.items():
         lists = [rest[x] for x in {x for e in m for x in e} if x in rest]
         if not lists:
             continue

@@ -4,7 +4,7 @@ The package places search edges only through `_State.row_mask` and
 `_State.add`; the tests that check `row_mask`, the search oracle and the
 audit's random decompositions test one candidate at a time with
 `OracleState.try_add`.  The package reads degrees from a decomposition's
-`covering` lists; the tests count them from a graph's edges with `degrees`.
+incidence map; the tests count them from a graph's edges with `degrees`.
 `parse_rsg` is the package's parser as it was before its records were read
 in one loop, kept verbatim: it checks each record field by field, and the
 package's parser must agree with it on every document.

@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from rsgraphs import (
     parse_rsg,
     verify_decomposition,
 )
+from rsgraphs import core
 from rsgraphs.bounds import LayerRow
 
 
@@ -148,13 +150,17 @@ class TestVerifyDecomposition:
         assert report.max_edge_degree_sum == 4  # = t + 1
         assert report.max_pair_intersection == 1
 
-    def test_covering_survives_verification(self):
-        # matching 1 lists two edges and fails: its vertices count all the same
-        dec = MatchingDecomposition.from_matchings(4, [[(0, 1)], [(1, 2), (0, 3)], [(0, 2)]], 1)
-        expected = {0: [0, 1, 2], 1: [0, 1], 2: [1, 2], 3: [1]}
-        assert dec.covering == expected
-        assert not verify_decomposition(dec).passed
-        assert dec.covering == expected
+    def test_failing_verification_leaves_the_incidence_map_unchanged(self):
+        # matching 1 lists two edges and fails: its vertices count all the same,
+        # and phase 2 reads the map, on the lists by popping copies of them
+        lists = {0: [0, 1, 2], 1: [0, 1], 2: [1, 2], 3: [1]}
+        for bits, expected in ((True, {v: sum(1 << i for i in a) for v, a in lists.items()}),
+                               (False, lists)):
+            dec = MatchingDecomposition.from_matchings(4, [[(0, 1)], [(1, 2), (0, 3)], [(0, 2)]], 1)
+            with mock.patch.object(core, "_bitsets", lambda *args, bits=bits: bits):
+                assert dec._matchings_at == (bits, expected)
+                assert not verify_decomposition(dec).passed
+            assert dec._matchings_at == (bits, expected)
 
     def test_kneser2_degree_sum_is_tplus1(self):
         report = verify_decomposition(kneser_rs(2))

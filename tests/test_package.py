@@ -102,3 +102,23 @@ def test_every_imported_name_is_read(short):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert imported <= read, sorted(imported - read)
+
+
+@pytest.mark.parametrize("short", ("__init__", "cli") + MODULES)
+def test_every_parameter_is_read(short):
+    # lambdas and nested functions included; a closure reading a parameter
+    # counts; a protocol dunder keeps the signature its protocol fixes
+    with open(os.path.join(SRC, "rsgraphs", f"{short}.py")) as fh:
+        tree = ast.parse(fh.read())
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{name}:{node.lineno} {p.arg}" for p in params if p.arg not in read]
+    assert not unread, unread

@@ -14,6 +14,7 @@ order included, on valid decompositions and on mutants of them.
 
 import math
 import os
+import sys
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager, nullcontext
@@ -333,7 +334,7 @@ def check_verdict(data):
     with witness_loop_runs() as runs:
         verdict = verification_verdict(dec)
     assert verdict.passed == expected.passed
-    assert runs == ([] if verdict.passed and core._incidence(dec) is not None else [dec])
+    assert runs == ([] if verdict.passed and dec._matchings_at[0] else [dec])
     if expected.passed:
         assert expected.max_pair_intersection <= r
         assert expected.max_edge_degree_sum <= dec.t + 1
@@ -354,57 +355,74 @@ def witness_loop_runs():
     """The decompositions phase 1's witness loop runs on inside the block, in order."""
     runs = []
     loop = core._witnesses
-    with mock.patch.object(core, "_witnesses", lambda dec, inc: runs.append(dec) or loop(dec, inc)):
+    with mock.patch.object(core, "_witnesses", lambda dec: runs.append(dec) or loop(dec)):
         yield runs
 
 
 @contextmanager
 def degree_walks_run():
-    """The matching lists the passing screen walks for its degree statistics inside the block."""
+    """The functions that take the degree statistics of the edges inside the block, one per walk."""
     runs = []
-    walks = core._degree_walks
-    with mock.patch.object(core, "_degree_walks",
-                           lambda matchings, inc: runs.append(matchings) or walks(matchings, inc)):
+    walks = core._degree_stats
+
+    def spy(edges):
+        runs.append(sys._getframe(1).f_code.co_name)
+        return walks(edges)
+
+    with mock.patch.object(core, "_degree_stats", spy):
         yield runs
 
 
 @contextmanager
 def list_path():
-    """Run the verifier without the incidence bitsets, as the memory gate does on sparse inputs."""
-    with mock.patch.object(core, "_incidence", lambda dec: None):
+    """Keep A_v as lists in the maps built inside the block, as the memory gate does on sparse inputs."""
+    with mock.patch.object(core, "_bitsets", lambda *args: False):
         yield
 
 
+@contextmanager
+def builds():
+    """How often the incidence map (by its one `_bitsets` decision) and the listing of the
+    non-empty matchings (by its one `compress`) are built inside the block."""
+    counts = Counter()
+    decide, compress = core._bitsets, core.compress
+    with mock.patch.object(core, "_bitsets", lambda *args: counts.update(["map"]) or decide(*args)), \
+            mock.patch.object(core, "compress", lambda *args: counts.update(["listing"]) or compress(*args)):
+        yield counts
+
+
 class TestIncidenceGate:
-    """Bitsets only where they take no more words than the covering lists."""
+    """Bitsets only where they take no more words than the incidence lists hold entries."""
 
     def test_one_edge_matchings_take_the_list_path(self):
         t = 300
         dec = MatchingDecomposition.from_matchings(2 * t, [[(2 * i, 2 * i + 1)] for i in range(t)], 1)
-        assert core._incidence(dec) is None
+        assert dec._matchings_at == (False, {x: [x // 2] for x in range(2 * t)})
 
     def test_many_copies_of_one_edge_shift_each_power(self):
-        # t = 3000 > 2 |covering|, where a table of the t powers would take
-        # about t^2/16 bytes (560 KB) against the two ints' 750 bytes
+        # t = 3000 > 2 |A|, where a table of the t powers would take about
+        # t^2/16 bytes (560 KB) against the two lists' 48 KB and ints' 750 bytes
         t = 3000
         dec = MatchingDecomposition.from_matchings(2, [[(0, 1)]] * t, 1)
-        dec.covering
+        dec._listed
         tracemalloc.start()
         try:
-            inc = core._incidence(dec)
+            bits, a_of = dec._matchings_at
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert inc == {0: (1 << t) - 1, 1: (1 << t) - 1}
+        assert bits and a_of == {0: (1 << t) - 1, 1: (1 << t) - 1}
         assert peak < 100_000
 
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_oracle_bases_take_the_bitset_path(self, name):
         # cayley31 and kneser3 among them, so the oracle tests above run both paths
         dec = base(name)
-        inc = core._incidence(dec)
-        assert inc is not None
-        assert {v: [i for i in range(dec.t) if a >> i & 1] for v, a in inc.items()} == dec.covering
+        bits, a_of = dec._matchings_at
+        vsets = endpoint_sets(dec)
+        assert bits
+        assert {v: [i for i in range(dec.t) if a >> i & 1] for v, a in a_of.items()} == {
+            v: [i for i, vs in enumerate(vsets) if v in vs] for v in set().union(*vsets)}
 
 
 class TestEveryInvariantOnBothForms:
@@ -417,7 +435,7 @@ class TestEveryInvariantOnBothForms:
         dec = MatchingDecomposition.from_matchings(
             7, [[(0, 1), (2, 3)], [(1, 2)], [(1, 2)], [(3, 4), (3, 5), (3, 6)]], 1)
         with list_path() if lists else nullcontext(), witness_loop_runs() as runs:
-            assert (core._incidence(dec) is None) == lists
+            assert dec._matchings_at[0] != lists
             report = verify_decomposition(dec)
         assert runs == [dec]
         assert [(v.invariant, v.matchings, v.witness) for v in report.violations] == [
@@ -454,7 +472,7 @@ class TestPhaseTwoPairs:
     def test_pairs_cover_each_vertex_once(self, name):
         matchings, r, max_inter = self.CASES[name]
         dec = MatchingDecomposition.from_matchings(4, matchings, r)
-        assert core._incidence(dec) is not None
+        assert dec._matchings_at[0]
         with witness_loop_runs() as runs:
             report = verify_decomposition(dec)
         assert runs == [dec]
@@ -514,7 +532,7 @@ class TestScreenRouting:
         dec, twin = (MatchingDecomposition.from_matchings(src.n, matchings, src.r) for _ in range(2))
         with witness_loop_runs() as runs:
             screened = verification_verdict(dec)
-        with mock.patch.object(core, "_screen", lambda dec, inc: None):
+        with mock.patch.object(core, "_screen", lambda dec: None):
             looped = verification_verdict(twin)
         assert runs == [] and screened.passed
         assert repr(screened) == repr(looped)
@@ -527,11 +545,12 @@ class TestScreenRouting:
     }
 
     # two degrees: two families of one r side by side, M_i of the first
-    # family before those of the second
+    # family before those of the second, so the first family's degree is
+    # the histogram's first key
     MIXED = {
-        "kneser1+q2aug": (kneser_rs(1), hypercube_rs(2, augmented=True)),       # degrees 2 and 3
-        "q4+q4aug": (hypercube_rs(4), hypercube_rs(4, augmented=True)),         # degrees 4 and 5
-        "q4aug+q4": (hypercube_rs(4, augmented=True), hypercube_rs(4)),
+        "kneser1+q2aug": (kneser_rs(1), hypercube_rs(2, augmented=True), [2, 3]),
+        "q4+q4aug": (hypercube_rs(4), hypercube_rs(4, augmented=True), [4, 5]),
+        "q4aug+q4": (hypercube_rs(4, augmented=True), hypercube_rs(4), [5, 4]),
     }
 
     @pytest.mark.parametrize("name", REGULAR)
@@ -544,12 +563,12 @@ class TestScreenRouting:
 
     @pytest.mark.parametrize("name", MIXED)
     def test_mixed_degrees_take_the_degree_walks(self, name):
-        a, b = self.MIXED[name]
+        a, b, keys = self.MIXED[name]
         matchings = a.matchings + tuple(tuple((u + a.n, v + a.n) for u, v in m) for m in b.matchings)
         src = MatchingDecomposition(a.n + b.n, matchings, a.r)
         screened, walks = screened_verdict(src)
-        assert walks == [matchings]
-        assert len(screened.degree_histogram) == 2
+        assert walks == ["_screen"]
+        assert list(screened.degree_histogram) == keys
         assert_reports_equal(screened, looped_verdict(src))
 
     @settings(max_examples=EXAMPLES, deadline=None)
@@ -559,21 +578,21 @@ class TestScreenRouting:
         src = random_decomposition(n, data.draw(st.integers(1, n // 2)), data.draw(st.integers(1, 8)), rng)
         screened, walks = screened_verdict(src)
         degrees = len(screened.degree_histogram) - (screened.isolated_vertices > 0)
-        assert walks == ([] if degrees == 1 else [src.matchings])
+        assert walks == ([] if degrees == 1 else ["_screen"])
         assert_reports_equal(screened, looped_verdict(src))
 
     @pytest.mark.parametrize("kind", MUTATIONS)
     def test_a_mutant_of_each_kind_runs_it(self, kind):
         dec = one_mutant(kind)
-        assert core._incidence(dec) is not None
-        with witness_loop_runs() as runs:
+        assert dec._matchings_at[0]
+        with witness_loop_runs() as runs, degree_walks_run() as walks:
             verdict = verification_verdict(dec)
-        assert runs == [dec]
+        assert runs == [dec] and walks == ["_witnesses"]
         assert verdict.to_dict() == pairwise_verify(dec).to_dict()
 
 
 def screened_verdict(src):
-    """Phase 1 of a fresh copy of src, passed by the screen, and the lists its degree walks read."""
+    """Phase 1 of a fresh copy of src, passed by the screen, and the functions that walked its edges."""
     dec = MatchingDecomposition(src.n, src.matchings, src.r)
     with witness_loop_runs() as runs, degree_walks_run() as walks:
         verdict = verification_verdict(dec)
@@ -584,7 +603,7 @@ def screened_verdict(src):
 def looped_verdict(src):
     """Phase 1 of a fresh copy of src by the witness loop, the screen skipped."""
     dec = MatchingDecomposition(src.n, src.matchings, src.r)
-    return core._witnesses(dec, core._incidence(dec))
+    return core._witnesses(dec)
 
 
 def assert_reports_equal(a, b):
@@ -602,7 +621,7 @@ class TestReportCache:
     def test_certificate_of_a_construction_verifies_once(self, monkeypatch):
         calls = []
         uncached = core._verify
-        monkeypatch.setattr(core, "_verify", lambda dec, inc: calls.append(dec) or uncached(dec, inc))
+        monkeypatch.setattr(core, "_verify", lambda dec: calls.append(dec) or uncached(dec))
         dec = cayley(31)
         assert distance_certificate(dec).passed
         assert len(calls) == 1 and calls[0] is dec
@@ -611,22 +630,40 @@ class TestReportCache:
         dec = cayley(31)               # certified by its verdict
         calls = []
         phase_1, phase_2 = core._verify, core._pair_intersections
-        monkeypatch.setattr(core, "_verify", lambda dec, inc: calls.append(1) or phase_1(dec, inc))
+        monkeypatch.setattr(core, "_verify", lambda dec: calls.append(1) or phase_1(dec))
         monkeypatch.setattr(core, "_pair_intersections", lambda *args: calls.append(2) or phase_2(*args))
         report = verify_decomposition(dec)
         assert calls == [2]
         assert report.to_dict() == pairwise_verify(dec).to_dict()
         assert verify_decomposition(dec) is report and calls == [2]
 
-    def test_report_builds_the_incidence_once(self, monkeypatch):
+    def test_report_builds_the_incidence_once(self):
         dec = parse_rsg(emit_rsg(cayley(31)))      # a fresh object: no verdict cached
-        calls = []
-        build = core._incidence
-        monkeypatch.setattr(core, "_incidence", lambda dec: calls.append(dec) or build(dec))
-        report = verify_decomposition(dec)
-        assert calls == [dec]
+        with builds() as counts:
+            report = verify_decomposition(dec)
+            assert verification_verdict(dec).passed
+        assert counts == {"map": 1, "listing": 1}
         assert report.to_dict() == pairwise_verify(dec).to_dict()
-        assert verification_verdict(dec).passed and calls == [dec]
+
+    def test_report_after_the_verdict_builds_the_incidence_no_second_time(self):
+        dec = parse_rsg(emit_rsg(cayley(31)))
+        with builds() as counts:
+            assert verification_verdict(dec).passed
+            report = verify_decomposition(dec)
+        assert counts == {"map": 1, "listing": 1}
+        assert report.to_dict() == pairwise_verify(dec).to_dict()
+
+    @pytest.mark.parametrize("lists", [False, True], ids=["bits", "lists"])
+    def test_failing_verdict_and_its_report_read_one_map_and_listing(self, lists):
+        # phase 1 fails, so phase 2 runs with it: both read the one map and listing
+        src = kneser_rs(2)
+        dec = MatchingDecomposition.from_matchings(src.n, src.matchings, src.r + 1)
+        with list_path() if lists else nullcontext(), builds() as counts:
+            verdict = verification_verdict(dec)
+            assert verify_decomposition(dec) is verdict
+        assert counts == {"map": 1, "listing": 1}
+        assert dec._matchings_at[0] != lists and not verdict.passed
+        assert verdict.to_dict() == pairwise_verify(dec).to_dict()
 
     def test_failing_verdict_is_the_report(self, monkeypatch):
         calls = []
@@ -714,7 +751,7 @@ class TestLargeSparse:
         matchings = [[(4 * i, 4 * i + 1), (4 * i + 2, 4 * i + 3)] for i in range(t)]
         matchings[-1].append((1, 2))
         dec = MatchingDecomposition.from_matchings(n, matchings, 2)
-        assert core._incidence(dec) is None
+        assert not dec._matchings_at[0]
         report = verify_decomposition(dec)
         assert [(v.invariant, v.matchings) for v in report.violations] == [
             ("size-mismatch", (t - 1,)), ("not-induced", (0,))]
