@@ -151,8 +151,8 @@ def distance_certificate(dec: MatchingDecomposition) -> DistanceCertificate:
     Requires a verified decomposition; verification makes every |V_i| = 2r,
     so the all-zero vector can join the code.  Reports the minimum pairwise
     distance over all 0 <= i < j <= t and both sides of Plotkin's (1960)
-    double count, exactly, from the verifier's cached verdict alone
-    (`core.verification_verdict`, which skips the pair count).
+    double count, exactly, from the verifier's cached report alone
+    (`core.verify_decomposition`, which compares no pair of matchings).
 
     The distance sum is a column count: stack the t + 1 vectors as rows;
     column v holds d_v ones (each edge at v lies in exactly one matching, and

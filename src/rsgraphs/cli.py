@@ -113,7 +113,6 @@ def cmd_verify(args) -> int:
     else:
         print(f"n={dec.n} t={dec.t} r={dec.r} edges={sum(map(len, dec._listed.values()))}")
         print(f"max edge degree sum: {report.max_edge_degree_sum}")
-        print(f"max |V_i cap V_j|: {report.max_pair_intersection}")
         for note in report.notes:
             print(f"note: {note}")
         if report.passed:

@@ -19,7 +19,7 @@ from .core import (
     ParameterError,
     _record,
     _require_verified,
-    verification_verdict,
+    verify_decomposition,
 )
 
 
@@ -280,8 +280,8 @@ def cayley_rs(modulus: int, s: APFreeSet) -> MatchingDecomposition:
         matchings.append(mz)
     dec = MatchingDecomposition.from_matchings(2 * n_mod, matchings, len(elems))
 
-    verdict = verification_verdict(dec)
-    if not verdict.passed:
-        first = verdict.violations[0]
+    report = verify_decomposition(dec)
+    if not report.passed:
+        first = report.violations[0]
         raise AssertionError(f"cayley construction failed certification: {first.invariant}")
     return dec

@@ -7,25 +7,28 @@ claim: `verify_decomposition` re-checks every invariant and returns a report
 with explicit witnesses.  It is the package's one batch inducedness check;
 `search` keeps its own incremental one.
 
-The verifier runs in two phases.  Phase 1 checks the sizes, edge-disjointness,
-the matching property and inducedness, and takes the degree statistics in the
-same edge pass (d_u + d_v <= t + 1 among them).  Phase 2 counts |V_i cap V_j|
-over all pairs i < j.  Phase 2 cannot fail after phase 1 passes: when M_i is
-induced, an edge of M_j (j != i, so not listed by M_i) with both ends in V_i
-would be a chord of M_i, so each of the r edges of M_j puts at most one vertex
-in V_i and |V_i cap V_j| <= r.  (The same argument on the matchings covering an
-edge's two ends gives d_u + d_v <= 2 + (t - 1).)
+The verifier checks the sizes, edge-disjointness, the matching property and
+inducedness, and takes the degree statistics in the same edge pass (d_u + d_v
+<= t + 1 among them).  No pair of matchings is compared, since the checks
+settle every pairwise intersection:
 
-Phase 1 is computed once per decomposition and cached on it as its verdict:
-a `MatchingDecomposition` is frozen and its matchings are sorted tuples, so
-repeat verification of one object costs nothing.  A failing verdict runs phase
-2 at once and is the full report.  Callers that need only pass/fail read
-`verification_verdict`: the Cayley construction's self-certification and the
-search certificate checks.  `disjoint_union`, `double_cover`,
+    Lemma (the pair bound).  If every M_i is an induced matching of size r
+    and no edge is listed twice, |V_i cap V_j| <= r for all i != j, and
+    d_u + d_v <= t + 1 on every edge (u, v).
+    Proof.  An edge of M_j (j != i, so not listed by M_i) with both ends in
+    V_i would be a chord of M_i, so each of the r edges of M_j puts at most
+    one vertex in V_i.  The same argument on the matchings covering an
+    edge's two ends gives d_u + d_v <= 2 + (t - 1).
+
+`distance_certificate` and `search` rest on it.  The report is computed once
+per decomposition and cached on it: a `MatchingDecomposition` is frozen and
+its matchings are sorted tuples, so repeat verification of one object costs
+nothing.  Its `passed` is the verdict.  `disjoint_union`, `double_cover`,
 `distance_certificate` and `expansion_audit` take their input through
-`_require_verified`, which refuses it naming the first failing invariant.
-`verify_decomposition` (the `rsg verify` report) adds phase 2 to a passing
-verdict once, for its max_pair_intersection statistic.
+`_require_verified`, which refuses it naming the first failing invariant;
+the Cayley construction and the search certificates read
+`verify_decomposition` as `rsg verify` does, so whichever caller comes first
+runs the verifier and the rest read its report.
 
 Each decomposition builds what the verifier reads once and keeps it: the
 listing of its non-empty matchings (`_listed`, the empty ones skipped in C)
@@ -33,20 +36,20 @@ and the incidence map A_v = {i : v in V_i} of each covered vertex
 (`_matchings_at`).  A_v is a t-bit int where that takes no more 64-bit words
 than the ascending lists hold entries (`_bitsets` decides), and the list
 otherwise (thousands of one-edge matchings would make the ints n*t/64
-words).  Every phase, the report and the audit read that one map.
+words).  The verifier and the audit read that one map.
 
-On the ints, phase 1 is a screen (`_screen`) that needs no witness:
+On the ints, the verifier is first a screen (`_screen`) that needs no witness:
 
     Lemma (the screen).  If every |M_i| = r, sum_v |A_v| = 2 sum_i |M_i|,
-    and A_u & A_w = {o} on every edge (u, w) of every M_o, phase 1 passes;
-    and every input that passes phase 1 passes these checks.
+    and A_u & A_w = {o} on every edge (u, w) of every M_o, the verifier
+    passes; and every input that it passes passes these checks.
     Proof.  sum_v |A_v| = sum_i |V_i|, and |V_i| <= 2 |M_i| with equality
     only when no two edges listed by M_i share an endpoint (an edge listed
     twice shares both), so the identity makes every M_i a matching.  An edge
     (u, w) of M_o that M_j (j != o) lists too, or that joins two vertices of
     V_j as a chord of M_j, puts j in A_u & A_w, which always holds o.  So the
-    checks leave edge-disjoint induced matchings of size r, and the lemma
-    above gives d_u + d_v <= t + 1.  Conversely, on such matchings an extra
+    checks leave edge-disjoint induced matchings of size r, and the pair
+    bound gives d_u + d_v <= t + 1.  Conversely, on such matchings an extra
     j in A_u & A_w would be one of those two faults.
 
 On a passing screen d_v = |A_v|, a popcount: each matching covering v adds
@@ -67,17 +70,12 @@ columns, in C.  Only where the degrees of a passing input differ does it
 walk the edges, through the one routine that takes the degree statistics of
 distinct edges (`_degree_stats`): the order in which the edges first name
 the vertices fixes the histogram's key order, and the edges are counted by
-d_u + d_v.  On the lists, or at the screen's first flag, phase 1 runs the
-witness loop (`_witnesses`): one pass over the edges that finds every
+d_u + d_v.  On the lists, or at the screen's first flag, the verifier runs
+the witness loop (`_witnesses`): one pass over the edges that finds every
 witness, the form deciding only how it tests A_u cap A_w, then that routine
 on the distinct edges it met.  So a failing input pays for the screen up to
-its first flag, next to nothing on a size mismatch, plus the loop.  Phase 2
-sums the ints in bit-planes, or counts the lists with a `Counter`.  Its
-bit-plane sum adds A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w) once per edge
-(u, w) of M_i: the edges of a matching cover V_i once each, so the work is
-sum_i |M_i| adds, half the sum_i |V_i| of one per vertex; a matching that
-phase 1 found sharing an endpoint pairs its sorted vertices instead.  The
-two forms give the same report, and no phase allocates per vertex of n.
+its first flag, next to nothing on a size mismatch, plus the loop.  The two
+forms give the same report, and nothing allocates per vertex of n.
 """
 
 from __future__ import annotations
@@ -260,7 +258,7 @@ class MatchingDecomposition:
         of the t powers 1 << i, which needs no shift per entry; the table takes
         about t^2/128 words, so past t = 2 |A| (t copies of one edge, say),
         where it would outgrow the ints themselves, each power is shifted
-        instead.  Built once and shared by every phase: do not mutate it.
+        instead.  Built once and shared by the verifier and the audit: do not mutate it.
         """
         a = defaultdict(list)
         for i, m in self._listed.items():
@@ -276,19 +274,9 @@ class MatchingDecomposition:
         return bits, a
 
     @cached_property
-    def _verdict(self) -> "VerificationReport":
-        """Phase 1 of the verifier, computed once; read it through `verification_verdict`."""
-        return _verify(self)
-
-    @cached_property
     def _report(self) -> "VerificationReport":
-        """The verifier's full report, computed once; read it through `verify_decomposition`."""
-        verdict = self._verdict
-        if not verdict.passed:
-            return verdict
-        max_inter, violations = _pair_intersections(self)
-        return VerificationReport(**{**vars(verdict), "violations": violations,
-                                     "max_pair_intersection": max_inter})
+        """The verifier's report, computed once; read it through `verify_decomposition`."""
+        return _verify(self)
 
 
 def _bitsets(t: int, vertices: int, entries: int) -> bool:
@@ -314,10 +302,13 @@ class VerificationReport:
     violations: tuple
     degree_histogram: dict
     max_edge_degree_sum: int
-    max_pair_intersection: int
     isolated_vertices: int
     notes: tuple = ()
     edge_degree_sums: dict = {}      # d_u + d_v -> edge count, one dict per report; not in to_dict
+
+    # not a field, and no statistic: only the benchmark's certify answer reads it
+    # (bench/workloads.py:143), to report it; ROADMAP item 1 drops that read and this line
+    max_pair_intersection = None
 
     @property
     def passed(self) -> bool:
@@ -330,7 +321,6 @@ class VerificationReport:
             "stats": {
                 "degree_histogram": _plain(self.degree_histogram),
                 "max_edge_degree_sum": self.max_edge_degree_sum,
-                "max_pair_intersection": self.max_pair_intersection,
                 "isolated_vertices": self.isolated_vertices,
             },
             "notes": _plain(self.notes),
@@ -340,45 +330,36 @@ class VerificationReport:
 def verify_decomposition(dec: MatchingDecomposition) -> VerificationReport:
     """Certify the (r, t)-RS property of dec, collecting all violated invariants.
 
-    Besides the size, disjointness, matching and inducedness invariants this
-    checks the two edge-local consequences used throughout: d_u + d_v <= t + 1
-    on every edge, and |V_i cap V_j| <= r for i != j.  Witnesses are the lexicographically
-    first offenders.  Stats are reported whether or not the verdict is pass.
-    The report is computed on the first call and cached on dec.
+    The invariants are the sizes, edge-disjointness, the matching property,
+    inducedness and d_u + d_v <= t + 1 on every edge; by the pair bound
+    (module docstring) they also give |V_i cap V_j| <= r for i != j.
+    Witnesses are the lexicographically first offenders.  Stats are reported
+    whether or not the verdict is pass.  The report is computed on the first
+    call and cached on dec.
     """
     return dec._report
 
 
-def verification_verdict(dec: MatchingDecomposition) -> VerificationReport:
-    """The verifier's phase 1 (module docstring): its `passed` is the verdict.
-
-    A failing verdict is `verify_decomposition`'s report.  A passing one
-    equals it except that max_pair_intersection is None: the pair count that
-    fills it cannot turn a pass into a fail.  Computed once and cached on dec.
-    """
-    return dec._verdict
-
-
 def _require_verified(dec: MatchingDecomposition, what: str) -> VerificationReport:
-    """The passing verdict of dec, or PreconditionError naming `what` and the first failing invariant."""
-    verdict = verification_verdict(dec)
-    if not verdict.passed:
+    """The passing report of dec, or PreconditionError naming `what` and the first failing invariant."""
+    report = verify_decomposition(dec)
+    if not report.passed:
         raise PreconditionError(
-            f"{what} requires a verified decomposition ({verdict.violations[0].invariant})")
-    return verdict
+            f"{what} requires a verified decomposition ({report.violations[0].invariant})")
+    return report
 
 
 def _verify(dec: MatchingDecomposition) -> VerificationReport:
-    """Phase 1: the screen where A_v is an int, the witness loop where it flags or A_v is a list.
+    """The screen where A_v is an int, the witness loop where it flags or A_v is a list.
 
     By the screen's lemma (module docstring) the screen passes exactly the
-    input that passes phase 1; `_witnesses` finds the witnesses of the rest,
-    and of any input on the lists.
+    input that the verifier passes; `_witnesses` finds the witnesses of the
+    rest, and of any input on the lists.
     """
     stats = _screen(dec) if dec._matchings_at[0] else None
     if stats is None:
         return _witnesses(dec)
-    return _phase_1_report(dec, [], *stats)
+    return _report_of(dec, [], *stats)
 
 
 def _screen(dec: MatchingDecomposition):
@@ -426,7 +407,7 @@ def _degree_stats(edges):
 
 
 def _witnesses(dec: MatchingDecomposition) -> VerificationReport:
-    # Phase 1's witness loop, on either form of A_v: one pass over the
+    # The verifier's witness loop, on either form of A_v: one pass over the
     # matchings and one over the edges, memory O(|E| + t) whatever n is.  An
     # empty matching costs O(1).
     t = dec.t
@@ -505,32 +486,25 @@ def _witnesses(dec: MatchingDecomposition) -> VerificationReport:
                       f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
         )
 
-    return _phase_1_report(dec, violations, histogram, edge_degree_sums, not_matching)
+    return _report_of(dec, violations, histogram, edge_degree_sums)
 
 
-def _phase_1_report(dec: MatchingDecomposition, violations, covered, edge_degree_sums,
-                    not_matching=()):
-    """The phase-1 report from the violations found, the covered vertices by
-    degree (`covered`, in the histogram's key order) and the edges by d_u + d_v.
+def _report_of(dec: MatchingDecomposition, violations, covered, edge_degree_sums):
+    """The report from the violations found, the covered vertices by degree
+    (`covered`, in the histogram's key order) and the edges by d_u + d_v.
 
-    The isolated vertices join the histogram last, at degree 0.  A failing
-    report takes phase 2 at once.
+    The isolated vertices join the histogram last, at degree 0.
     """
     isolated = dec.n - sum(covered.values())
     histogram = dict(covered)
     if isolated:
         histogram[0] = isolated
     notes = (f"{isolated} isolated vertices present; they count toward n",) if isolated else ()
-    max_inter = None
-    if violations:
-        max_inter, pair_violations = _pair_intersections(dec, not_matching)
-        violations.extend(pair_violations)
     return VerificationReport(
         violations=tuple(violations),
         degree_histogram=histogram,
         max_edge_degree_sum=max(edge_degree_sums, default=0),
         edge_degree_sums=edge_degree_sums,
-        max_pair_intersection=max_inter,
         isolated_vertices=isolated,
         notes=notes,
     )
@@ -542,101 +516,3 @@ def _indices(bits: int):
         low = bits & -bits
         bits ^= low
         yield low.bit_length() - 1
-
-
-def _pair_intersections(dec: MatchingDecomposition, not_matching=()):
-    """Phase 2: max |V_i cap V_j| over i < j (0 if t < 2), and an
-    endpoint-intersection violation for each pair above r.
-
-    `not_matching` holds the matchings that phase 1 found sharing an
-    endpoint.  With the bitsets, bit j of the sum of A_x >> (i + 1) over x in
-    V_i is |V_i cap V_{i+1+j}|, kept as bit-planes by a ripple-carry add.
-    The sum runs over pairs (u, w) that cover V_i once each: the edges of
-    M_i, whose ends are V_i and distinct when M_i is a matching, and
-    otherwise V_i's sorted vertices two by two, a lone last one paired with
-    0.  A pair adds the exact identity A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w),
-    the XOR at plane 0 and the AND at plane 1.  On an edge that passes phase
-    1 the AND is {i}, which the shift clears, so that term costs one test.
-    The maximum takes one top-down pass over the planes, and the mask of
-    counts above r one more.  The work is about sum_i |M_i| adds of t-bit
-    ints, half of one per vertex.
-    """
-    bits, a_of = dec._matchings_at
-    if not bits:
-        return _pair_counts(dec)
-    if not_matching:
-        a_of = {**a_of, None: 0}
-    r = dec.r
-    max_inter = 0
-    violations = []
-    for i, m in dec._listed.items():
-        planes = [0] * (2 * len(m)).bit_length()
-        if i in not_matching:
-            xs = sorted({x for e in m for x in e})
-            m = zip(xs[::2], xs[1::2] + [None])
-        s = i + 1
-        for u, w in m:
-            a, b = a_of[u], a_of[w]
-            carry, p = (a ^ b) >> s, 0
-            while carry:
-                planes[p], carry = planes[p] ^ carry, planes[p] & carry
-                p += 1
-            carry, p = (a & b) >> s, 1
-            while carry:
-                planes[p], carry = planes[p] ^ carry, planes[p] & carry
-                p += 1
-        top, at_top = 0, -1             # at_top: the bits whose count is top on the planes so far
-        for p in reversed(range(len(planes))):
-            if at_top & planes[p]:
-                at_top &= planes[p]
-                top |= 1 << p
-        max_inter = max(max_inter, top)
-        if top > r:
-            above, tied = 0, -1         # tied: the bits whose count has every 1 of r seen so far
-            for p in reversed(range(len(planes))):
-                if r >> p & 1:
-                    tied &= planes[p]
-                else:
-                    above |= tied & planes[p]
-            for j in _indices(above):
-                count = sum(1 << p for p, plane in enumerate(planes) if plane >> j & 1)
-                j += i + 1
-                violations.append(
-                    Violation("endpoint-intersection", (i, j), (count,),
-                              f"|V_{i} cap V_{j}| = {count} > r = {r}")
-                )
-    return max_inter, tuple(violations)
-
-
-def _pair_counts(dec: MatchingDecomposition):
-    """`_pair_intersections` where A_v is the ascending list.
-
-    |V_i cap V_j| for every j > i sharing a vertex with V_i comes from
-    counting the matchings that cover V_i's vertices, so the work is
-    sum_v c_v^2, c_v = #{i : v in V_i}.  A reversed copy of each list
-    longer than one ends in the smallest matching not yet handled, which at
-    step i is i itself: popping it leaves the matchings after i.  A
-    matching sharing no vertex with another costs O(|M_i|).
-    """
-    rest = {x: c[::-1] for x, c in dec._matchings_at[1].items() if len(c) > 1}
-    r = dec.r
-    max_inter = 0
-    violations = []
-    for i, m in dec._listed.items():
-        lists = [rest[x] for x in {x for e in m for x in e} if x in rest]
-        if not lists:
-            continue
-        for after in lists:
-            after.pop()
-        shared = Counter(chain.from_iterable(lists))
-        top = max(shared.values(), default=0)
-        max_inter = max(max_inter, top)
-        if top > r:
-            for j in sorted(shared):
-                if shared[j] > r:
-                    violations.append(
-                        Violation("endpoint-intersection", (i, j), (shared[j],),
-                                  f"|V_{i} cap V_{j}| = {shared[j]} > r = {r}")
-                    )
-
-    return max_inter, tuple(violations)

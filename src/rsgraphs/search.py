@@ -73,7 +73,7 @@ from .core import (
     MatchingDecomposition,
     ParameterError,
     _record,
-    verification_verdict,
+    verify_decomposition,
 )
 from .bounds import max_r, min_vertices
 
@@ -154,7 +154,7 @@ class _State:
     append the next as it opens, so no memory grows with t before a node.
     The three tests of `row_mask` keep each matching an induced matching of
     the graph built so far, which is all the search has to maintain: the
-    degree-sum and endpoint-intersection caps follow (module docstring).
+    caps on d_u + d_v and |V_i cap V_j| follow (module docstring).
     """
 
     def __init__(self, n, t):
@@ -208,7 +208,7 @@ class _State:
 def _trivial_outcome(n, r, t, started):
     if r == 0 or t == 0:
         dec = MatchingDecomposition(n, ((),) * t, r)
-        if not verification_verdict(dec).passed:
+        if not verify_decomposition(dec).passed:
             raise AssertionError("degenerate certificate fails verification")
         return SearchOutcome(SAT, certificate=dec, wall_time=time.monotonic() - started,
                              note="degenerate parameters, empty edge set")
@@ -342,7 +342,7 @@ def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
         placed = [(x, y) for x, y, _ in path]
         matchings = [placed[j:j + r] for j in range(0, t * r, r)]
         certificate = MatchingDecomposition.from_matchings(n, matchings, r)
-        if not verification_verdict(certificate).passed:
+        if not verify_decomposition(certificate).passed:
             raise AssertionError("search produced a certificate that fails verification")
     return SearchOutcome(
         verdict, certificate=certificate, nodes_explored=nodes,
@@ -544,7 +544,7 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = Budget(),
     if verdict == SAT or not exact_cover:
         # a SAT cover's matchings cover E(g), so their edges rebuild g itself
         certificate = MatchingDecomposition.from_matchings(g.n, chosen, r)
-        if not verification_verdict(certificate).passed:
+        if not verify_decomposition(certificate).passed:
             raise AssertionError("max_t_on_graph certificate fails verification")
         achieved = len(chosen)
         if verdict == INDETERMINATE:

@@ -9,7 +9,8 @@ incidence map; the tests count them from a graph's edges with `degrees`.
 in one loop, kept verbatim: it checks each record field by field, and the
 package's parser must agree with it on every document.
 `random_decomposition` grows valid decompositions for the audit and verifier
-oracles.
+oracles.  `max_pair_intersection` counts max |V_i cap V_j| by brute force,
+which the verifier does not report: a lemma of its checks bounds it by r.
 """
 
 from collections import defaultdict
@@ -60,6 +61,12 @@ def random_decomposition(n, r, t, rng):
             break
         matchings.append(cur)
     return MatchingDecomposition.from_matchings(n, matchings, r)
+
+
+def max_pair_intersection(dec):
+    """max |V_i cap V_j| over i < j (0 if t < 2), from the vertex sets of the matchings."""
+    vsets = [{x for e in m for x in e} for m in dec.matchings]
+    return max((len(a & b) for i, a in enumerate(vsets) for b in vsets[i + 1:]), default=0)
 
 
 def parse_rsg(text: str) -> MatchingDecomposition:

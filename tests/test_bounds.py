@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import max_pair_intersection
 from rsgraphs import (
     MatchingDecomposition,
     ParameterError,
@@ -148,8 +149,7 @@ class TestDistanceCertificate:
     def test_consistent_with_intersection_bound(self):
         # pairwise distance >= 2r is implied by |V_i cap V_j| <= r; cross-validate
         for dec in (kneser_rs(2), kneser_rs(3), hypercube_rs(3), hypercube_rs(4, True)):
-            report = verify_decomposition(dec)
-            assert report.passed and report.max_pair_intersection <= dec.r
+            assert verify_decomposition(dec).passed and max_pair_intersection(dec) <= dec.r
             assert distance_certificate(dec).min_pairwise_distance >= 2 * dec.r
 
 

@@ -3,6 +3,7 @@ output, a monkeypatched module, a drawn argv or file, or an empty stdout."""
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,21 @@ class TestConstructVerify:
         code, stdout, err = run(capsys, "verify", str(doc))
         assert (code, err) == (EX_OK, "")
         assert stdout.startswith("n=10 t=5 r=3 edges=15\n")
+
+    @pytest.mark.parametrize("r", [3, 4], ids=["pass", "fail"])
+    def test_verify_output_shape(self, tmp_path, capsys, r):
+        # the shape a first versioned JSON schema starts from; no pair statistic
+        # is printed or keyed, since the verifier does not count one
+        doc = tmp_path / "petersen.rsg"
+        doc.write_text(emit_rsg(MatchingDecomposition(10, kneser_rs(2).matchings, r)))
+        code, stdout, _ = run(capsys, "verify", "--json", str(doc))
+        report = json.loads(stdout)
+        assert (code, report["passed"]) == ((EX_OK, True) if r == 3 else (EX_FAIL, False))
+        assert list(report) == ["passed", "violations", "stats", "notes"]
+        assert list(report["stats"]) == ["degree_histogram", "max_edge_degree_sum", "isolated_vertices"]
+        lines = run(capsys, "verify", str(doc))[1].splitlines()
+        assert lines[:3] == [f"n=10 t=5 r={r} edges=15", "max edge degree sum: 6",
+                             "verdict: pass" if r == 3 else "verdict: fail"]
 
     def test_over_size_budget_usage(self, tmp_path, capsys):
         base = tmp_path / "petersen.rsg"

@@ -148,11 +148,9 @@ class TestVerifyDecomposition:
         report = verify_decomposition(triangle_dec())
         assert report.passed
         assert report.max_edge_degree_sum == 4  # = t + 1
-        assert report.max_pair_intersection == 1
 
     def test_failing_verification_leaves_the_incidence_map_unchanged(self):
-        # matching 1 lists two edges and fails: its vertices count all the same,
-        # and phase 2 reads the map, on the lists by popping copies of them
+        # matching 1 lists two edges and fails: its vertices count all the same
         lists = {0: [0, 1, 2], 1: [0, 1], 2: [1, 2], 3: [1]}
         for bits, expected in ((True, {v: sum(1 << i for i in a) for v, a in lists.items()}),
                                (False, lists)):
@@ -281,9 +279,9 @@ RECORDS = [
      "MatchingDecomposition(n=2, matchings=(((0, 1),),), r=1)", True),
     (Violation, ("x", (0,), (1,), "d"),
      "Violation(invariant='x', matchings=(0,), witness=(1,), detail='d')", True),
-    (VerificationReport, ((), {2: 3}, 4, 1, 0),
+    (VerificationReport, ((), {2: 3}, 4, 0),
      "VerificationReport(violations=(), degree_histogram={2: 3}, max_edge_degree_sum=4, "
-     "max_pair_intersection=1, isolated_vertices=0, notes=(), edge_degree_sums={})", False),
+     "isolated_vertices=0, notes=(), edge_degree_sums={})", False),
     (BoundVerdict, (10, 3, 5, True, "above-quarter", Fraction(3), True, "w", ("a",)),
      "BoundVerdict(n=10, r=3, t=5, feasible=True, regime='above-quarter', "
      "hard_bound=Fraction(3, 1), tight=True, witness='w', advisory=('a',))", True),
@@ -327,9 +325,11 @@ def test_records_are_frozen_values(cls, args, text, hashable):
 
 
 def test_a_report_owns_its_default_dict_and_a_budget_checks_itself():
-    first, second = VerificationReport((), {}, 0, 0, 0), VerificationReport((), {}, 0, 0, 0)
+    first, second = VerificationReport((), {}, 0, 0), VerificationReport((), {}, 0, 0)
     assert first.edge_degree_sums == {} and first.edge_degree_sums is not second.edge_degree_sums
     with pytest.raises(TypeError):      # isolated_vertices has no default
-        VerificationReport((), {}, 0, 0)
+        VerificationReport((), {}, 0)
+    # the benchmark's one read of the dropped statistic: a class attribute, no field
+    assert first.max_pair_intersection is None and "max_pair_intersection" not in first._fields
     with pytest.raises(ParameterError):
         Budget(max_nodes=-1)

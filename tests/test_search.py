@@ -29,7 +29,6 @@ from rsgraphs import (
     verify_decomposition,
 )
 from rsgraphs.bounds import min_vertices
-from rsgraphs.core import verification_verdict
 from rsgraphs.search import _enumerate_induced_matchings
 from oracles import OracleState
 
@@ -132,7 +131,7 @@ class TestExistsRS:
         finally:
             tracemalloc.stop()
         assert (out.verdict, out.certificate.t) == (SAT, t)
-        assert verification_verdict(out.certificate).passed
+        assert verify_decomposition(out.certificate).passed
         assert peak < 12 * t
 
     def test_deep_search_needs_no_recursion(self):

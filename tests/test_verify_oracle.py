@@ -5,11 +5,14 @@ implementations, kept verbatim as test-only references (the oracle builds the
 degree list from per-vertex neighbour sets, as the package's graph then did, and
 certifies with `pairwise_verify`; `adjacency` and `endpoint_sets` build those
 sets here, as the test-only `Graph.adjacency` and
-`MatchingDecomposition.endpoint_sets` did).  The first intersects the
-endpoint sets of every pair of matchings and scans each matching's adjacency for chords; the
-second sums the Hamming distances of every pair of characteristic vectors.
-The package must agree with them field for field, witnesses and violation
-order included, on valid decompositions and on mutants of them.
+`MatchingDecomposition.endpoint_sets` did).  The first scans each matching's
+adjacency for chords; the second sums the Hamming distances of every pair of
+characteristic vectors.  The package must agree with them field for field,
+witnesses and violation order included, on valid decompositions and on
+mutants of them.  Neither the first nor the package counts |V_i cap V_j|:
+by the pair bound in the `core` docstring it is at most r once the other
+checks pass, and `oracles.max_pair_intersection` counts it where a test
+checks that bound.
 """
 
 import math
@@ -39,11 +42,11 @@ from rsgraphs import (
     parse_rsg,
     verify_decomposition,
 )
-from rsgraphs import core
+from rsgraphs import cli, core
 from rsgraphs.bounds import DistanceCertificate
-from rsgraphs.core import VerificationReport, Violation, verification_verdict
+from rsgraphs.core import VerificationReport, Violation
 
-from oracles import random_decomposition
+from oracles import max_pair_intersection, random_decomposition
 
 # examples per property test: ten times as many under RSG_SLOW_TESTS=1, as CI runs them
 EXAMPLES = 3000 if os.environ.get("RSG_SLOW_TESTS") == "1" else 300
@@ -86,7 +89,6 @@ def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
             else:
                 owner[e] = i
 
-    vsets = endpoint_sets(dec)
     for i, m in enumerate(dec.matchings):
         covered = set()
         matching_ok = True
@@ -129,17 +131,6 @@ def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
                       f"edge ({u}, {v}) has d_u + d_v = {deg[u] + deg[v]} > t + 1 = {t + 1}")
         )
 
-    max_inter = 0
-    for i in range(t):
-        for j in range(i + 1, t):
-            inter = len(vsets[i] & vsets[j])
-            max_inter = max(max_inter, inter)
-            if inter > r:
-                violations.append(
-                    Violation("endpoint-intersection", (i, j), (inter,),
-                              f"|V_{i} cap V_{j}| = {inter} > r = {r}")
-                )
-
     isolated = deg.count(0)
     notes = []
     if isolated:
@@ -149,7 +140,6 @@ def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
         violations=tuple(violations),
         degree_histogram=dict(Counter(deg)),
         max_edge_degree_sum=max_sum,
-        max_pair_intersection=max_inter,
         isolated_vertices=isolated,
         notes=tuple(notes),
     )
@@ -325,34 +315,29 @@ def check_mutant(data):
 
 
 def check_verdict(data):
-    # the lemma in the core docstring: once phase 1 passes, the pair
-    # count and the degree-sum cap cannot fail; and the screen's lemma: on
-    # the bitsets the witness loop runs exactly when the verdict fails
+    # the pair bound in the core docstring: once the verifier passes, no
+    # pair count and no degree sum exceeds its cap; and the screen's lemma:
+    # on the bitsets the witness loop runs exactly when the verdict fails
     dec = draw_mutant(data, 0)
-    r = dec.r
     expected = pairwise_verify(dec)
     with witness_loop_runs() as runs:
-        verdict = verification_verdict(dec)
-    assert verdict.passed == expected.passed
-    assert runs == ([] if verdict.passed and dec._matchings_at[0] else [dec])
+        report = verify_decomposition(dec)
+    assert report.to_dict() == expected.to_dict()
+    assert runs == ([] if report.passed and dec._matchings_at[0] else [dec])
     if expected.passed:
-        assert expected.max_pair_intersection <= r
+        assert max_pair_intersection(dec) <= dec.r
         assert expected.max_edge_degree_sum <= dec.t + 1
-        assert verdict.max_pair_intersection is None
-        assert verify_decomposition(dec).to_dict() == expected.to_dict()
-    else:
-        assert verdict is verify_decomposition(dec)
 
 
 def check_edge_degree_sums(data):
     dec = draw_mutant(data, 0)
     deg = [len(a) for a in adjacency(dec.graph)]
-    assert verification_verdict(dec).edge_degree_sums == Counter(deg[u] + deg[v] for u, v in dec.graph.edges)
+    assert verify_decomposition(dec).edge_degree_sums == Counter(deg[u] + deg[v] for u, v in dec.graph.edges)
 
 
 @contextmanager
 def witness_loop_runs():
-    """The decompositions phase 1's witness loop runs on inside the block, in order."""
+    """The decompositions the verifier's witness loop runs on inside the block, in order."""
     runs = []
     loop = core._witnesses
     with mock.patch.object(core, "_witnesses", lambda dec: runs.append(dec) or loop(dec)):
@@ -445,44 +430,38 @@ class TestEveryInvariantOnBothForms:
             ("not-induced", (0,), (1, 2)),
             ("not-a-matching", (3,), (3, 5)),
             ("degree-sum", (), (2, 3)),
-            ("endpoint-intersection", (0, 1), (2,)),
-            ("endpoint-intersection", (0, 2), (2,)),
-            ("endpoint-intersection", (1, 2), (2,)),
         ]
         assert report.to_dict() == pairwise_verify(dec).to_dict()
 
 
-class TestPhaseTwoPairs:
-    """Phase 2 sums A_u + A_w = (A_u ^ A_w) + 2 (A_u & A_w) over pairs covering V_i once;
-    one fixed case per term, each of whose counts a wrong term would change."""
+class TestFailingPairs:
+    """Three failing inputs whose matchings overlap, one with |V_0 cap V_1| > r: the report
+    is the oracle's on either form, found by the witness loop."""
 
     CASES = {
-        # (0, 1) is listed by M_0 and M_1: |V_0 cap V_1| = 2 > r, the second
-        # end counted only by the AND term at plane 1
+        # (0, 1) is listed by M_0 and M_1, so |V_0 cap V_1| = 2 > r
         "relisted-edge": ([[(0, 1)], [(0, 1)]], 1, 2),
-        # M_0 lists (0, 1) twice, so it pairs its vertices, not its edges:
-        # |V_0 cap V_1| = 1 = r, where summing both edges would give 2
+        # M_0 lists (0, 1) twice, so it is no matching: |V_0 cap V_1| = 1 = r
         "edge-twice": ([[(0, 1), (0, 1)], [(0, 2)]], 1, 1),
-        # M_0 is no matching and V_0 = {1, 2, 3} is odd: 3 is paired with 0,
-        # so |V_0 cap V_1| = 1, not 0 (3 dropped) or 2 (3 paired with itself or vertex 0)
+        # M_0 is no matching and V_0 = {1, 2, 3} is odd: |V_0 cap V_1| = 1
         "odd-non-matching": ([[(1, 2), (2, 3)], [(0, 3)]], 2, 1),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_pairs_cover_each_vertex_once(self, name):
+    def test_report_on_both_forms(self, name):
         matchings, r, max_inter = self.CASES[name]
         dec = MatchingDecomposition.from_matchings(4, matchings, r)
+        assert max_pair_intersection(dec) == max_inter
         assert dec._matchings_at[0]
         with witness_loop_runs() as runs:
             report = verify_decomposition(dec)
-        assert runs == [dec]
-        assert report.max_pair_intersection == max_inter
+        assert runs == [dec] and not report.passed
         assert report.to_dict() == pairwise_verify(dec).to_dict()
         lists_dec = MatchingDecomposition.from_matchings(4, matchings, r)
         with list_path(), witness_loop_runs() as runs:
             lists = verify_decomposition(lists_dec)
-        assert runs == [lists_dec]
-        assert lists.to_dict() == report.to_dict()
+        assert runs == [lists_dec] and not lists_dec._matchings_at[0]
+        assert repr(lists) == repr(report)
 
 
 def one_mutant(kind):
@@ -506,7 +485,7 @@ def one_mutant(kind):
 
 
 class TestScreenRouting:
-    """Phase 1's screen passes valid input without the witness loop, and sends it failing input."""
+    """The verifier's screen passes valid input without the witness loop, and sends it failing input."""
 
     VALID = {
         **{f"kneser{k}": (lambda k=k: kneser_rs(k)) for k in range(1, 7)},
@@ -518,7 +497,7 @@ class TestScreenRouting:
     def test_valid_input_skips_the_witness_loop(self, name):
         with witness_loop_runs() as runs, degree_walks_run() as walks:
             dec = self.VALID[name]()
-            assert verification_verdict(dec).passed
+            assert verify_decomposition(dec).passed
         assert runs == [] and walks == []
 
     @settings(max_examples=EXAMPLES, deadline=None)
@@ -531,9 +510,9 @@ class TestScreenRouting:
         matchings = [m for m, k in zip(src.matchings, keep) if k]
         dec, twin = (MatchingDecomposition.from_matchings(src.n, matchings, src.r) for _ in range(2))
         with witness_loop_runs() as runs:
-            screened = verification_verdict(dec)
+            screened = verify_decomposition(dec)
         with mock.patch.object(core, "_screen", lambda dec: None):
-            looped = verification_verdict(twin)
+            looped = verify_decomposition(twin)
         assert runs == [] and screened.passed
         assert repr(screened) == repr(looped)
 
@@ -586,22 +565,22 @@ class TestScreenRouting:
         dec = one_mutant(kind)
         assert dec._matchings_at[0]
         with witness_loop_runs() as runs, degree_walks_run() as walks:
-            verdict = verification_verdict(dec)
+            verdict = verify_decomposition(dec)
         assert runs == [dec] and walks == ["_witnesses"]
         assert verdict.to_dict() == pairwise_verify(dec).to_dict()
 
 
 def screened_verdict(src):
-    """Phase 1 of a fresh copy of src, passed by the screen, and the functions that walked its edges."""
+    """The report on a fresh copy of src, passed by the screen, and the functions that walked its edges."""
     dec = MatchingDecomposition(src.n, src.matchings, src.r)
     with witness_loop_runs() as runs, degree_walks_run() as walks:
-        verdict = verification_verdict(dec)
+        verdict = verify_decomposition(dec)
     assert runs == [] and verdict.passed
     return verdict, walks
 
 
 def looped_verdict(src):
-    """Phase 1 of a fresh copy of src by the witness loop, the screen skipped."""
+    """The report on a fresh copy of src by the witness loop, the screen skipped."""
     dec = MatchingDecomposition(src.n, src.matchings, src.r)
     return core._witnesses(dec)
 
@@ -626,55 +605,70 @@ class TestReportCache:
         assert distance_certificate(dec).passed
         assert len(calls) == 1 and calls[0] is dec
 
-    def test_report_after_a_construction_runs_only_phase_2(self, monkeypatch):
-        dec = cayley(31)               # certified by its verdict
+    # each first caller, and by how much the file it reads overstates r: a
+    # construction verifies itself, so only the other two meet failing input
+    FIRST_CALLERS = {
+        "construction": (lambda path: cayley(31), 0),
+        "certificate": (lambda path: distance_certificate(parse_rsg(path.read_text())), 0),
+        "rsg-verify": (lambda path: cli.main(["verify", str(path)]), 0),
+        "refused-certificate": (lambda path: distance_certificate(parse_rsg(path.read_text())), 1),
+        "failing-rsg-verify": (lambda path: cli.main(["verify", str(path)]), 1),
+    }
+
+    @pytest.mark.parametrize("first", FIRST_CALLERS)
+    def test_first_caller_verifies_once(self, first, tmp_path, capsys):
+        # the verifier runs on the object the first caller verifies; the
+        # report and the refusal check of the certificate and the audit read its cache
+        call, extra = self.FIRST_CALLERS[first]
+        src = cayley(31)
+        path = tmp_path / "c31.rsg"
+        path.write_text(emit_rsg(MatchingDecomposition(src.n, src.matchings, src.r + extra)))
         calls = []
-        phase_1, phase_2 = core._verify, core._pair_intersections
-        monkeypatch.setattr(core, "_verify", lambda dec: calls.append(1) or phase_1(dec))
-        monkeypatch.setattr(core, "_pair_intersections", lambda *args: calls.append(2) or phase_2(*args))
-        report = verify_decomposition(dec)
-        assert calls == [2]
-        assert report.to_dict() == pairwise_verify(dec).to_dict()
-        assert verify_decomposition(dec) is report and calls == [2]
+        uncached = core._verify
+        with mock.patch.object(core, "_verify", lambda dec: calls.append(dec) or uncached(dec)), \
+                builds() as counts:
+            with pytest.raises(PreconditionError) if first == "refused-certificate" else nullcontext():
+                call(path)
+            dec, = calls
+            report = verify_decomposition(dec)
+            with nullcontext() if report.passed else pytest.raises(PreconditionError):
+                distance_certificate(dec)
+            with nullcontext() if report.passed else pytest.raises(PreconditionError):
+                assert core._require_verified(dec, "expansion_audit") is report
+        assert calls == [dec] and counts == {"map": 1, "listing": 1}
+        assert report.passed == (not extra) and report.to_dict() == pairwise_verify(dec).to_dict()
+        lines = capsys.readouterr().out.splitlines()
+        assert (f"verdict: {'pass' if report.passed else 'fail'}" in lines) == ("rsg-verify" in first)
 
     def test_report_builds_the_incidence_once(self):
-        dec = parse_rsg(emit_rsg(cayley(31)))      # a fresh object: no verdict cached
+        dec = parse_rsg(emit_rsg(cayley(31)))      # a fresh object: no report cached
         with builds() as counts:
             report = verify_decomposition(dec)
-            assert verification_verdict(dec).passed
+            assert verify_decomposition(dec) is report
         assert counts == {"map": 1, "listing": 1}
         assert report.to_dict() == pairwise_verify(dec).to_dict()
 
     def test_report_after_the_verdict_builds_the_incidence_no_second_time(self):
+        # `_require_verified` is how the certificate and the audit take the verdict
         dec = parse_rsg(emit_rsg(cayley(31)))
         with builds() as counts:
-            assert verification_verdict(dec).passed
+            verdict = core._require_verified(dec, "expansion_audit")
             report = verify_decomposition(dec)
-        assert counts == {"map": 1, "listing": 1}
+        assert counts == {"map": 1, "listing": 1} and report is verdict
         assert report.to_dict() == pairwise_verify(dec).to_dict()
 
     @pytest.mark.parametrize("lists", [False, True], ids=["bits", "lists"])
     def test_failing_verdict_and_its_report_read_one_map_and_listing(self, lists):
-        # phase 1 fails, so phase 2 runs with it: both read the one map and listing
+        # the refusal names the first violation of the report it caches
         src = kneser_rs(2)
         dec = MatchingDecomposition.from_matchings(src.n, src.matchings, src.r + 1)
         with list_path() if lists else nullcontext(), builds() as counts:
-            verdict = verification_verdict(dec)
-            assert verify_decomposition(dec) is verdict
+            with pytest.raises(PreconditionError, match=r"\(size-mismatch\)$"):
+                distance_certificate(dec)
+            report = verify_decomposition(dec)
         assert counts == {"map": 1, "listing": 1}
-        assert dec._matchings_at[0] != lists and not verdict.passed
-        assert verdict.to_dict() == pairwise_verify(dec).to_dict()
-
-    def test_failing_verdict_is_the_report(self, monkeypatch):
-        calls = []
-        phase_2 = core._pair_intersections
-        monkeypatch.setattr(core, "_pair_intersections", lambda dec, *args: calls.append(dec) or phase_2(dec, *args))
-        src = kneser_rs(2)
-        dec = MatchingDecomposition.from_matchings(src.n, src.matchings, src.r + 1)
-        verdict = verification_verdict(dec)
-        assert not verdict.passed and len(calls) == 1
-        assert verify_decomposition(dec) is verdict and len(calls) == 1
-        assert verdict.to_dict() == pairwise_verify(dec).to_dict()
+        assert dec._matchings_at[0] != lists and not report.passed
+        assert report.to_dict() == pairwise_verify(dec).to_dict()
 
 
 class TestEdgeNormalisation:
@@ -740,7 +734,6 @@ class TestLargeSparse:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert report.max_pair_intersection == 0
         assert report.isolated_vertices == n - 2 * t
         assert peak < 32 * n           # a few n-long lists, no per-vertex set or list
 
