@@ -111,7 +111,7 @@ def cmd_verify(args) -> int:
     if args.json:
         _print_json(report.to_dict())
     else:
-        print(f"n={dec.n} t={dec.t} r={dec.r} edges={sum(map(len, dec._listed.values()))}")
+        print(f"n={dec.n} t={dec.t} r={dec.r} edges={sum(len(m) for _, m in dec.listed)}")
         print(f"max edge degree sum: {report.max_edge_degree_sum}")
         for note in report.notes:
             print(f"note: {note}")

@@ -15,6 +15,7 @@ import math
 from itertools import combinations
 
 from .core import (
+    SIZE_BUDGET,
     MatchingDecomposition,
     ParameterError,
     _record,
@@ -27,7 +28,6 @@ class ResourceLimitError(ValueError):
     """A construction would exceed the configured size budget."""
 
 
-SIZE_BUDGET = 2_000_000                 # on n + |E| of a construction's output
 _K_CLIP = SIZE_BUDGET.bit_length()      # n >= 2^k: k-families are sized at min(k, _K_CLIP)
 
 
@@ -118,14 +118,12 @@ def disjoint_union(dec: MatchingDecomposition, copies: int) -> MatchingDecomposi
     if copies < 1:
         raise ParameterError("copies must be >= 1")
     n = dec.n
-    _check_size(f"{copies} disjoint copies", copies * (n + sum(map(len, dec.matchings))))
+    _check_size(f"{copies} disjoint copies", copies * (n + sum(len(m) for _, m in dec.listed)))
     _require_verified(dec, "disjoint_union")
-    # edge-major, so an empty matching costs nothing per copy; from_matchings sorts
-    matchings = [
-        [(u + c * n, v + c * n) for (u, v) in mi for c in range(copies)]
-        for mi in dec.matchings
-    ]
-    return MatchingDecomposition.from_matchings(copies * n, matchings, dec.r * copies)
+    # from_listed sorts each matching's edges
+    listed = [(i, [(u + c * n, v + c * n) for (u, v) in mi for c in range(copies)])
+              for i, mi in dec.listed]
+    return MatchingDecomposition.from_listed(copies * n, dec.t, dec.r * copies, listed)
 
 
 def double_cover(dec: MatchingDecomposition) -> MatchingDecomposition:
@@ -136,14 +134,8 @@ def double_cover(dec: MatchingDecomposition) -> MatchingDecomposition:
     """
     _require_verified(dec, "double_cover")
     n = dec.n
-    matchings = []
-    for mi in dec.matchings:
-        out = []
-        for u, v in mi:
-            out.append((u, v + n))
-            out.append((v, u + n))
-        matchings.append(out)
-    return MatchingDecomposition.from_matchings(2 * n, matchings, 2 * dec.r)
+    listed = [(i, [e for u, v in mi for e in ((u, v + n), (v, u + n))]) for i, mi in dec.listed]
+    return MatchingDecomposition.from_listed(2 * n, dec.t, 2 * dec.r, listed)
 
 
 @_record

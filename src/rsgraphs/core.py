@@ -30,9 +30,10 @@ the Cayley construction and the search certificates read
 `verify_decomposition` as `rsg verify` does, so whichever caller comes first
 runs the verifier and the rest read its report.
 
-Each decomposition builds what the verifier reads once and keeps it: the
-listing of its non-empty matchings (`_listed`, the empty ones skipped in C)
-and the incidence map A_v = {i : v in V_i} of each covered vertex
+A decomposition stores t and only its non-empty matchings (`listed`), so an
+empty matching costs nothing; only at r >= 1 does the witness loop step over
+each, as a size mismatch.  Each decomposition builds the incidence map
+A_v = {i : v in V_i} of each covered vertex once and keeps it
 (`_matchings_at`).  A_v is a t-bit int where that takes no more 64-bit words
 than the ascending lists hold entries (`_bitsets` decides), and the list
 otherwise (thousands of one-edge matchings would make the ints n*t/64
@@ -82,7 +83,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain
 from operator import add, and_
 
 
@@ -96,6 +97,9 @@ class ParameterError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation was handed input that fails its stated precondition."""
+
+
+SIZE_BUDGET = 2_000_000     # on a construction's n + |E| and a search's labels, before either is built
 
 
 def _record(cls):
@@ -157,11 +161,6 @@ def _norm_edges(pairs, n: int):
             raise GraphError(f"vertex out of range in edge ({u}, {v}); n = {n}")
 
 
-def _canonical(matchings, n: int):
-    """Each matching as the sorted tuple of its normalised edges."""
-    return tuple(tuple(sorted(_norm_edges(m, n))) for m in matchings)
-
-
 @_record
 class Graph:
     """Undirected simple graph on vertices 0..n-1, edges stored as (u, v) with u < v."""
@@ -211,41 +210,51 @@ class MatchingDecomposition:
 
     The graph is the union of the matchings, as in the paper's definition of an
     (r, t)-RS graph, so the lists are the whole object: `graph` is derived from
-    them on first read.  Each matching is a tuple of edges (u, v), u < v, in
-    ascending order, which no reader sorts again: only `from_matchings`,
-    `parse_rsg` and `search`'s empty certificate build a decomposition.
+    them on first read.  Only the non-empty matchings are stored, in `listed`,
+    so t costs nothing.  Each is a tuple of edges (u, v), u < v, in ascending
+    order, which no reader sorts again: only `from_listed` (which
+    `from_matchings` calls), `parse_rsg` and `search`'s empty certificate
+    build a decomposition.
     """
 
     n: int
-    matchings: tuple
+    t: int
     r: int
+    listed: tuple       # (i, M_i) for each non-empty matching, ascending i
 
     @classmethod
     def from_matchings(cls, n: int, matchings, r: int) -> "MatchingDecomposition":
-        """The decomposition of `matchings` on n vertices, each edge normalised once.
+        """The decomposition of the t edge lists that `matchings` yields, on n vertices."""
+        matchings = tuple(matchings)
+        return cls.from_listed(n, len(matchings), r, enumerate(matchings))
+
+    @classmethod
+    def from_listed(cls, n: int, t: int, r: int, pairs) -> "MatchingDecomposition":
+        """The decomposition with the edge list M_i of each (i, M_i) in `pairs`, ascending i < t,
+        and every other matching empty; each edge is normalised once and empty lists dropped.
 
         GraphError names what `Graph.from_edges(n, <their edges>)` would, then a negative r.
         """
         if n < 0:
             raise GraphError("vertex count must be non-negative")
-        normed = _canonical(matchings, n)
+        normed = ((i, tuple(sorted(_norm_edges(m, n)))) for i, m in pairs)
+        listed = tuple((i, m) for i, m in normed if m)
         if r < 0:
             raise GraphError("claimed matching size must be non-negative")
-        return cls(n, normed, r)
+        return cls(n, t, r, listed)
+
+    @property
+    def matchings(self) -> tuple:
+        """All t matchings, the empty ones included, built per read: the package reads `listed`."""
+        out = [()] * self.t
+        for i, m in self.listed:
+            out[i] = m
+        return tuple(out)
 
     @cached_property
     def graph(self) -> Graph:
         """The union of the matchings, built on first read and kept."""
-        return Graph(self.n, frozenset(chain.from_iterable(self.matchings)))
-
-    @property
-    def t(self) -> int:
-        return len(self.matchings)
-
-    @cached_property
-    def _listed(self):
-        """{i: M_i} for each non-empty matching, ascending, listed once: the empty ones cost no Python step."""
-        return dict(zip(compress(count(), self.matchings), filter(None, self.matchings)))
+        return Graph(self.n, frozenset(chain.from_iterable(m for _, m in self.listed)))
 
     @cached_property
     def _matchings_at(self):
@@ -261,7 +270,7 @@ class MatchingDecomposition:
         instead.  Built once and shared by the verifier and the audit: do not mutate it.
         """
         a = defaultdict(list)
-        for i, m in self._listed.items():
+        for i, m in self.listed:
             for x in {x for e in m for x in e}:
                 a[x].append(i)
         a.default_factory = None     # a vertex outside the map raises KeyError
@@ -372,24 +381,24 @@ def _screen(dec: MatchingDecomposition):
     by degree.  With one degree both statistics follow from the one-degree
     lemma; otherwise `_degree_stats` takes them from the edges.
     """
-    r, matchings = dec.r, dec.matchings
+    r, t, listed = dec.r, dec.t, dec.listed
     if not r:
-        return None if any(matchings) else ({}, {})
-    if not set(map(len, matchings)) <= {r}:
+        return None if listed else ({}, {})
+    if len(listed) != t or any(len(m) != r for _, m in listed):
         return None
     at = dec._matchings_at[1]
     degrees = list(map(int.bit_count, at.values()))       # |A_v|, which is d_v if the screen passes
-    if sum(degrees) != 2 * r * len(matchings):
+    if sum(degrees) != 2 * r * t:
         return None
     a_of = at.__getitem__
-    for o, m in enumerate(matchings):
+    for o, m in listed:
         us, ws = zip(*m)
         if list(map(and_, map(a_of, us), map(a_of, ws))).count(1 << o) != r:
             return None
     if len(set(degrees)) == 1:
         d = degrees[0]
-        return {d: len(degrees)}, {2 * d: r * len(matchings)}
-    return _degree_stats(chain.from_iterable(matchings))[1:]
+        return {d: len(degrees)}, {2 * d: r * t}
+    return _degree_stats(chain.from_iterable(m for _, m in listed))[1:]
 
 
 def _degree_stats(edges):
@@ -408,16 +417,17 @@ def _degree_stats(edges):
 
 def _witnesses(dec: MatchingDecomposition) -> VerificationReport:
     # The verifier's witness loop, on either form of A_v: one pass over the
-    # matchings and one over the edges, memory O(|E| + t) whatever n is.  An
-    # empty matching costs O(1).
-    t = dec.t
-    r = dec.r
+    # matchings and one over the edges, memory O(|E| + t) whatever n is.  At
+    # r = 0 it steps over the listed matchings only: an empty one has size r.
+    t, r = dec.t, dec.r
     violations = []
 
     owner = {}          # edge of the graph -> first matching listing it
     relisted = set()    # (edge, i): matching i lists an edge listed before
     not_matching = {}   # i -> first edge of matching i sharing an endpoint
-    for i, m in enumerate(dec.matchings):
+    listed = dict(dec.listed)
+    for i in range(t) if r else listed:
+        m = listed.get(i, ())
         if len(m) != r:
             violations.append(
                 Violation("size-mismatch", (i,), (len(m),),

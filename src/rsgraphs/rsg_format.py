@@ -1,8 +1,10 @@
 """Plain-text .rsg serialization: header `rsg n t r`, then `u v m` edge records.
 
 Parsing builds the decomposition but never verifies it; corrupt or
-inconsistent files stay inspectable.  Emission is canonical (records sorted by
-(m, u, v), newline-terminated) so parse-then-emit is byte-identical.
+inconsistent files stay inspectable.  A matching with no record is empty and
+is not stored, so the header's t costs nothing in either direction.  Emission
+is canonical (records sorted by (m, u, v), newline-terminated) so
+parse-then-emit is byte-identical.
 """
 
 from __future__ import annotations
@@ -58,11 +60,9 @@ def parse_rsg(text: str) -> MatchingDecomposition:
         raise _record_error(offset, line, n, t, seen) from None
 
     # The records are checked distinct edges with 0 <= u < v < n, the form
-    # MatchingDecomposition.from_matchings produces, so the decomposition is
-    # built directly.  A matching without records is the shared empty tuple:
-    # a header's t costs one pointer per matching.
-    matchings = tuple(tuple(sorted(records[i])) if i in records else () for i in range(t))
-    return MatchingDecomposition(n, matchings, r)
+    # MatchingDecomposition.from_listed produces, so the decomposition is
+    # built directly, from the matchings with records only.
+    return MatchingDecomposition(n, t, r, tuple((i, tuple(sorted(m))) for i, m in sorted(records.items())))
 
 
 def _record_error(offset: int, line: str, n: int, t: int, seen) -> RsgParseError:
@@ -86,5 +86,5 @@ def emit_rsg(dec: MatchingDecomposition) -> str:
     # one `%` per matching over its flattened edges, its index written once
     out = [f"rsg {dec.n} {dec.t} {dec.r}\n"]
     out.extend(("%d %d " + str(m) + "\n") * len(matching) % tuple(chain.from_iterable(matching))
-               for m, matching in enumerate(dec.matchings) if matching)
+               for m, matching in dec.listed)
     return "".join(out)

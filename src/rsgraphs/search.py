@@ -69,6 +69,7 @@ import time
 from fractions import Fraction
 
 from .core import (
+    SIZE_BUDGET,
     Graph,
     MatchingDecomposition,
     ParameterError,
@@ -205,16 +206,6 @@ class _State:
         return ((1 << (hi + 1)) - 1) >> lo << lo & ~blocked
 
 
-def _trivial_outcome(n, r, t, started):
-    if r == 0 or t == 0:
-        dec = MatchingDecomposition(n, ((),) * t, r)
-        if not verify_decomposition(dec).passed:
-            raise AssertionError("degenerate certificate fails verification")
-        return SearchOutcome(SAT, certificate=dec, wall_time=time.monotonic() - started,
-                             note="degenerate parameters, empty edge set")
-    return None
-
-
 def _candidates(state, n, lo, rows, blocked):
     """One depth's candidates: the edges (x, y) after `lo` in lex order with x <= `rows`.
 
@@ -264,9 +255,12 @@ def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
         raise ParameterError(f"impossible parameters: 2r = {2 * r} > n = {n}")
     started = time.monotonic()
 
-    trivial = _trivial_outcome(n, r, t, started)
-    if trivial is not None:
-        return trivial
+    if r == 0 or t == 0:
+        dec = MatchingDecomposition(n, t, r, ())      # t empty matchings, stored as none
+        if not verify_decomposition(dec).passed:
+            raise AssertionError("degenerate certificate fails verification")
+        return SearchOutcome(SAT, certificate=dec, wall_time=time.monotonic() - started,
+                             note="degenerate parameters, empty edge set")
 
     if eq1_shortcut and Fraction(r) > max_r(n, t):
         return SearchOutcome(
@@ -275,7 +269,10 @@ def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
         )
 
     # labels enter as the smallest unused one, at most two per edge, so all stay below 2rt
-    state = _State(min(n, 2 * r * t), 1)
+    labels = min(n, 2 * r * t)
+    if labels > SIZE_BUDGET:
+        raise ParameterError(f"{labels} vertex labels would exceed the size budget {SIZE_BUDGET}")
+    state = _State(labels, 1)
     seeded = 2 * r                     # M_0: the pairs (2j, 2j + 1), n >= 2r, with no `nbr` bits
     state.incidence[:seeded] = [1] * seeded
     state.members[0] = (1 << seeded) - 1

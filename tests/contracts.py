@@ -56,9 +56,15 @@ ROWS = [
     Row("verify tall header", "verify tall.rsg", files={"tall.rsg": "rsg 2 200000 0\n"}),
     Row("verify huge header", "verify huge-header.rsg", (0, 65),
         files={"huge-header.rsg": "rsg 2000000 0 0\n"}),
-    # defect: a header's t is not bounded by the records (ROADMAP item 4)
+    # a header's t costs nothing: only the non-empty matchings are stored
     Row("verify taller header", "verify taller.rsg", files={"taller.rsg": "rsg 2 20000000 0\n"},
-        seconds=2, max_mb=100, defect=True),
+        seconds=2, max_mb=100),
+    Row("double cover taller header", "construct double-cover --input taller.rsg",
+        out="rsg 4 20000000 0\n", seconds=2, max_mb=100),
+    # defect: at r >= 1 each empty matching is a size-mismatch line (ROADMAP item 4); a
+    # MemoryError inside the error handler also exits 1, so the verdict line is required
+    Row("verify tall header r=1", "verify tall1.rsg", 1, out="verdict: fail",
+        files={"tall1.rsg": "rsg 2 2000000 1\n"}, seconds=2, max_mb=100, defect=True),
     # audit
     Row("audit kneser", "audit petersen.rsg", out="verdict: pass"),
     Row("audit hypercube", "audit q4.rsg", out="cauchy-schwarz: pass"),
@@ -91,12 +97,15 @@ ROWS = [
     Row("search r=0", "search --n 8 --r 0 --t 1000000 -o zero.rsg"),
     Row("verify r=0", "verify zero.rsg"),
     Row("search huge t", "search --n 8 --r 2 --t 1000000000 --max-nodes 10", 2),
-    # defect: an r = 0 certificate lists its t empty matchings (ROADMAP item 4)
-    Row("search r=0 huge t", "search --n 10 --r 0 --t 1000000000", max_mb=100, defect=True),
+    Row("search r=0 huge t", "search --n 10 --r 0 --t 1000000000", out="rsg 10 1000000000 0\n",
+        max_mb=100),
     Row("search huge n", "search --n 100000000 --r 1 --t 1000 --max-nodes 10", 2, seconds=10),
     Row("search huge n SAT", "search --n 100000000 --r 1 --t 1 -o wide.rsg", seconds=10),
     Row("verify huge n", "verify wide.rsg", seconds=10),
     Row("search large r", "search --n 80000 --r 20000 --t 2 --max-nodes 10", 2, max_mb=64),
+    Row("search over the size budget",
+        "search --n 1000000000000 --r 100000000000 --t 1 --max-nodes 1", 64, max_mb=100,
+        err="error: 200000000000 vertex labels would exceed the size budget 2000000\n"),
     # usage errors
     Row("no command", "", 64),
     Row("unknown command", "frobnicate", 64),

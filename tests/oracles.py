@@ -109,9 +109,5 @@ def parse_rsg(text: str) -> MatchingDecomposition:
         seen[e] = offset
         records[m].append(e)
 
-    # The records are checked distinct edges with 0 <= u < v < n, the form
-    # MatchingDecomposition.from_matchings produces, so the decomposition is
-    # built directly.  A matching without records is the shared empty tuple:
-    # a header's t costs one pointer per matching.
-    matchings = tuple(tuple(sorted(records[i])) if i in records else () for i in range(t))
-    return MatchingDecomposition(n, matchings, r)
+    # a matching without records is empty; from_matchings sorts each matching's edges
+    return MatchingDecomposition.from_matchings(n, [records[i] for i in range(t)], r)

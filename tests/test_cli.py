@@ -4,6 +4,7 @@ output, a monkeypatched module, a drawn argv or file, or an empty stdout."""
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,7 +55,7 @@ class TestConstructVerify:
         # the shape a first versioned JSON schema starts from; no pair statistic
         # is printed or keyed, since the verifier does not count one
         doc = tmp_path / "petersen.rsg"
-        doc.write_text(emit_rsg(MatchingDecomposition(10, kneser_rs(2).matchings, r)))
+        doc.write_text(emit_rsg(MatchingDecomposition.from_matchings(10, kneser_rs(2).matchings, r)))
         code, stdout, _ = run(capsys, "verify", "--json", str(doc))
         report = json.loads(stdout)
         assert (code, report["passed"]) == ((EX_OK, True) if r == 3 else (EX_FAIL, False))
@@ -277,6 +278,62 @@ class TestDrawnFiles:
     @given(data=mutated_documents())
     def test_mutated_documents(self, fuzz_path, data):
         self.check(fuzz_path, data)
+
+
+# examples per argv draw: ten times as many under RSG_SLOW_TESTS=1, as CI runs them
+ARGV_EXAMPLES = 1500 if os.environ.get("RSG_SLOW_TESTS") == "1" else 150
+
+# a flag's value: a small or extreme int, or a float, NaN, inf or word spelling
+VALUES = st.one_of(st.integers(-3, 12),
+                   st.sampled_from([2 ** 31, 10 ** 12, 2 ** 63, 10 ** 40, -(10 ** 18)]),
+                   st.sampled_from(["nan", "inf", "-inf", "1.5", "1e9", "-0", "0x10", "", "x"])).map(str)
+
+# what `verify` and `audit` read: a pass, a fail, a tall header, a parse error, no file
+DOCUMENTS = {"petersen.rsg": emit_rsg(kneser_rs(2)), "bad.rsg": "rsg 3 3 2\n0 1 0\n1 2 1\n0 2 2\n",
+             "taller.rsg": "rsg 2 20000000 0\n", "dup.rsg": "rsg 3 3 1\n0 1 0\n0 1 1\n"}
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    where = tmp_path_factory.mktemp("argv")
+    for name, text in DOCUMENTS.items():
+        (where / name).write_text(text)
+    return where
+
+
+class TestDrawnArgv:
+    """`verify`, `bound`, `search` and `audit` on drawn argv: a verdict or a usage or parse
+    error, never a traceback or an internal error."""
+
+    @staticmethod
+    def flags(data, names):
+        """Each of `names`, or not, with a drawn value."""
+        argv = []
+        for name in names:
+            if data.draw(st.booleans()):
+                argv += [name, data.draw(VALUES)]
+        return argv
+
+    @settings(max_examples=ARGV_EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_exit_is_a_verdict_or_a_refusal(self, documents, data):
+        command = data.draw(st.sampled_from(["verify", "bound", "search", "audit"]))
+        as_json = ["--json"] * data.draw(st.booleans())
+        if command in ("verify", "audit"):
+            name = data.draw(st.sampled_from(sorted(DOCUMENTS) + ["absent.rsg"]))
+            argv = [command] + [str(documents / name)] * data.draw(st.booleans()) + as_json
+        elif command == "bound":
+            argv = ["bound"] + self.flags(data, ["--n", "--t", "--r"]) + as_json
+        else:
+            # the node budget is always small, so each drawn search stops within a few nodes
+            argv = (["search"] + self.flags(data, ["--n", "--r", "--t", "--timeout"]) + as_json
+                    + ["--max-nodes", str(data.draw(st.integers(-2, 30)))]
+                    + ["--no-eq1-shortcut"] * data.draw(st.booleans()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EX_OK, EX_FAIL, EX_INDETERMINATE, EX_USAGE, EX_PARSE), (argv, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 class TestUsage:

@@ -193,7 +193,7 @@ class TestVerifyDecomposition:
 
     def test_graph_is_the_union_built_on_first_read(self):
         dec = parse_rsg(emit_rsg(kneser_rs(2)))
-        assert dec._fields == ("n", "matchings", "r")
+        assert dec._fields == ("n", "t", "r", "listed")
         assert verify_decomposition(dec).passed and emit_rsg(dec)
         assert "graph" not in vars(dec)     # verifier and emitter read the matchings alone
         assert dec.graph == Graph.from_edges(dec.n, [e for m in dec.matchings for e in m])
@@ -275,8 +275,8 @@ class TestDecompositionStats:
 # each record class: the fields of one instance, its repr, and whether it hashes
 RECORDS = [
     (Graph, (3, frozenset({(0, 1)})), "Graph(n=3, edges=frozenset({(0, 1)}))", True),
-    (MatchingDecomposition, (2, (((0, 1),),), 1),
-     "MatchingDecomposition(n=2, matchings=(((0, 1),),), r=1)", True),
+    (MatchingDecomposition, (2, 3, 1, ((1, ((0, 1),)),)),
+     "MatchingDecomposition(n=2, t=3, r=1, listed=((1, ((0, 1),)),))", True),
     (Violation, ("x", (0,), (1,), "d"),
      "Violation(invariant='x', matchings=(0,), witness=(1,), detail='d')", True),
     (VerificationReport, ((), {2: 3}, 4, 0),

@@ -122,3 +122,14 @@ def test_every_parameter_is_read(short):
         read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unread += [f"{name}:{node.lineno} {p.arg}" for p in params if p.arg not in read]
     assert not unread, unread
+
+
+@pytest.mark.parametrize("short", ("__init__", "cli") + MODULES)
+def test_no_module_reads_the_matchings_with_their_empties(short):
+    # a decomposition stores its non-empty matchings as `listed`; the t-long
+    # `matchings` is built per read, for readers outside the package
+    with open(os.path.join(SRC, "rsgraphs", f"{short}.py")) as fh:
+        tree = ast.parse(fh.read())
+    reads = [f"{node.lineno} .{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("matchings", "_listed")]
+    assert not reads, reads

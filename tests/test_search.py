@@ -28,6 +28,7 @@ from rsgraphs import (
     max_t_on_graph,
     verify_decomposition,
 )
+from rsgraphs import search
 from rsgraphs.bounds import min_vertices
 from rsgraphs.search import _enumerate_induced_matchings
 from oracles import OracleState
@@ -122,17 +123,32 @@ class TestExistsRS:
         assert peak < 2 ** 20
 
     def test_degenerate_certificate_is_small_and_verified(self):
-        # t empty matchings share one empty tuple: 8 bytes a matching
-        t = 10 ** 5
+        # t empty matchings are not stored, so a billion of them cost nothing
+        t = 10 ** 9
         tracemalloc.start()
         try:
             out = exists_rs(8, 0, t, Budget(max_nodes=10))
+            assert verify_decomposition(out.certificate).passed
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (out.verdict, out.certificate.t) == (SAT, t)
-        assert verify_decomposition(out.certificate).passed
-        assert peak < 12 * t
+        assert (out.verdict, out.certificate.t, out.certificate.listed) == (SAT, t, ())
+        assert peak < 2 ** 16
+
+    def test_labels_over_the_size_budget_are_refused_before_the_state(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the search state was built over the size budget")
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_State", unreachable)
+            with pytest.raises(ParameterError, match="^200000000000 vertex labels would exceed "
+                                                     "the size budget 2000000$"):
+                exists_rs(10 ** 12, 10 ** 11, 1, Budget(max_nodes=1))
+        # the budget bounds min(n, 2rt), the labels the state allocates
+        monkeypatch.setattr(search, "SIZE_BUDGET", 100)
+        assert exists_rs(1000, 1, 50, Budget(max_nodes=1)).verdict == INDETERMINATE
+        assert exists_rs(100, 1, 51, Budget(max_nodes=1)).verdict == INDETERMINATE
+        with pytest.raises(ParameterError, match="^102 vertex labels"):
+            exists_rs(1000, 1, 51, Budget(max_nodes=1))
 
     def test_deep_search_needs_no_recursion(self):
         # 1,199 edges placed one below the other: deeper than the recursion limit

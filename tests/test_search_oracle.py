@@ -37,7 +37,7 @@ from rsgraphs import (
 )
 from rsgraphs import search
 from rsgraphs.bounds import max_r
-from rsgraphs.search import SearchOutcome, _enumerate_induced_matchings, _trivial_outcome
+from rsgraphs.search import SearchOutcome, _enumerate_induced_matchings
 from oracles import OracleState
 
 
@@ -65,9 +65,8 @@ def recursive_exists_rs(n, r, t, budget: Budget = None, eq1_shortcut: bool = Tru
     budget = budget or Budget()
     started = time.monotonic()
 
-    trivial = _trivial_outcome(n, r, t, started)
-    if trivial is not None:
-        return trivial
+    if r == 0 or t == 0:        # the empty certificate, which the search builds before any node
+        return exists_rs(n, r, t)
 
     if eq1_shortcut and Fraction(r) > max_r(n, t):
         return SearchOutcome(

@@ -367,12 +367,11 @@ def list_path():
 
 @contextmanager
 def builds():
-    """How often the incidence map (by its one `_bitsets` decision) and the listing of the
-    non-empty matchings (by its one `compress`) are built inside the block."""
+    """How often the incidence map is built inside the block, by its one `_bitsets` decision;
+    the non-empty matchings are a field, built with the decomposition."""
     counts = Counter()
-    decide, compress = core._bitsets, core.compress
-    with mock.patch.object(core, "_bitsets", lambda *args: counts.update(["map"]) or decide(*args)), \
-            mock.patch.object(core, "compress", lambda *args: counts.update(["listing"]) or compress(*args)):
+    decide = core._bitsets
+    with mock.patch.object(core, "_bitsets", lambda *args: counts.update(["map"]) or decide(*args)):
         yield counts
 
 
@@ -389,7 +388,6 @@ class TestIncidenceGate:
         # t^2/16 bytes (560 KB) against the two lists' 48 KB and ints' 750 bytes
         t = 3000
         dec = MatchingDecomposition.from_matchings(2, [[(0, 1)]] * t, 1)
-        dec._listed
         tracemalloc.start()
         try:
             bits, a_of = dec._matchings_at
@@ -544,7 +542,7 @@ class TestScreenRouting:
     def test_mixed_degrees_take_the_degree_walks(self, name):
         a, b, keys = self.MIXED[name]
         matchings = a.matchings + tuple(tuple((u + a.n, v + a.n) for u, v in m) for m in b.matchings)
-        src = MatchingDecomposition(a.n + b.n, matchings, a.r)
+        src = MatchingDecomposition.from_matchings(a.n + b.n, matchings, a.r)
         screened, walks = screened_verdict(src)
         assert walks == ["_screen"]
         assert list(screened.degree_histogram) == keys
@@ -572,7 +570,7 @@ class TestScreenRouting:
 
 def screened_verdict(src):
     """The report on a fresh copy of src, passed by the screen, and the functions that walked its edges."""
-    dec = MatchingDecomposition(src.n, src.matchings, src.r)
+    dec = MatchingDecomposition.from_matchings(src.n, src.matchings, src.r)
     with witness_loop_runs() as runs, degree_walks_run() as walks:
         verdict = verify_decomposition(dec)
     assert runs == [] and verdict.passed
@@ -581,7 +579,7 @@ def screened_verdict(src):
 
 def looped_verdict(src):
     """The report on a fresh copy of src by the witness loop, the screen skipped."""
-    dec = MatchingDecomposition(src.n, src.matchings, src.r)
+    dec = MatchingDecomposition.from_matchings(src.n, src.matchings, src.r)
     return core._witnesses(dec)
 
 
@@ -622,7 +620,7 @@ class TestReportCache:
         call, extra = self.FIRST_CALLERS[first]
         src = cayley(31)
         path = tmp_path / "c31.rsg"
-        path.write_text(emit_rsg(MatchingDecomposition(src.n, src.matchings, src.r + extra)))
+        path.write_text(emit_rsg(MatchingDecomposition.from_matchings(src.n, src.matchings, src.r + extra)))
         calls = []
         uncached = core._verify
         with mock.patch.object(core, "_verify", lambda dec: calls.append(dec) or uncached(dec)), \
@@ -635,7 +633,7 @@ class TestReportCache:
                 distance_certificate(dec)
             with nullcontext() if report.passed else pytest.raises(PreconditionError):
                 assert core._require_verified(dec, "expansion_audit") is report
-        assert calls == [dec] and counts == {"map": 1, "listing": 1}
+        assert calls == [dec] and counts == {"map": 1}
         assert report.passed == (not extra) and report.to_dict() == pairwise_verify(dec).to_dict()
         lines = capsys.readouterr().out.splitlines()
         assert (f"verdict: {'pass' if report.passed else 'fail'}" in lines) == ("rsg-verify" in first)
@@ -645,7 +643,7 @@ class TestReportCache:
         with builds() as counts:
             report = verify_decomposition(dec)
             assert verify_decomposition(dec) is report
-        assert counts == {"map": 1, "listing": 1}
+        assert counts == {"map": 1}
         assert report.to_dict() == pairwise_verify(dec).to_dict()
 
     def test_report_after_the_verdict_builds_the_incidence_no_second_time(self):
@@ -654,7 +652,7 @@ class TestReportCache:
         with builds() as counts:
             verdict = core._require_verified(dec, "expansion_audit")
             report = verify_decomposition(dec)
-        assert counts == {"map": 1, "listing": 1} and report is verdict
+        assert counts == {"map": 1} and report is verdict
         assert report.to_dict() == pairwise_verify(dec).to_dict()
 
     @pytest.mark.parametrize("lists", [False, True], ids=["bits", "lists"])
@@ -666,7 +664,7 @@ class TestReportCache:
             with pytest.raises(PreconditionError, match=r"\(size-mismatch\)$"):
                 distance_certificate(dec)
             report = verify_decomposition(dec)
-        assert counts == {"map": 1, "listing": 1}
+        assert counts == {"map": 1}
         assert dec._matchings_at[0] != lists and not report.passed
         assert report.to_dict() == pairwise_verify(dec).to_dict()
 
