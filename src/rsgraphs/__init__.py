@@ -9,8 +9,7 @@ import importlib
 # each public name, under the module that defines it
 _PUBLIC = {
     "core": ("Graph", "GraphError", "MatchingDecomposition", "ParameterError",
-             "PreconditionError", "VerificationReport", "Violation", "is_bipartite",
-             "verify_decomposition"),
+             "PreconditionError", "VerificationReport", "Violation", "verify_decomposition"),
     "constructions": ("APFreeSet", "ResourceLimitError", "ap_free_set", "cayley_rs",
                       "disjoint_union", "double_cover", "has_three_term_progression",
                       "hypercube_rs", "kneser_rs"),

@@ -21,7 +21,6 @@ from .core import (
     _plain,
     _record,
     _require_verified,
-    is_bipartite,
 )
 
 
@@ -257,12 +256,26 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     """Run the r = n/4 proof machinery on one decomposition.
 
     Non-bipartite inputs are audited on their double cover (the proof's own
-    reduction).  Steps: (a) every edge has degree sum <= t + 1; (b) when
-    r = n/4 exactly, 2*E1 + E0 >= nt/4; (c) strip vertices of degree < t/8
-    from H, the subgraph of the edges with degree sum >= t, and report whether
-    anything survives as F; (d) for u, v in F at odd distance k the matching
-    incidence sets satisfy |A_u cap A_v| <= k, at even k |A_u minus A_v| <= k;
-    (e) layer sizes against binomial floors, from a BFS out of the first F
+    reduction).  One adjacency of the input gives the degrees (d_v is the
+    length of v's list), H, and the test that decides this, one BFS from the
+    first vertex of each component:
+
+        Lemma (parity).  With BFS distances taken in each component from
+        its source, the graph is bipartite exactly when no edge joins two
+        vertices at equal distance.
+        Proof.  A BFS distance is a shortest-path length, so the distances
+        at the ends of an edge differ by at most 1.  If no edge joins equal
+        distances, each edge joins distances of opposite parity, and parity
+        2-colours the graph.  If an edge uv joins two vertices at distance
+        k, the shortest paths from the source to u and to v, closed by uv,
+        form a closed walk of odd length 2k + 1, which holds an odd cycle.
+
+    Steps: (a) every edge has degree sum <= t + 1; (b) when r = n/4 exactly,
+    2*E1 + E0 >= nt/4; (c) strip vertices of degree < t/8 from H, the
+    subgraph of the edges with degree sum >= t, and report whether anything
+    survives as F; (d) for u, v in F at odd distance k the matching incidence
+    sets satisfy |A_u cap A_v| <= k, at even k |A_u minus A_v| <= k; (e)
+    layer sizes against binomial floors, from a BFS out of the first F
     vertex.  (a), (b) and (d) are lemmas of verification, stated here and not
     computed, so every assertion passes and `passed` is a constant.  The
     floors in (e) are computed: no proof of them is on record.
@@ -293,17 +306,26 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     bfs_violations is always empty.
     """
     verdict = _require_verified(dec, "expansion_audit")
-
-    # the double cover's vertices v and v + n_in both lie in the matchings
-    # holding v in the input
-    bits, a_of = dec._matchings_at
     n_in, t = dec.n, dec.t
-    doubled = is_bipartite(dec.graph) is None
+
+    # a verified decomposition lists each edge once, so len(adj[v]) = d_v; on
+    # a cover v and v + n_in both have the input's d_v
+    edges = [e for _, m in dec.listed for e in m]
+    adj = defaultdict(list)
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    # the parity lemma in the docstring
+    dist = {}
+    for v in adj:
+        if v not in dist:
+            dist.update(_bfs(adj, v))
+    doubled = any(dist[u] == dist[v] for u, v in edges)
     n, r = (2 * n_in, 2 * dec.r) if doubled else (n_in, dec.r)
 
     # on a verified decomposition every edge at v lies in exactly one matching
-    # and no matching covers v twice, so |A_v| = d_v holds for every vertex:
-    # the audit reads a degree as |A_v| off the verifier's incidence map
+    # and no matching covers v twice, so |A_v| = d_v holds for every vertex
     assertions = [("incidence-degree", PASS, "|A_v| = d_v for every vertex")]
 
     # the verdict counts the input's edges by degree sum; on a cover each input
@@ -327,11 +349,10 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     threshold = Fraction(t, 8)
 
     # H: edges with degree sum >= t, neighbour lists only for vertices with an
-    # H edge, built from the input's edges; then iteratively strip H-degree < t/8
+    # H edge, taken from adj; then iteratively strip H-degree < t/8
     h_adj = defaultdict(list)
-    size = int.bit_count if bits else len
-    for u, v in dec.graph.edges:
-        if size(a_of[u]) + size(a_of[v]) >= t:
+    for u, v in edges:
+        if len(adj[u]) + len(adj[v]) >= t:
             for x, y in ((u, v + n_in), (v, u + n_in)) if doubled else ((u, v),):
                 h_adj[x].append(y)
                 h_adj[y].append(x)

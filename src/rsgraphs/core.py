@@ -37,7 +37,8 @@ A_v = {i : v in V_i} of each covered vertex once and keeps it
 (`_matchings_at`).  A_v is a t-bit int where that takes no more 64-bit words
 than the ascending lists hold entries (`_bitsets` decides), and the list
 otherwise (thousands of one-edge matchings would make the ints n*t/64
-words).  The verifier and the audit read that one map.
+words).  Only the verifier reads it, so its two forms are decided and read
+in this module alone.
 
 On the ints, the verifier is first a screen (`_screen`) that needs no witness:
 
@@ -176,42 +177,15 @@ class Graph:
         return cls(n, edges)
 
 
-def is_bipartite(g: Graph):
-    """A 0/1 coloring of the vertices with an edge, as a dict, if g is bipartite, else None.
-
-    An isolated vertex is left out and counts as color 0, so nothing grows
-    with n.  Each component's smallest vertex gets color 0.
-    """
-    adj = defaultdict(list)
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    color = {}
-    for start in sorted(adj):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            other = 1 - color[u]
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = other
-                    queue.append(w)
-                elif color[w] != other:
-                    return None
-    return color
-
-
 @_record
 class MatchingDecomposition:
     """t edge lists on vertices 0..n-1, claimed to be induced matchings of size r.
 
     The graph is the union of the matchings, as in the paper's definition of an
     (r, t)-RS graph, so the lists are the whole object: `graph` is derived from
-    them on first read.  Only the non-empty matchings are stored, in `listed`,
-    so t costs nothing.  Each is a tuple of edges (u, v), u < v, in ascending
+    them on first read, for readers outside the package.  Only the non-empty
+    matchings are stored, in `listed`, which the package reads, so t costs
+    nothing.  Each is a tuple of edges (u, v), u < v, in ascending
     order, which no reader sorts again: only `from_listed` (which
     `from_matchings` calls), `parse_rsg` and `search`'s empty certificate
     build a decomposition.
@@ -267,7 +241,7 @@ class MatchingDecomposition:
         of the t powers 1 << i, which needs no shift per entry; the table takes
         about t^2/128 words, so past t = 2 |A| (t copies of one edge, say),
         where it would outgrow the ints themselves, each power is shifted
-        instead.  Built once and shared by the verifier and the audit: do not mutate it.
+        instead.  Built once and read by the verifier alone: do not mutate it.
         """
         a = defaultdict(list)
         for i, m in self.listed:

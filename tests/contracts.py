@@ -72,6 +72,8 @@ ROWS = [
     Row("audit json", "audit --json q2.rsg", out='"E1": 0,\n  "E0": 4,',
         files={"q2.rsg": "rsg 4 4 1\n0 1 0\n0 2 1\n2 3 2\n1 3 3\n"}),
     Row("audit sparse", "audit sparse.rsg", seconds=10),
+    # a large bipartite input, audited as it is: no edge joins two equal BFS distances
+    Row("audit cayley-ap 2001", "audit c2001.rsg", out="n=4002 t=2001 r=64\n", seconds=10),
     Row("audit unverified", "audit r1.rsg", 1, files={"r1.rsg": "rsg 4 1 1\n0 1 0\n2 3 0\n"},
         err="error: expansion_audit requires a verified decomposition (size-mismatch)"),
     Row("audit header-only", "audit huge.rsg", files={"huge.rsg": "rsg 200000 0 0\n"}),

@@ -3,8 +3,12 @@
 The package places search edges only through `_State.row_mask` and
 `_State.add`; the tests that check `row_mask`, the search oracle and the
 audit's random decompositions test one candidate at a time with
-`OracleState.try_add`.  The package reads degrees from a decomposition's
-incidence map; the tests count them from a graph's edges with `degrees`.
+`OracleState.try_add`.  The package reads degrees off a decomposition's
+matchings; the tests count them from a graph's edges with `degrees`.
+`is_bipartite` is the package's 2-colouring as it was before the
+audit decided bipartiteness from its own BFS, kept verbatim: the audit's
+oracle and the double-cover tests read it.  `examples` scales a property
+test's example count tenfold under RSG_SLOW_TESTS=1.
 `parse_rsg` is the package's parser as it was before its records were read
 in one loop, kept verbatim: it checks each record field by field, and the
 package's parser must agree with it on every document.
@@ -13,11 +17,18 @@ oracles.  `max_pair_intersection` counts max |V_i cap V_j| by brute force,
 which the verifier does not report: a lemma of its checks bounds it by r.
 """
 
+import os
 from collections import defaultdict
 
-from rsgraphs import MatchingDecomposition
+from rsgraphs import Graph, MatchingDecomposition
 from rsgraphs.rsg_format import RsgParseError
 from rsgraphs.search import _State
+
+
+def examples(n):
+    """n examples per property test, or ten times as many under RSG_SLOW_TESTS=1, as CI
+    runs them."""
+    return 10 * n if os.environ.get("RSG_SLOW_TESTS") == "1" else n
 
 
 def degrees(g):
@@ -27,6 +38,34 @@ def degrees(g):
         deg[u] += 1
         deg[v] += 1
     return deg
+
+
+def is_bipartite(g: Graph):
+    """A 0/1 coloring of the vertices with an edge, as a dict, if g is bipartite, else None.
+
+    An isolated vertex is left out and counts as color 0, so nothing grows
+    with n.  Each component's smallest vertex gets color 0.
+    """
+    adj = defaultdict(list)
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    color = {}
+    for start in sorted(adj):
+        if start in color:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            other = 1 - color[u]
+            for w in adj[u]:
+                if w not in color:
+                    color[w] = other
+                    queue.append(w)
+                elif color[w] != other:
+                    return None
+    return color
 
 
 class OracleState(_State):

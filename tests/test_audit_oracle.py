@@ -18,7 +18,6 @@ instance is compared live.
 import hashlib
 import json
 import math
-import os
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -34,17 +33,15 @@ from rsgraphs import (
     double_cover,
     expansion_audit,
     hypercube_rs,
-    is_bipartite,
     kneser_rs,
     verify_decomposition,
 )
 from rsgraphs.bounds import NOT_APPLICABLE, PASS, AuditReport, LayerRow
-from oracles import degrees, random_decomposition
+from oracles import degrees, examples, is_bipartite, random_decomposition
 
 FAIL = "fail"       # the package's assertions are lemmas and never fail; the oracle's can
 
-# examples per property test: ten times as many under RSG_SLOW_TESTS=1, as CI runs them
-EXAMPLES = 3000 if os.environ.get("RSG_SLOW_TESTS") == "1" else 300
+EXAMPLES = examples(300)     # per property test
 
 
 def per_source_claims(f_vertices, h_adj, alive, incidence, t):

@@ -4,12 +4,12 @@ output, a monkeypatched module, a drawn argv or file, or an empty stdout."""
 import contextlib
 import io
 import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import contracts
+from oracles import examples
 from rsgraphs.cli import (
     EX_FAIL,
     EX_INDETERMINATE,
@@ -280,13 +280,12 @@ class TestDrawnFiles:
         self.check(fuzz_path, data)
 
 
-# examples per argv draw: ten times as many under RSG_SLOW_TESTS=1, as CI runs them
-ARGV_EXAMPLES = 1500 if os.environ.get("RSG_SLOW_TESTS") == "1" else 150
+ARGV_EXAMPLES = examples(150)     # per argv draw
 
 # a flag's value: a small or extreme int, or a float, NaN, inf or word spelling
-VALUES = st.one_of(st.integers(-3, 12),
-                   st.sampled_from([2 ** 31, 10 ** 12, 2 ** 63, 10 ** 40, -(10 ** 18)]),
-                   st.sampled_from(["nan", "inf", "-inf", "1.5", "1e9", "-0", "0x10", "", "x"])).map(str)
+EXTREMES = st.sampled_from([2 ** 31, 10 ** 12, 2 ** 63, 10 ** 40, -(10 ** 18)])
+SPELLINGS = st.sampled_from(["nan", "inf", "-inf", "1.5", "1e9", "-0", "0x10", "", "x"])
+VALUES = st.one_of(st.integers(-3, 12), EXTREMES, SPELLINGS).map(str)
 
 # what `verify` and `audit` read: a pass, a fail, a tall header, a parse error, no file
 DOCUMENTS = {"petersen.rsg": emit_rsg(kneser_rs(2)), "bad.rsg": "rsg 3 3 2\n0 1 0\n1 2 1\n0 2 2\n",
@@ -298,12 +297,27 @@ def documents(tmp_path_factory):
     where = tmp_path_factory.mktemp("argv")
     for name, text in DOCUMENTS.items():
         (where / name).write_text(text)
+    (where / "out").mkdir()      # construct's -o
     return where
 
 
+def sizes(top):
+    """A flag's value, an int from -3 to `top` two times in three, else an extreme or spelling."""
+    small = st.integers(-3, top)
+    return small.map(str) | st.one_of(small, EXTREMES, SPELLINGS).map(str)
+
+
+# what a draw gives each construct flag: --k is at most 6 apart from the extremes, which the
+# size budget refuses before building
+CONSTRUCT_VALUES = {"--k": sizes(6), "--copies": sizes(12), "--modulus": sizes(12),
+                    "--limit": sizes(12),
+                    "--apset-method": st.sampled_from(["greedy-base3", "behrend", "x"]),
+                    "--input": st.sampled_from(sorted(DOCUMENTS) + ["absent.rsg"])}
+
+
 class TestDrawnArgv:
-    """`verify`, `bound`, `search` and `audit` on drawn argv: a verdict or a usage or parse
-    error, never a traceback or an internal error."""
+    """Every subcommand on drawn argv: a verdict or a usage or parse error, never a traceback
+    or an internal error."""
 
     @staticmethod
     def flags(data, names):
@@ -329,6 +343,24 @@ class TestDrawnArgv:
             argv = (["search"] + self.flags(data, ["--n", "--r", "--t", "--timeout"]) + as_json
                     + ["--max-nodes", str(data.draw(st.integers(-2, 30)))]
                     + ["--no-eq1-shortcut"] * data.draw(st.booleans()))
+        self.check(argv)
+
+    @settings(max_examples=ARGV_EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_construct_exit_is_a_build_or_a_refusal(self, documents, data):
+        # each of the family's own flags three times in four, and a flag of any family once in four
+        family = data.draw(st.sampled_from(sorted(FAMILY_FLAGS)))
+        names = [name for name in sorted(FAMILY_FLAGS[family]) if data.draw(st.integers(0, 3))]
+        if not data.draw(st.integers(0, 3)):
+            names.append(data.draw(st.sampled_from(ALL_FLAGS)))
+        argv = ["construct", family, "-o", str(documents / "out" / "built.rsg")]
+        for name in names:
+            value = data.draw(CONSTRUCT_VALUES[name])
+            argv += [name, str(documents / value) if name == "--input" else value]
+        self.check(argv)
+
+    @staticmethod
+    def check(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import degrees
+from oracles import degrees, is_bipartite
 from rsgraphs import (
     APFreeSet,
     ParameterError,
@@ -20,7 +20,6 @@ from rsgraphs import (
     double_cover,
     has_three_term_progression,
     hypercube_rs,
-    is_bipartite,
     kneser_rs,
     verify_decomposition,
     MatchingDecomposition,

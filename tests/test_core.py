@@ -29,7 +29,6 @@ from rsgraphs import (
     emit_rsg,
     expansion_audit,
     hypercube_rs,
-    is_bipartite,
     kneser_rs,
     parse_rsg,
     verify_decomposition,
@@ -77,8 +76,10 @@ class TestGraph:
         assert degrees(g)[0] == 1 and degrees(g)[1] == 0
 
     def test_bipartite_detection(self):
-        assert is_bipartite(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])) is not None
-        assert is_bipartite(triangle()) is None
+        # the audit decides bipartiteness: a non-bipartite input is audited on its double cover
+        path = MatchingDecomposition.from_matchings(4, [[(0, 1)], [(1, 2)], [(2, 3)]], 1)
+        assert expansion_audit(path).doubled is False
+        assert expansion_audit(triangle_dec()).doubled is True
 
 
 def inducedness_witness(g, m):

@@ -1,7 +1,6 @@
 """Round-trip and error-reporting tests for the .rsg format."""
 
 import itertools
-import os
 import time
 import tracemalloc
 
@@ -20,10 +19,9 @@ from rsgraphs import (
     verify_decomposition,
 )
 
-from oracles import parse_rsg as field_by_field_parse_rsg
+from oracles import examples, parse_rsg as field_by_field_parse_rsg
 
-# examples per property test: ten times as many under RSG_SLOW_TESTS=1, as CI runs them
-EXAMPLES = 3000 if os.environ.get("RSG_SLOW_TESTS") == "1" else 300
+EXAMPLES = examples(300)     # per property test
 
 # the line breaks of str.splitlines other than "\n", which split() reads as spaces
 SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")

@@ -1,7 +1,9 @@
-"""The package's public surface, resolved lazily, and the modules each `rsg` subcommand loads."""
+"""The package's public surface, resolved lazily, the modules each `rsg` subcommand loads, and the
+public names the subcommands reach."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -127,9 +129,74 @@ def test_every_parameter_is_read(short):
 @pytest.mark.parametrize("short", ("__init__", "cli") + MODULES)
 def test_no_module_reads_the_matchings_with_their_empties(short):
     # a decomposition stores its non-empty matchings as `listed`; the t-long
-    # `matchings` is built per read, for readers outside the package
+    # `matchings` and the union `graph` are built on read, for readers outside the package
     with open(os.path.join(SRC, "rsgraphs", f"{short}.py")) as fh:
         tree = ast.parse(fh.read())
     reads = [f"{node.lineno} .{node.attr}" for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr in ("matchings", "_listed")]
+             if isinstance(node, ast.Attribute) and node.attr in ("matchings", "_listed", "graph")]
     assert not reads, reads
+
+
+# one `rsg` run of each kind, with its exit: every construct family, verify's pass, fail and
+# parse error, bound with and without --r, search's three verdicts, audit's pass and refusal
+SURFACE_ARGV = [
+    ("construct kneser --k 2 -o petersen.rsg", 0),
+    ("construct hypercube --k 3 -o q3.rsg", 0),
+    ("construct hypercube-augmented --k 2 -o q2aug.rsg", 0),
+    ("construct disjoint-union --input petersen.rsg --copies 2 -o u2.rsg", 0),
+    ("construct double-cover --input petersen.rsg -o dc.rsg", 0),
+    ("construct cayley-ap --modulus 41 -o c41.rsg", 0),
+    ("verify petersen.rsg", 0),
+    ("verify bad.rsg", 1),
+    ("verify dup.rsg", 65),
+    ("bound --n 10 --t 5", 0),
+    ("bound --n 10 --t 5 --r 3", 0),
+    ("search --n 3 --r 1 --t 3", 0),
+    ("search --n 6 --r 2 --t 4", 1),
+    ("search --n 11 --r 3 --t 6 --max-nodes 100", 2),
+    ("audit petersen.rsg", 0),
+    ("audit bad.rsg", 1),
+]
+
+# run each argv through `rsg`'s main under a profiler, and print the exits and every name that
+# an executed function body under src/rsgraphs loads (its co_names; module and class bodies,
+# which bind the names rather than reach them, are not CO_OPTIMIZED)
+SURFACE_CHILD = """
+import contextlib, inspect, io, json, os, sys
+import rsgraphs
+from rsgraphs.cli import main
+package = os.path.dirname(rsgraphs.__file__) + os.sep
+reached = set()
+def profile(frame, event, arg):
+    code = frame.f_code
+    if (event == "call" and code.co_flags & inspect.CO_OPTIMIZED
+            and code.co_filename.startswith(package)):
+        reached.update(code.co_names)
+exits = []
+sys.setprofile(profile)
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exits.append(main(argv.split()))
+sys.setprofile(None)
+print(json.dumps({"exits": exits, "reached": sorted(reached)}))
+"""
+
+# the public names no subcommand reaches, each with why it stays (ROADMAP item 17)
+UNREACHED = {
+    "Graph": "the bench builds one (bench/workloads.py:217), and max_t_on_graph takes one",
+    "DistanceCertificate": "distance_certificate's result; item 12 decides both",
+    "distance_certificate": "the bench calls it (bench/workloads.py:139); item 12 decides it",
+    "max_t_on_graph": "the bench calls it (bench/workloads.py:229); item 10 decides it",
+}
+
+
+def test_every_public_name_is_reached_by_a_subcommand_or_allowlisted(tmp_path):
+    (tmp_path / "bad.rsg").write_text("rsg 3 3 2\n0 1 0\n1 2 1\n0 2 2\n")
+    (tmp_path / "dup.rsg").write_text("rsg 3 3 1\n0 1 0\n0 1 1\n")
+    argv, exits = zip(*SURFACE_ARGV)
+    proc = subprocess.run([sys.executable, "-c", SURFACE_CHILD, *argv], cwd=tmp_path, text=True,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert tuple(result["exits"]) == exits
+    assert set(rsgraphs.__all__) - set(result["reached"]) == UNREACHED.keys()

@@ -16,7 +16,6 @@ checks that bound.
 """
 
 import math
-import os
 import sys
 import tracemalloc
 from collections import Counter
@@ -46,10 +45,9 @@ from rsgraphs import cli, core
 from rsgraphs.bounds import DistanceCertificate
 from rsgraphs.core import VerificationReport, Violation
 
-from oracles import max_pair_intersection, random_decomposition
+from oracles import examples, max_pair_intersection, random_decomposition
 
-# examples per property test: ten times as many under RSG_SLOW_TESTS=1, as CI runs them
-EXAMPLES = 3000 if os.environ.get("RSG_SLOW_TESTS") == "1" else 300
+EXAMPLES = examples(300)     # per property test
 
 
 def adjacency(g):
