@@ -9,10 +9,10 @@ import importlib
 # each public name, under the module that defines it
 _PUBLIC = {
     "core": ("Graph", "GraphError", "MatchingDecomposition", "ParameterError",
-             "PreconditionError", "VerificationReport", "Violation", "verify_decomposition"),
-    "constructions": ("APFreeSet", "ResourceLimitError", "ap_free_set", "cayley_rs",
-                      "disjoint_union", "double_cover", "has_three_term_progression",
-                      "hypercube_rs", "kneser_rs"),
+             "PreconditionError", "ResourceLimitError", "VerificationReport", "Violation",
+             "verify_decomposition"),
+    "constructions": ("APFreeSet", "ap_free_set", "cayley_rs", "disjoint_union",
+                      "double_cover", "has_three_term_progression", "hypercube_rs", "kneser_rs"),
     "bounds": ("AuditReport", "BoundVerdict", "DistanceCertificate", "distance_certificate",
                "expansion_audit", "feasibility_verdict", "max_r"),
     "search": ("INDETERMINATE", "SAT", "UNSAT", "Budget", "SearchOutcome", "exists_rs",

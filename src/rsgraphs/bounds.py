@@ -80,53 +80,34 @@ def feasibility_verdict(n: int, r: int, t: int) -> BoundVerdict:
         raise ParameterError(f"impossible parameters: a matching of size {r} needs 2r <= n vertices")
 
     quarter = Fraction(n, 4)
-    rr = Fraction(r)
-    advisory = []
-
-    if rr > quarter:
-        cap = max_r(n, t)
-        if rr > cap:
-            return BoundVerdict(
-                n, r, t, feasible=False, regime="above-quarter", hard_bound=cap,
-                witness=f"r = {r} exceeds the hard cap {cap} = max_r({n}, {t})",
+    cap, tight, advisory = None, False, []
+    if r > quarter:
+        regime, cap = "above-quarter", max_r(n, t)
+        feasible, tight = r <= cap, r == cap
+        witness = (f"r = {r} <= {cap} = max_r({n}, {t})" + (" (tight)" if tight else "")
+                   if feasible else f"r = {r} exceeds the hard cap {cap} = max_r({n}, {t})")
+    elif r == quarter:
+        regime, feasible = "exactly-quarter", _log2_cap_holds(t, n)
+        advisory += ["asymptotically t <= (6+o(1)) log2 n when r = n/4",
+                     "if the graph is regular, t <= 2(log2 n + 1)"]
+        log_cap = f"8(log2 {n} + 1) = {8 * (math.log2(n) + 1):.3f}"
+        witness = f"t = {t} <= {log_cap}" if feasible else f"t = {t} exceeds the hard cap {log_cap}"
+    else:
+        regime, feasible = "below-quarter", True
+        c = Fraction(r, n)
+        if c > Fraction(1, 5):
+            eps = c - Fraction(1, 5)
+            advisory.append(
+                f"for r = cn with c = {c} >= 1/5 + eps, t = O(n/log n) with proof constant "
+                f"K = 100/eps = {Fraction(100) / eps} (advisory only, not enforced at finite n)"
             )
-        return BoundVerdict(
-            n, r, t, feasible=True, regime="above-quarter", hard_bound=cap,
-            tight=(rr == cap),
-            witness=f"r = {r} <= {cap} = max_r({n}, {t})" + (" (tight)" if rr == cap else ""),
-        )
-
-    if rr == quarter:
-        advisory.append("asymptotically t <= (6+o(1)) log2 n when r = n/4")
-        advisory.append("if the graph is regular, t <= 2(log2 n + 1)")
-        if not _log2_cap_holds(t, n):
-            return BoundVerdict(
-                n, r, t, feasible=False, regime="exactly-quarter",
-                witness=f"t = {t} exceeds the hard cap 8(log2 {n} + 1) = {8 * (math.log2(n) + 1):.3f}",
-                advisory=tuple(advisory),
-            )
-        return BoundVerdict(
-            n, r, t, feasible=True, regime="exactly-quarter",
-            witness=f"t = {t} <= 8(log2 {n} + 1) = {8 * (math.log2(n) + 1):.3f}",
-            advisory=tuple(advisory),
-        )
-
-    c = Fraction(r, n)
-    if c > Fraction(1, 5):
-        eps = c - Fraction(1, 5)
         advisory.append(
-            f"for r = cn with c = {c} >= 1/5 + eps, t = O(n/log n) with proof constant "
-            f"K = 100/eps = {Fraction(100) / eps} (advisory only, not enforced at finite n)"
+            "for r >= (1/4 - b)n with a small absolute b > 0, t = n/((log n) 2^Omega(log* n)) "
+            "(advisory only, constants not explicit)"
         )
-    advisory.append(
-        "for r >= (1/4 - b)n with a small absolute b > 0, t = n/((log n) 2^Omega(log* n)) "
-        "(advisory only, constants not explicit)"
-    )
-    return BoundVerdict(
-        n, r, t, feasible=True, regime="below-quarter",
-        witness="no hard finite-n cap applies below r = n/4",
-        advisory=tuple(advisory),
-    )
+        witness = "no hard finite-n cap applies below r = n/4"
+    return BoundVerdict(n, r, t, feasible=feasible, regime=regime, hard_bound=cap, tight=tight,
+                        witness=witness, advisory=tuple(advisory))
 
 
 @_record
@@ -349,22 +330,25 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     threshold = Fraction(t, 8)
 
     # H: edges with degree sum >= t, neighbour lists only for vertices with an
-    # H edge, taken from adj; then iteratively strip H-degree < t/8
+    # H edge, taken from adj; then strip H-degree < t/8 in one peel.  Each
+    # removal lowers its neighbours' degrees, and a vertex joins the work list
+    # once, when its degree first drops below t/8, so the peel costs O(|H|).
+    # Whatever the order, what survives is the largest subgraph of H with
+    # minimum degree >= t/8, so F is the one a repeated sweep would leave.
     h_adj = defaultdict(list)
     for u, v in edges:
         if len(adj[u]) + len(adj[v]) >= t:
             for x, y in ((u, v + n_in), (v, u + n_in)) if doubled else ((u, v),):
                 h_adj[x].append(y)
                 h_adj[y].append(x)
-    alive = set(h_adj)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            d = sum(1 for w in h_adj[v] if w in alive)
-            if 8 * d < t:
-                alive.discard(v)
-                changed = True
+    h_deg = {v: len(ws) for v, ws in h_adj.items()}
+    stripped = [v for v, d in h_deg.items() if 8 * d < t]
+    for v in stripped:              # the list grows as the peel goes
+        for w in h_adj[v]:
+            h_deg[w] -= 1
+            if 8 * h_deg[w] < t <= 8 * h_deg[w] + 8:
+                stripped.append(w)
+    alive = h_deg.keys() - stripped
     nbrs = {v: [w for w in h_adj[v] if w in alive] for v in alive}
     achieved = min(map(len, nbrs.values()), default=0)
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 pass/SAT/feasible, 1 fail/UNSAT/infeasible, 2 INDETERMINATE,
 64 usage error, 65 parse error, 70 internal error (an unexpected exception,
-reported in one line, so that it never reads as a verdict).
+reported in one line, so that it never reads as a verdict).  `main` maps every
+refusal of an argument (ParameterError, ResourceLimitError among them) or of an
+input (PreconditionError) to 64; only `rsg audit` decides its own refusal.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import GraphError, ParameterError, PreconditionError, verify_decomposition
+from .core import ParameterError, PreconditionError, verify_decomposition
 from .rsg_format import RsgParseError, emit_rsg, parse_rsg
 
 # every other module is imported by the command that calls it, so that an `rsg`
@@ -40,8 +42,8 @@ class _FamilyParser(_Parser):
         return namespace, extras
 
 
-def _read_text(path: str) -> str:
-    """The file's text; a byte that is not UTF-8 is a parse error on its line."""
+def _load(path: str):
+    """The decomposition in the file; a byte that is not UTF-8 is a parse error on its line."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -49,19 +51,15 @@ def _read_text(path: str) -> str:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
     try:
-        return data.decode("utf-8")
+        return parse_rsg(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         # the bad byte's line, with lines ended at "\n" as parse_rsg ends them
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise RsgParseError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8")
-
-
-def _load(path: str):
-    try:
-        return parse_rsg(_read_text(path))
+        error = RsgParseError(data.count(b"\n", 0, exc.start) + 1,
+                              f"byte 0x{data[exc.start]:02x} is not valid UTF-8")
     except RsgParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EX_PARSE)
+        error = exc
+    print(f"error: {path}: {error}", file=sys.stderr)
+    raise SystemExit(EX_PARSE)
 
 
 def _write_output(text: str, path):
@@ -95,13 +93,7 @@ def _cayley_ap(c, args):
 def cmd_construct(args) -> int:
     from . import constructions     # each family builds from it: build(constructions, args)
 
-    try:
-        dec = args.build(constructions, args)
-    except (ParameterError, PreconditionError, constructions.ResourceLimitError,
-            GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    _write_output(emit_rsg(dec), args.output)
+    _write_output(emit_rsg(args.build(constructions, args)), args.output)
     return EX_OK
 
 
@@ -127,18 +119,14 @@ def cmd_verify(args) -> int:
 def cmd_bound(args) -> int:
     from .bounds import feasibility_verdict, max_r
 
-    try:
-        if args.r is None:
-            cap = max_r(args.n, args.t)
-            if args.json:
-                _print_json({"n": args.n, "t": args.t, "max_r": str(cap)}, indent=None)
-            else:
-                print(f"max r = {cap}")
-            return EX_OK
-        verdict = feasibility_verdict(args.n, args.r, args.t)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    if args.r is None:
+        cap = max_r(args.n, args.t)
+        if args.json:
+            _print_json({"n": args.n, "t": args.t, "max_r": str(cap)}, indent=None)
+        else:
+            print(f"max r = {cap}")
+        return EX_OK
+    verdict = feasibility_verdict(args.n, args.r, args.t)
     if args.json:
         _print_json(verdict.to_dict())
     else:
@@ -154,14 +142,10 @@ def cmd_bound(args) -> int:
 def cmd_search(args) -> int:
     from .search import SAT, UNSAT, Budget, exists_rs
 
-    try:
-        given = {"max_nodes": args.max_nodes, "max_seconds": args.timeout}
-        budget = Budget(**{k: v for k, v in given.items() if v is not None})
-        outcome = exists_rs(args.n, args.r, args.t, budget=budget,
-                            eq1_shortcut=not args.no_eq1_shortcut)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    given = {"max_nodes": args.max_nodes, "max_seconds": args.timeout}
+    budget = Budget(**{k: v for k, v in given.items() if v is not None})
+    outcome = exists_rs(args.n, args.r, args.t, budget=budget,
+                        eq1_shortcut=not args.no_eq1_shortcut)
     payload = outcome.to_dict()
     if outcome.certificate is not None and args.output:
         _write_output(emit_rsg(outcome.certificate), args.output)
@@ -186,6 +170,8 @@ def cmd_audit(args) -> int:
     try:
         report = expansion_audit(dec)
     except PreconditionError as exc:
+        # an input that fails verification is a verdict on the file, exit 1 as `rsg verify`
+        # gives it, and not a usage error: the arguments were well formed
         print(f"error: {exc}", file=sys.stderr)
         return EX_FAIL
     if args.json:
@@ -273,6 +259,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
+    except (ParameterError, PreconditionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
     except Exception as exc:
         message = str(exc).replace("\n", " ")
         print(f"internal error: {type(exc).__name__}" + (f": {message}" if message else ""),

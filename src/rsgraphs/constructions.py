@@ -6,7 +6,8 @@ hypercube, part offsets for the bipartite families) so serialized output is
 reproducible byte for byte.  The Cayley construction is additionally certified
 by the verifier before being returned; it is never trusted on faith.
 A construction whose n + |E| would exceed SIZE_BUDGET raises ResourceLimitError
-before it builds any list; `double_cover` only doubles an input already in memory.
+(`core._check_size`) before it builds any list; `double_cover` only doubles an
+input already in memory.
 """
 
 from __future__ import annotations
@@ -18,22 +19,13 @@ from .core import (
     SIZE_BUDGET,
     MatchingDecomposition,
     ParameterError,
+    _certified,
+    _check_size,
     _record,
     _require_verified,
-    verify_decomposition,
 )
 
-
-class ResourceLimitError(ValueError):
-    """A construction would exceed the configured size budget."""
-
-
 _K_CLIP = SIZE_BUDGET.bit_length()      # n >= 2^k: k-families are sized at min(k, _K_CLIP)
-
-
-def _check_size(what: str, size: int) -> None:
-    if size > SIZE_BUDGET:
-        raise ResourceLimitError(f"{what}: n + |E| would exceed the size budget {SIZE_BUDGET}")
 
 
 def kneser_rs(k: int) -> MatchingDecomposition:
@@ -47,7 +39,7 @@ def kneser_rs(k: int) -> MatchingDecomposition:
         raise ParameterError("k must be >= 1")
     m = 2 * k + 1
     c = min(k, _K_CLIP)
-    _check_size(f"KG({m}, {k})", math.comb(2 * c + 1, c) * (c + 3) // 2)   # n + n(k+1)/2
+    _check_size(f"KG({m}, {k}): n + |E|", math.comb(2 * c + 1, c) * (c + 3) // 2)   # n + n(k+1)/2
     n = math.comb(m, k)
 
     # Element e + 1 is bit e of a mask, so colex order is numeric mask order.
@@ -83,7 +75,7 @@ def hypercube_rs(k: int, augmented: bool = False) -> MatchingDecomposition:
     if augmented and k % 2:
         raise ParameterError("augmented variant requires even k")
     c = min(k, _K_CLIP)
-    _check_size(f"Q_{k}", (1 << c) * (c + 2 + augmented) // 2)      # n + nt/4
+    _check_size(f"Q_{k}: n + |E|", (1 << c) * (c + 2 + augmented) // 2)      # n + nt/4
     n = 1 << k
 
     matchings = []
@@ -118,7 +110,8 @@ def disjoint_union(dec: MatchingDecomposition, copies: int) -> MatchingDecomposi
     if copies < 1:
         raise ParameterError("copies must be >= 1")
     n = dec.n
-    _check_size(f"{copies} disjoint copies", copies * (n + sum(len(m) for _, m in dec.listed)))
+    _check_size(f"{copies} disjoint copies: n + |E|",
+                copies * (n + sum(len(m) for _, m in dec.listed)))
     _require_verified(dec, "disjoint_union")
     # from_listed sorts each matching's edges
     listed = [(i, [(u + c * n, v + c * n) for (u, v) in mi for c in range(copies)])
@@ -244,7 +237,7 @@ def check_cayley_modulus(modulus: int) -> None:
     if modulus < 5:
         raise ParameterError(f"modulus {modulus} is below 5: "
                              "no difference set fits in [1, (N-1)/3]")
-    _check_size(f"Cayley graph on Z_{modulus}", 3 * modulus)
+    _check_size(f"Cayley graph on Z_{modulus}: n + |E|", 3 * modulus)
 
 
 def cayley_rs(modulus: int, s: APFreeSet) -> MatchingDecomposition:
@@ -264,16 +257,12 @@ def cayley_rs(modulus: int, s: APFreeSet) -> MatchingDecomposition:
         raise ParameterError(
             f"max(S) = {max(elems)} exceeds (N-1)/3; wraparound would create spurious progressions"
         )
-    _check_size(f"Cayley graph on Z_{n_mod} with |S| = {len(elems)}", n_mod * (2 + len(elems)))
+    _check_size(f"Cayley graph on Z_{n_mod} with |S| = {len(elems)}: n + |E|",
+                n_mod * (2 + len(elems)))
 
     matchings = []
     for z in range(n_mod):
         mz = [((z - 2 * a) % n_mod, n_mod + (z - a) % n_mod) for a in elems]
         matchings.append(mz)
-    dec = MatchingDecomposition.from_matchings(2 * n_mod, matchings, len(elems))
-
-    report = verify_decomposition(dec)
-    if not report.passed:
-        first = report.violations[0]
-        raise AssertionError(f"cayley construction failed certification: {first.invariant}")
-    return dec
+    return _certified(MatchingDecomposition.from_matchings(2 * n_mod, matchings, len(elems)),
+                      "cayley_rs")

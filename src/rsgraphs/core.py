@@ -26,9 +26,10 @@ its matchings are sorted tuples, so repeat verification of one object costs
 nothing.  Its `passed` is the verdict.  `disjoint_union`, `double_cover`,
 `distance_certificate` and `expansion_audit` take their input through
 `_require_verified`, which refuses it naming the first failing invariant;
-the Cayley construction and the search certificates read
-`verify_decomposition` as `rsg verify` does, so whichever caller comes first
-runs the verifier and the rest read its report.
+the Cayley construction and the search certificates leave through
+`_certified`, which reads the same report and raises AssertionError on a
+failure, a defect of the builder.  So whichever caller comes first runs the
+verifier and the rest read its report.
 
 A decomposition stores t and only its non-empty matchings (`listed`), so an
 empty matching costs nothing; only at r >= 1 does the witness loop step over
@@ -100,7 +101,17 @@ class PreconditionError(ValueError):
     """An operation was handed input that fails its stated precondition."""
 
 
+class ResourceLimitError(ParameterError):
+    """A construction or a search would exceed the size budget."""
+
+
 SIZE_BUDGET = 2_000_000     # on a construction's n + |E| and a search's labels, before either is built
+
+
+def _check_size(what: str, size: int) -> None:
+    """ResourceLimitError naming `what` if `size` is over SIZE_BUDGET, the budget's one test."""
+    if size > SIZE_BUDGET:
+        raise ResourceLimitError(f"{what} would exceed the size budget {SIZE_BUDGET}")
 
 
 def _record(cls):
@@ -330,6 +341,15 @@ def _require_verified(dec: MatchingDecomposition, what: str) -> VerificationRepo
         raise PreconditionError(
             f"{what} requires a verified decomposition ({report.violations[0].invariant})")
     return report
+
+
+def _certified(dec: MatchingDecomposition, what: str) -> MatchingDecomposition:
+    """dec, once the verifier passes it: the postcondition of every construction and certificate
+    built in the package, so a failure is a defect of `what` (AssertionError), not of its input."""
+    report = verify_decomposition(dec)
+    if not report.passed:
+        raise AssertionError(f"{what} fails verification ({report.violations[0].invariant})")
+    return dec
 
 
 def _verify(dec: MatchingDecomposition) -> VerificationReport:

@@ -24,7 +24,7 @@ Reductions (all reachable up to relabeling, so UNSAT stays exhaustive):
     t - i matchings are induced in their own union, a graph on the n - a_i
     labels a_i..n-1, so r <= max_r(n - a_i, t - i).  The cap bounds the rows
     x of M_i's first edge only, not the labels y.
-Every SAT certificate is re-verified before being returned.
+Every SAT certificate is re-verified before being returned (`core._certified`).
 
 The search is a loop over an explicit stack, so its depth is not bounded by
 Python's recursion limit.  Every matching holds exactly r edges, so depth d
@@ -69,12 +69,12 @@ import time
 from fractions import Fraction
 
 from .core import (
-    SIZE_BUDGET,
     Graph,
     MatchingDecomposition,
     ParameterError,
+    _certified,
+    _check_size,
     _record,
-    verify_decomposition,
 )
 from .bounds import max_r, min_vertices
 
@@ -257,9 +257,8 @@ def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
 
     if r == 0 or t == 0:
         dec = MatchingDecomposition(n, t, r, ())      # t empty matchings, stored as none
-        if not verify_decomposition(dec).passed:
-            raise AssertionError("degenerate certificate fails verification")
-        return SearchOutcome(SAT, certificate=dec, wall_time=time.monotonic() - started,
+        return SearchOutcome(SAT, certificate=_certified(dec, "the degenerate certificate"),
+                             wall_time=time.monotonic() - started,
                              note="degenerate parameters, empty edge set")
 
     if eq1_shortcut and Fraction(r) > max_r(n, t):
@@ -270,8 +269,7 @@ def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
 
     # labels enter as the smallest unused one, at most two per edge, so all stay below 2rt
     labels = min(n, 2 * r * t)
-    if labels > SIZE_BUDGET:
-        raise ParameterError(f"{labels} vertex labels would exceed the size budget {SIZE_BUDGET}")
+    _check_size(f"{labels} vertex labels", labels)
     state = _State(labels, 1)
     seeded = 2 * r                     # M_0: the pairs (2j, 2j + 1), n >= 2r, with no `nbr` bits
     state.incidence[:seeded] = [1] * seeded
@@ -338,9 +336,7 @@ def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
     elif verdict == SAT:
         placed = [(x, y) for x, y, _ in path]
         matchings = [placed[j:j + r] for j in range(0, t * r, r)]
-        certificate = MatchingDecomposition.from_matchings(n, matchings, r)
-        if not verify_decomposition(certificate).passed:
-            raise AssertionError("search produced a certificate that fails verification")
+        certificate = _certified(MatchingDecomposition.from_matchings(n, matchings, r), "exists_rs")
     return SearchOutcome(
         verdict, certificate=certificate, nodes_explored=nodes,
         wall_time=time.monotonic() - started, note=note,
@@ -540,9 +536,8 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = Budget(),
     certificate = achieved = None
     if verdict == SAT or not exact_cover:
         # a SAT cover's matchings cover E(g), so their edges rebuild g itself
-        certificate = MatchingDecomposition.from_matchings(g.n, chosen, r)
-        if not verify_decomposition(certificate).passed:
-            raise AssertionError("max_t_on_graph certificate fails verification")
+        certificate = _certified(MatchingDecomposition.from_matchings(g.n, chosen, r),
+                                 "max_t_on_graph")
         achieved = len(chosen)
         if verdict == INDETERMINATE:
             note += f"; best found t = {achieved}"

@@ -2,8 +2,10 @@
 
 The runner runs the rows in order, each as its own process, in one directory,
 so a row's `-o` output is a later row's input.  A row fails on the wrong exit,
-a missing fragment, a traceback, or a broken bound; a `defect` row is reported
-and does not fail the run (README, "Tests").  Stdlib only.
+a missing fragment, a traceback, or a broken bound.  A `defect` row is reported
+and does not fail the run while it breaks its contract; once it keeps it, it
+fails, so the change that mends the defect drops the mark (README, "Tests").
+Stdlib only.
 
     python tests/contracts.py --exe rsg     # the installed entry point
 """
@@ -194,8 +196,10 @@ def run(rows, exe, cwd):
     failures, defects = [], []
     for row in rows:
         problem = check(row, exe, cwd)
-        if row.defect:
-            defects.append(f"defect {row.name}: `{row.argv}`: {problem or 'keeps its contract'}")
+        if row.defect and problem:
+            defects.append(f"defect {row.name}: `{row.argv}`: {problem}")
+        elif row.defect:
+            failures.append(f"{row.name}: `{row.argv}`: keeps its contract, drop its defect mark")
         elif problem:
             failures.append(f"{row.name}: `{row.argv}`: {problem}")
     return failures, defects

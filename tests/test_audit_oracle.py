@@ -18,6 +18,7 @@ instance is compared live.
 import hashlib
 import json
 import math
+import random
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -188,8 +189,16 @@ def per_source_audit(dec: MatchingDecomposition) -> AuditReport:
     )
 
 
+def side_by_side(a, b):
+    """a and b on disjoint labels, b's after a's, matching i the union of their M_i."""
+    shifted = ([(u + a.n, v + a.n) for u, v in m] for m in b.matchings)
+    return MatchingDecomposition.from_matchings(
+        a.n + b.n, [list(ma) + mb for ma, mb in zip(a.matchings, shifted)], a.r + b.r)
+
+
 def sweep():
-    """The acceptance sweep (tests/test_acceptance.py) and its covers, by name."""
+    """The acceptance sweep (tests/test_acceptance.py) and its covers, by name, and one input
+    whose strip removes vertices: every built family is regular, so its F is all of H."""
     base = (
         [(f"kneser{k}", lambda k=k: kneser_rs(k)) for k in range(1, 5)]
         + [(f"q{k}", lambda k=k: hypercube_rs(k)) for k in range(2, 11)]
@@ -199,6 +208,9 @@ def sweep():
     extra = [
         ("cayley41", lambda: cayley_rs(41, ap_free_set("greedy-base3", 13))),
         ("union-kneser2x3", lambda: disjoint_union(kneser_rs(2), 3)),
+        # t = 10: the draw's H peels away in a cascade, and q4aug's survives as F
+        ("draw-beside-q4aug", lambda: side_by_side(
+            random_decomposition(16, 3, 10, random.Random(2777)), hypercube_rs(4, augmented=True))),
     ]
     return dict(base + covers + extra)
 
@@ -228,6 +240,13 @@ class TestSweep:
     @pytest.mark.parametrize("name", sorted(ORACLE_DIGESTS))
     def test_against_recorded_oracle(self, name):
         assert digest(expansion_audit(SWEEP[name]())) == ORACLE_DIGESTS[name]
+
+    def test_the_strip_removes_vertices(self):
+        dec = SWEEP["draw-beside-q4aug"]()
+        report = expansion_audit(dec)
+        audited = double_cover(dec) if report.doubled else dec
+        h_adj, _ = per_source_core(audited.graph, degrees(audited.graph), dec.t)
+        assert 0 < report.f_vertex_count < sum(map(bool, h_adj))
 
     def test_kneser5(self):
         dec = kneser_rs(5)

@@ -40,9 +40,11 @@ STAND_IN = [sys.executable, "-c", "import sys, time; time.sleep(float(sys.argv[1
     (Row("fits", "0 20 0", max_mb=100), ([], [])),
     (Row("silent", "0 0 0", out="verdict"), (["silent: `0 0 0`: stdout lacks 'verdict'"], [])),
     (Row("raises", "x 0 0", 1), (["raises: `x 0 0`: traceback on stderr"], [])),
-    # a defect row is reported and does not fail the run
+    # an open defect row is reported and does not fail the run; a mended one fails until
+    # the change that mends it drops the mark
     (Row("open", "0 0 1", defect=True), ([], ["defect open: `0 0 1`: exit 1, expected 0"])),
-    (Row("mended", "0 0 0", defect=True), ([], ["defect mended: `0 0 0`: keeps its contract"])),
+    (Row("mended", "0 0 0", defect=True),
+     (["mended: `0 0 0`: keeps its contract, drop its defect mark"], [])),
 ], ids=lambda x: getattr(x, "name", None))
 def test_the_runner_reports_a_row_by_name_and_argv(tmp_path, row, report):
     assert contracts.run([row], STAND_IN, tmp_path) == report

@@ -161,6 +161,13 @@ class TestVerifyDecomposition:
                 assert not verify_decomposition(dec).passed
             assert dec._matchings_at == (bits, expected)
 
+    def test_a_built_decomposition_leaves_certified_or_as_a_defect(self):
+        # `_certified` is the postcondition of the Cayley construction and the search certificates
+        dec = triangle_dec()
+        assert core._certified(dec, "a builder") is dec
+        with pytest.raises(AssertionError, match=r"^a builder fails verification \(size-mismatch\)$"):
+            core._certified(triangle_dec(r=2), "a builder")
+
     def test_kneser2_degree_sum_is_tplus1(self):
         report = verify_decomposition(kneser_rs(2))
         assert report.passed

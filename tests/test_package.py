@@ -137,6 +137,38 @@ def test_no_module_reads_the_matchings_with_their_empties(short):
     assert not reads, reads
 
 
+REFUSALS = {"ParameterError", "PreconditionError", "ResourceLimitError"}
+
+
+@pytest.mark.parametrize("short", ("__init__", "cli") + MODULES)
+def test_each_refusal_is_decided_in_one_place(short):
+    # `cli.main` maps the package's refusals to exit 64, and `rsg audit` keeps its exit-1
+    # refusal, so no other `except` names them; `core._check_size` alone tests the size budget
+    with open(os.path.join(SRC, "rsgraphs", f"{short}.py")) as fh:
+        tree = ast.parse(fh.read())
+    stray = []
+    allowed = {("cli.main", "except"), ("cli.cmd_audit", "except"),
+               ("core._check_size", "SIZE_BUDGET comparison")}
+
+    def names(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            kind = None
+            if isinstance(child, ast.ExceptHandler) and child.type and names(child.type) & REFUSALS:
+                kind = "except"
+            elif isinstance(child, ast.Compare) and "SIZE_BUDGET" in names(child):
+                kind = "SIZE_BUDGET comparison"
+            if kind and (where, kind) not in allowed:
+                stray.append(f"{where}:{child.lineno} {kind}")
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            walk(child, f"{short}.{child.name}" if named else where)
+
+    walk(tree, short)
+    assert not stray, stray
+
+
 # one `rsg` run of each kind, with its exit: every construct family, verify's pass, fail and
 # parse error, bound with and without --r, search's three verdicts, audit's pass and refusal
 SURFACE_ARGV = [

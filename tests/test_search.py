@@ -18,6 +18,7 @@ from rsgraphs import (
     INDETERMINATE,
     MatchingDecomposition,
     ParameterError,
+    ResourceLimitError,
     SAT,
     UNSAT,
     emit_rsg,
@@ -28,7 +29,7 @@ from rsgraphs import (
     max_t_on_graph,
     verify_decomposition,
 )
-from rsgraphs import search
+from rsgraphs import core, search
 from rsgraphs.bounds import min_vertices
 from rsgraphs.search import _enumerate_induced_matchings
 from oracles import OracleState
@@ -140,11 +141,13 @@ class TestExistsRS:
             raise AssertionError("the search state was built over the size budget")
         with monkeypatch.context() as patch:
             patch.setattr(search, "_State", unreachable)
-            with pytest.raises(ParameterError, match="^200000000000 vertex labels would exceed "
-                                                     "the size budget 2000000$"):
+            with pytest.raises(ResourceLimitError, match="^200000000000 vertex labels would "
+                                                         "exceed the size budget 2000000$"):
                 exists_rs(10 ** 12, 10 ** 11, 1, Budget(max_nodes=1))
+        # the budget's one class for constructions and search, a usage error to `rsg`
+        assert issubclass(ResourceLimitError, ParameterError)
         # the budget bounds min(n, 2rt), the labels the state allocates
-        monkeypatch.setattr(search, "SIZE_BUDGET", 100)
+        monkeypatch.setattr(core, "SIZE_BUDGET", 100)
         assert exists_rs(1000, 1, 50, Budget(max_nodes=1)).verdict == INDETERMINATE
         assert exists_rs(100, 1, 51, Budget(max_nodes=1)).verdict == INDETERMINATE
         with pytest.raises(ParameterError, match="^102 vertex labels"):
