@@ -305,26 +305,11 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     doubled = any(dist[u] == dist[v] for u, v in edges)
     n, r = (2 * n_in, 2 * dec.r) if doubled else (n_in, dec.r)
 
-    # on a verified decomposition every edge at v lies in exactly one matching
-    # and no matching covers v twice, so |A_v| = d_v holds for every vertex
-    assertions = [("incidence-degree", PASS, "|A_v| = d_v for every vertex")]
-
     # the verdict counts the input's edges by degree sum; on a cover each input
     # edge (u, v) gives (u, v + n_in) and (v, u + n_in), both of that degree sum
     classes = {s - t: k * (1 + doubled) for s, k in verdict.edge_degree_sums.items()}
     e1 = classes.get(1, 0)
     e0 = classes.get(0, 0)
-    # (a) and (b), the lemmas in the docstring
-    assertions.append(("degree-sum-classes", PASS, "no edge exceeds degree sum t + 1"))
-    if 4 * r == n:
-        assertions.append((
-            "cauchy-schwarz", PASS, f"2*E1 + E0 = {2 * e1 + e0} vs nt/4 = {Fraction(n * t, 4)}",
-        ))
-    else:
-        assertions.append((
-            "cauchy-schwarz", NOT_APPLICABLE, f"r = {r} != n/4 = {Fraction(n, 4)}",
-        ))
-
     s = Fraction(e1 + e0, n) if n else Fraction(0)
     s_prime = Fraction(e1, n) if n else Fraction(0)
     threshold = Fraction(t, 8)
@@ -352,9 +337,6 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     nbrs = {v: [w for w in h_adj[v] if w in alive] for v in alive}
     achieved = min(map(len, nbrs.values()), default=0)
 
-    # (d), the lemma in the docstring
-    assertions.append(("bfs-distance-claims", PASS, "incidence overlaps bounded by distance on F"))
-
     layers = []
     if nbrs:
         sizes = Counter(_bfs(nbrs, min(nbrs)).values())
@@ -363,6 +345,17 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
             floor_val = math.comb(s_int, i) if i <= s_int else 0
             layers.append(LayerRow(i, sizes[i], floor_val, sizes[i] >= floor_val))
 
+    assertions = (
+        # on a verified decomposition every edge at v lies in exactly one matching
+        # and no matching covers v twice, so |A_v| = d_v holds for every vertex
+        ("incidence-degree", PASS, "|A_v| = d_v for every vertex"),
+        # (a), (b) and (d), the lemmas in the docstring
+        ("degree-sum-classes", PASS, "no edge exceeds degree sum t + 1"),
+        ("cauchy-schwarz", PASS, f"2*E1 + E0 = {2 * e1 + e0} vs nt/4 = {Fraction(n * t, 4)}")
+        if 4 * r == n else
+        ("cauchy-schwarz", NOT_APPLICABLE, f"r = {r} != n/4 = {Fraction(n, 4)}"),
+        ("bfs-distance-claims", PASS, "incidence overlaps bounded by distance on F"),
+    )
     return AuditReport(
         n=n, r=r, t=t, doubled=doubled,
         edge_classes=classes,
@@ -370,7 +363,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
         f_min_degree_threshold=threshold,
         f_vertex_count=len(nbrs),
         f_achieved_min_degree=achieved,
-        assertions=tuple(assertions),
+        assertions=assertions,
         bfs_violations=(),
         layers=tuple(layers),
     )

@@ -32,14 +32,14 @@ failure, a defect of the builder.  So whichever caller comes first runs the
 verifier and the rest read its report.
 
 A decomposition stores t and only its non-empty matchings (`listed`), so an
-empty matching costs nothing; only at r >= 1 does the witness loop step over
-each, as a size mismatch.  Each decomposition builds the incidence map
-A_v = {i : v in V_i} of each covered vertex once and keeps it
-(`_matchings_at`).  A_v is a t-bit int where that takes no more 64-bit words
-than the ascending lists hold entries (`_bitsets` decides), and the list
-otherwise (thousands of one-edge matchings would make the ints n*t/64
-words).  Only the verifier reads it, so its two forms are decided and read
-in this module alone.
+empty matching costs nothing: at r >= 1 the witness loop reports them all as
+one size mismatch, naming the first and their count.  Each decomposition
+builds the incidence map A_v = {i : v in V_i} of each covered vertex once
+and keeps it (`_matchings_at`).  A_v is a t-bit int where that takes no
+more 64-bit words than the ascending lists hold entries (`_bitsets`
+decides), and the list otherwise (thousands of one-edge matchings would
+make the ints n*t/64 words).  Only the verifier reads it, so its two forms
+are decided and read in this module alone.
 
 On the ints, the verifier is first a screen (`_screen`) that needs no witness:
 
@@ -356,8 +356,9 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
     """The screen where A_v is an int, the witness loop where it flags or A_v is a list.
 
     By the screen's lemma (module docstring) the screen passes exactly the
-    input that the verifier passes; `_witnesses` finds the witnesses of the
-    rest, and of any input on the lists.
+    input that the verifier passes, bar an edgeless one at r = 0 and t >= 1,
+    whose empty matchings fail its size test; `_witnesses` finds the
+    witnesses of the rest, and of any input on the lists, and passes that one.
     """
     stats = _screen(dec) if dec._matchings_at[0] else None
     if stats is None:
@@ -368,16 +369,14 @@ def _verify(dec: MatchingDecomposition) -> VerificationReport:
 def _screen(dec: MatchingDecomposition):
     """(histogram, edge_degree_sums) if the screen (module docstring) passes dec, else None.
 
-    The checks run cheapest first and stop at the first flag: the sizes (at
-    r = 0 all there is to check), the identity sum_v |A_v| = 2 sum_i |M_i|
-    on the popcounts, then one matching at a time the AND of its two
-    endpoint columns, mapped in C.  `histogram` counts the covered vertices
-    by degree.  With one degree both statistics follow from the one-degree
-    lemma; otherwise `_degree_stats` takes them from the edges.
+    The checks run cheapest first and stop at the first flag: the sizes,
+    which an empty matching fails whatever r is, the identity sum_v |A_v| =
+    2 sum_i |M_i| on the popcounts, then one matching at a time the AND of
+    its two endpoint columns, mapped in C.  `histogram` counts the covered
+    vertices by degree.  With one degree both statistics follow from the
+    one-degree lemma; otherwise `_degree_stats` takes them from the edges.
     """
     r, t, listed = dec.r, dec.t, dec.listed
-    if not r:
-        return None if listed else ({}, {})
     if len(listed) != t or any(len(m) != r for _, m in listed):
         return None
     at = dec._matchings_at[1]
@@ -411,24 +410,27 @@ def _degree_stats(edges):
 
 def _witnesses(dec: MatchingDecomposition) -> VerificationReport:
     # The verifier's witness loop, on either form of A_v: one pass over the
-    # matchings and one over the edges, memory O(|E| + t) whatever n is.  At
-    # r = 0 it steps over the listed matchings only: an empty one has size r.
-    t, r = dec.t, dec.r
+    # listed matchings and one over the edges, memory O(|E|) whatever n and t
+    # are.  At r >= 1 the t - |listed| empty matchings are one size mismatch,
+    # reported first, at the least empty index.
+    t, r, listed = dec.t, dec.r, dec.listed
     violations = []
+    if r and len(listed) < t:
+        i = next((k for k, (j, _) in enumerate(listed) if j != k), len(listed))
+        violations.append(
+            Violation("size-mismatch", (i,), (0,),
+                      f"matching {i} has 0 edges, declared r = {r}; empty matchings: {t - len(listed)}")
+        )
 
     owner = {}          # edge of the graph -> first matching listing it
     relisted = set()    # (edge, i): matching i lists an edge listed before
     not_matching = {}   # i -> first edge of matching i sharing an endpoint
-    listed = dict(dec.listed)
-    for i in range(t) if r else listed:
-        m = listed.get(i, ())
+    for i, m in listed:
         if len(m) != r:
             violations.append(
                 Violation("size-mismatch", (i,), (len(m),),
                           f"matching {i} has {len(m)} edges, declared r = {r}")
             )
-        if not m:
-            continue
         for e in m:
             if e in owner:
                 j = owner[e]

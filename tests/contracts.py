@@ -55,7 +55,8 @@ ROWS = [
     Row("verify sparse", "verify sparse.rsg", files={"sparse.rsg": SPARSE}, seconds=10),
     Row("verify size mismatch", "verify bad.rsg", 1, out="size-mismatch",
         files={"bad.rsg": "rsg 3 3 2\n0 1 0\n1 2 1\n0 2 2\n"}),
-    Row("verify tall header", "verify tall.rsg", files={"tall.rsg": "rsg 2 200000 0\n"}),
+    Row("verify tall header", "verify tall.rsg", files={"tall.rsg": "rsg 2 200000 0\n"},
+        seconds=2, max_mb=100),
     Row("verify huge header", "verify huge-header.rsg", (0, 65),
         files={"huge-header.rsg": "rsg 2000000 0 0\n"}),
     # a header's t costs nothing: only the non-empty matchings are stored
@@ -63,10 +64,19 @@ ROWS = [
         seconds=2, max_mb=100),
     Row("double cover taller header", "construct double-cover --input taller.rsg",
         out="rsg 4 20000000 0\n", seconds=2, max_mb=100),
-    # defect: at r >= 1 each empty matching is a size-mismatch line (ROADMAP item 4); a
-    # MemoryError inside the error handler also exits 1, so the verdict line is required
+    # at r >= 1 the empty matchings are one size-mismatch, naming their count; a MemoryError
+    # inside the error handler also exits 1, so the verdict line is required
     Row("verify tall header r=1", "verify tall1.rsg", 1, out="verdict: fail",
-        files={"tall1.rsg": "rsg 2 2000000 1\n"}, seconds=2, max_mb=100, defect=True),
+        files={"tall1.rsg": "rsg 2 2000000 1\n"}, seconds=2, max_mb=100),
+    Row("verify taller header r=1", "verify taller1.rsg", 1, out="verdict: fail",
+        files={"taller1.rsg": "rsg 2 2000000000 1\n"}, seconds=2, max_mb=100),
+    Row("verify json taller header r=1", "verify --json taller1.rsg", 1,
+        out='"matchings": [\n        0\n      ],', seconds=2, max_mb=100),
+    Row("audit taller header r=1", "audit sparse-tall.rsg", 1, err="(size-mismatch)",
+        files={"sparse-tall.rsg": "rsg 4 2000000000 1\n0 1 5\n2 3 7\n"}, seconds=2, max_mb=100),
+    Row("double cover taller header r=1", "construct double-cover --input sparse-tall.rsg", 64,
+        err="error: double_cover requires a verified decomposition (size-mismatch)",
+        seconds=2, max_mb=100),
     # audit
     Row("audit kneser", "audit petersen.rsg", out="verdict: pass"),
     Row("audit hypercube", "audit q4.rsg", out="cauchy-schwarz: pass"),
@@ -98,8 +108,8 @@ ROWS = [
     Row("search deeper than recursion", "search --n 4000 --r 1 --t 1200 -o deep.rsg",
         out="verdict: SAT  nodes=1199 "),
     Row("verify deep", "verify deep.rsg"),
-    Row("search r=0", "search --n 8 --r 0 --t 1000000 -o zero.rsg"),
-    Row("verify r=0", "verify zero.rsg"),
+    Row("search r=0", "search --n 8 --r 0 --t 1000000 -o zero.rsg", seconds=2, max_mb=100),
+    Row("verify r=0", "verify zero.rsg", seconds=2, max_mb=100),
     Row("search huge t", "search --n 8 --r 2 --t 1000000000 --max-nodes 10", 2),
     Row("search r=0 huge t", "search --n 10 --r 0 --t 1000000000", out="rsg 10 1000000000 0\n",
         max_mb=100),

@@ -1,13 +1,16 @@
 """The one-pass verifier and the arithmetic distance certificate against pairwise oracles.
 
 `pairwise_verify` and `hamming_certificate` are the package's original
-implementations, kept verbatim as test-only references (the oracle builds the
+implementations, kept as test-only references (the oracle builds the
 degree list from per-vertex neighbour sets, as the package's graph then did, and
 certifies with `pairwise_verify`; `adjacency` and `endpoint_sets` build those
 sets here, as the test-only `Graph.adjacency` and
 `MatchingDecomposition.endpoint_sets` did).  The first scans each matching's
 adjacency for chords; the second sums the Hamming distances of every pair of
-characteristic vectors.  The package must agree with them field for field,
+characteristic vectors.  The first changed in one rule, the package's since
+its witness loop stopped stepping over empty matchings: at r >= 1 the empty
+matchings are one size-mismatch, first in the report, at the least empty
+index and naming their count.  The package must agree with them field for field,
 witnesses and violation order included, on valid decompositions and on
 mutants of them.  Neither the first nor the package counts |V_i cap V_j|:
 by the pair bound in the `core` docstring it is at most r once the other
@@ -19,6 +22,7 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import accumulate, count
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import cache
@@ -71,8 +75,14 @@ def pairwise_verify(dec: MatchingDecomposition) -> VerificationReport:
     violations = []
 
     owner = {}
+    empty = [i for i, m in enumerate(dec.matchings) if not m]
+    if r and empty:
+        violations.append(
+            Violation("size-mismatch", (empty[0],), (0,),
+                      f"matching {empty[0]} has 0 edges, declared r = {r}; empty matchings: {len(empty)}")
+        )
     for i, m in enumerate(dec.matchings):
-        if len(m) != r:
+        if m and len(m) != r:
             violations.append(
                 Violation("size-mismatch", (i,), (len(m),),
                           f"matching {i} has {len(m)} edges, declared r = {r}")
@@ -745,3 +755,50 @@ class TestLargeSparse:
         assert [(v.invariant, v.matchings) for v in report.violations] == [
             ("size-mismatch", (t - 1,)), ("not-induced", (0,))]
         assert report.to_dict() == pairwise_verify(dec).to_dict()
+
+
+class TestEmptyMatchings:
+    """At r >= 1 the empty matchings are one leading size-mismatch naming their count, so a
+    header's t costs the verifier nothing."""
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_raising_t_changes_only_the_count(self, data):
+        # a mutant's matchings spread over ascending indices, so at
+        # t = max index + 2 at least the last one is empty; degree-sum tests
+        # d_u + d_v against t + 1, so it is the one other violation that
+        # raising t may drop
+        src = draw_mutant(data, 0)
+        gaps = data.draw(st.lists(st.integers(0, 3), min_size=src.t, max_size=src.t))
+        index = [i + g for i, g in enumerate(accumulate(gaps))]
+        pairs = list(zip(index, src.matchings))
+        small = MatchingDecomposition.from_listed(src.n, index[-1] + 2, src.r, pairs)
+        big = MatchingDecomposition.from_listed(src.n, 10 ** 9, src.r, pairs)
+        report = verify_decomposition(small)
+        assert report.to_dict() == pairwise_verify(small).to_dict()
+        expected = [v for v in report.violations if v.invariant != "degree-sum"]
+        if src.r:
+            listed = {i for i, _ in small.listed}
+            first = next(i for i in count() if i not in listed)
+            lead = f"matching {first} has 0 edges, declared r = {src.r}; empty matchings: "
+            assert expected[0] == Violation("size-mismatch", (first,), (0,),
+                                            lead + str(small.t - len(small.listed)))
+            expected[0] = Violation("size-mismatch", (first,), (0,), lead + str(big.t - len(big.listed)))
+        raised = verify_decomposition(big)
+        assert list(raised.violations) == expected
+        assert raised.to_dict()["stats"] == report.to_dict()["stats"]
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_a_header_t_costs_nothing(self, r):
+        dec = MatchingDecomposition(2, 10 ** 12, r, ())
+        tracemalloc.start()
+        try:
+            report = verify_decomposition(dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert report.violations == (() if not r else (Violation(
+            "size-mismatch", (0,), (0,),
+            "matching 0 has 0 edges, declared r = 1; empty matchings: 1000000000000"),))
+        assert report.degree_histogram == {0: 2} and report.max_edge_degree_sum == 0
