@@ -31,7 +31,8 @@ Python's recursion limit.  Every matching holds exactly r edges, so depth d
 (edges placed, the pinned first matching included) fixes the matching index
 i = d // r.  The path holds each placed edge with the label counter before
 it, and the stack each open depth's `_candidates` generator with its
-B_i = V_i | N(V_i).  The generator walks the depth: rows x < u, u the
+B_i = V_i | N(V_i) and, if its edge filled a matching, the `apart` values
+that the fill replaced.  The generator walks the depth: rows x < u, u the
 smallest unused label, take labels y up to u; row u takes only u + 1, the
 pair of fresh labels.  The three tests fail for (x, y) exactly when x or y
 lies in B_i or y lies in some V_j with j in A_x, so a row x in B_i fails
@@ -40,6 +41,19 @@ walked by lowest set bit.  B_i is carried down the stack: a new matching
 starts from 0, and placing (x, y) in M_i adds N(x) | N(y), which hold y
 and x, except a seed label's partner in the pinned M_0, which stays out of
 `_State.nbr`: its pairs would take r^2 bits before node 1.
+
+Lemma (the row mask is one AND).  Matchings open in order and each holds
+exactly r edges, so while M_i is open, M_0..M_{i-1} are complete and no
+later matching has an edge.  A row x outside B_i is not in V_i, so A_x lies
+in {0..i-1}.  Hence the y that test 2 excludes, the union of V_j over j in
+A_x, is `apart[x]`: the union of V_j over the complete matchings j that
+cover x.  The row's mask is then (lo..hi) & ~(B_i | apart[x]), with no
+walk over A_x.  `apart` is kept so: the seed sets it to V_0 on
+M_0's 2r labels; when an edge fills M_i and another matching follows,
+`_State.close` ORs V_i into apart[v] for each v in V_i and returns the old
+values, which go on the stack with that edge and are put back by
+`_State.reopen` when the edge is popped.  A fill costs O(r) big-int ORs,
+and `apart` takes O(labels * n) bits, the bound `nbr` already has.
 
 Nodes are counted one per candidate edge generated, passing or not: the
 generator reports with each passing candidate, and at the end of its depth,
@@ -149,8 +163,10 @@ class _Meter:
 class _State:
     """Incremental decomposition state over n vertex labels and t matching slots.
 
-    Every set is an int bitmask: `incidence[v]` holds the matchings covering
-    v, `nbr[v]` the neighbours of v and `members[i]` the vertices of V_i.
+    Every set is an int bitmask: `nbr[v]` holds the neighbours of v,
+    `members[i]` the vertices of V_i and `apart[v]` the union of V_j over the
+    closed matchings j that cover v (module docstring).  The search calls
+    `close` when an edge fills a matching and `reopen` when it pops that edge.
     A search that opens the matchings in order may start with one slot and
     append the next as it opens, so no memory grows with t before a node.
     The three tests of `row_mask` keep each matching an induced matching of
@@ -159,16 +175,13 @@ class _State:
     """
 
     def __init__(self, n, t):
-        self.incidence = [0] * n
+        self.apart = [0] * n
         self.nbr = [0] * n
         self.members = [0] * t
         self.used = 0                  # labels 0..used-1 have appeared
 
     def add(self, i, x, y):
         """Add edge (x, y) to matching i; the caller has made `row_mask`'s tests."""
-        bit = 1 << i
-        self.incidence[x] |= bit
-        self.incidence[y] |= bit
         self.nbr[x] |= 1 << y
         self.nbr[y] |= 1 << x
         self.members[i] |= (1 << x) | (1 << y)
@@ -176,34 +189,45 @@ class _State:
             self.used = y + 1
 
     def remove(self, i, x, y, prev_used):
-        bit = 1 << i
-        self.incidence[x] ^= bit
-        self.incidence[y] ^= bit
         self.nbr[x] ^= 1 << y
         self.nbr[y] ^= 1 << x
         self.members[i] ^= (1 << x) | (1 << y)
         self.used = prev_used
 
-    def row_mask(self, x, lo, hi, blocked):
-        """The y in lo..hi (x < lo) for which edge (x, y) may join M_i, as a mask.
+    def close(self, i):
+        """OR V_i into `apart[v]` for each v in V_i; return the old values for `reopen`."""
+        vi = self.members[i]
+        apart = self.apart
+        saved = []
+        rest = vi
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            saved.append((v, apart[v]))
+            apart[v] |= vi
+            rest ^= low
+        return saved
 
-        The tests: no end in V_i (1) or N(V_i) (3), so M_i stays an induced
+    def reopen(self, saved):
+        """Undo the `close` that returned `saved`."""
+        apart = self.apart
+        for v, old in saved:
+            apart[v] = old
+
+    def row_mask(self, x, lo, hi, blocked):
+        """The y in lo..hi (x < lo <= hi + 1) for which edge (x, y) may join M_i, as a mask.
+
+        Precondition: every matching j != i that covers x is closed.  The
+        tests: no end in V_i (1) or N(V_i) (3), so M_i stays an induced
         matching, which `blocked` = B_i = V_i | N(V_i) checks; and A_x & A_y = 0
         (2), the edge inside no V_j, which fails exactly when y lies in some V_j
-        with j in A_x.  So the mask costs min(|A_x|, hi - lo + 1) steps.
+        with j in A_x.  A row x outside B_i is outside V_i, so under the
+        precondition that union is `apart[x]`, and the mask is one AND.
+        `_candidates` computes it inline.
         """
         if blocked >> x & 1:
             return 0
-        rest = self.incidence[x]
-        if hi - lo < rest.bit_count():
-            inc = self.incidence
-            return sum(1 << y for y in range(lo, hi + 1) if not inc[y] & rest) & ~blocked
-        members = self.members
-        while rest:
-            low = rest & -rest
-            blocked |= members[low.bit_length() - 1]
-            rest ^= low
-        return ((1 << (hi + 1)) - 1) >> lo << lo & ~blocked
+        return ((2 << hi) - (1 << lo)) & ~(blocked | self.apart[x])
 
 
 def _candidates(state, n, lo, rows, blocked):
@@ -211,9 +235,10 @@ def _candidates(state, n, lo, rows, blocked):
 
     Yields (x, y, k) for each that passes `row_mask`'s tests, k the candidates
     generated since the last yield, this one included, then (None, None, k)
-    for the rest.  The caller undoes its own placements before it resumes.
+    for the rest.  The caller undoes its own placements before it resumes,
+    and has closed every matching before M_i, the one that the edges join.
     """
-    row_mask = state.row_mask
+    apart = state.apart
     u = state.used
     top = u if u < n else n - 1
     rows = rows if rows < top else top
@@ -224,7 +249,8 @@ def _candidates(state, n, lo, rows, blocked):
         # smallest unused labels (u, u + 1), which comes after lo as lo's labels are used
         hi = top if x < u else min(u + 1, n - 1)
         if y <= hi:
-            ok = row_mask(x, y, hi, blocked)
+            # `row_mask`, inline
+            ok = 0 if blocked >> x & 1 else ((2 << hi) - (1 << y)) & ~(blocked | apart[x])
             while ok:
                 low = ok & -ok
                 take = low.bit_length() - 1
@@ -272,23 +298,26 @@ def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
     _check_size(f"{labels} vertex labels", labels)
     state = _State(labels, 1)
     seeded = 2 * r                     # M_0: the pairs (2j, 2j + 1), n >= 2r, with no `nbr` bits
-    state.incidence[:seeded] = [1] * seeded
     state.members[0] = (1 << seeded) - 1
+    state.apart[:seeded] = [state.members[0]] * seeded     # what `close(0)` leaves, one shared int
     state.used = seeded
     meter = _Meter(budget.max_nodes, started + budget.max_seconds)
 
     # placed edges, one per depth d, as (x, y, prev_used); the seed fills
     # depths 0..r-1 and is never removed
     path = [(2 * j, 2 * j + 1, None) for j in range(r)]
-    stack = []                         # (candidates, B_i) of each depth from r below the open one
+    # (candidates, B_i, what `close` saved if the depth's edge closed M_i, else None)
+    # of each depth from r below the open one
+    stack = []
     nodes = 0
     limit = meter.limit
+    end = t * r                        # the depth of a SAT leaf
     d = r
     blocked = 0                        # B_i of depth d: M_1 starts empty
     candidates = None                  # depth d's generator, None until it opens
     while True:
         if candidates is None:
-            if d == t * r:
+            if d == end:
                 verdict = SAT
                 break
             # open depth d, with the suffix cap (module docstring) on M_i's first edge
@@ -317,16 +346,22 @@ def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
                 break
             d -= 1
             px, py, prev_used = path.pop()
+            candidates, blocked, saved = stack.pop()
+            if saved is not None:
+                state.reopen(saved)
             state.remove(d // r, px, py, prev_used)
-            candidates, blocked = stack.pop()
             continue
         path.append((x, y, state.used))
         state.add(d // r, x, y)
-        stack.append((candidates, blocked))
         d += 1
-        # a seed label v < 2r adds its M_0 partner v ^ 1
-        blocked = (blocked | state.nbr[x] | state.nbr[y] | (x < seeded) << (x ^ 1)
-                   | (y < seeded) << (y ^ 1)) if d % r else 0
+        if d % r:
+            stack.append((candidates, blocked, None))
+            # a seed label v < 2r adds its M_0 partner v ^ 1
+            blocked |= (state.nbr[x] | state.nbr[y] | (x < seeded) << (x ^ 1)
+                        | (y < seeded) << (y ^ 1))
+        else:                          # the edge fills M_i; M_{i+1}, if any, starts empty
+            stack.append((candidates, blocked, state.close(d // r - 1) if d < end else None))
+            blocked = 0
         candidates = None
 
     note = ""
@@ -335,7 +370,7 @@ def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
         note = budget.exhausted(meter.timed_out, nodes)
     elif verdict == SAT:
         placed = [(x, y) for x, y, _ in path]
-        matchings = [placed[j:j + r] for j in range(0, t * r, r)]
+        matchings = [placed[j:j + r] for j in range(0, end, r)]
         certificate = _certified(MatchingDecomposition.from_matchings(n, matchings, r), "exists_rs")
     return SearchOutcome(
         verdict, certificate=certificate, nodes_explored=nodes,

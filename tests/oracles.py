@@ -1,9 +1,10 @@
 """Test-only references that the package no longer carries.
 
-The package places search edges only through `_State.row_mask` and
+The package places search edges only through `_State.row_mask`'s tests and
 `_State.add`; the tests that check `row_mask`, the search oracle and the
 audit's random decompositions test one candidate at a time with
-`OracleState.try_add`.  The package reads degrees off a decomposition's
+`OracleState.try_add`, which reads the matchings covering a vertex off
+`_State.members` alone.  The package reads degrees off a decomposition's
 matchings; the tests count them from a graph's edges with `degrees`.
 `is_bipartite` is the package's 2-colouring as it was before the
 audit decided bipartiteness from its own BFS, kept verbatim: the audit's
@@ -70,9 +71,13 @@ def is_bipartite(g: Graph):
 
 class OracleState(_State):
     def try_add(self, i, x, y):
-        """Add edge (x, y) to matching i if all invariants survive; return success."""
+        """Add edge (x, y) to matching i if all invariants survive; return success.
+
+        A_x and A_y, the matchings covering each end, are read off `members`
+        (bit j is set iff the vertex lies in V_j), not off the state's own masks.
+        """
         bit = 1 << i
-        ax, ay = self.incidence[x], self.incidence[y]
+        ax, ay = (sum(1 << j for j, m in enumerate(self.members) if m >> v & 1) for v in (x, y))
         if (ax | ay) & bit:
             return False               # endpoint already matched in M_i
         if ax & ay:

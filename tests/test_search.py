@@ -153,6 +153,25 @@ class TestExistsRS:
         with pytest.raises(ParameterError, match="^102 vertex labels"):
             exists_rs(1000, 1, 51, Budget(max_nodes=1))
 
+    @pytest.mark.parametrize("t, nodes, bound", [
+        # headroom over the tracemalloc peaks (Python 3.11) of the search that walked
+        # A_x for each row: 3.2 MiB at t = 2, where only the seeded M_0 is closed,
+        # and 5.7 MiB at t = 3, which closes a 1,000-edge M_1; with `apart`, 3.1
+        # and 6.6 MiB
+        (2, 3_000_997, 4 << 20),
+        (3, 7_998_995, 8 << 20),
+    ])
+    def test_large_r_memory(self, t, nodes, bound):
+        # apart[v] holds up to n bits for each of the 2rt labels, as nbr[v] does
+        tracemalloc.start()
+        try:
+            out = exists_rs(4000, 1000, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.verdict, out.nodes_explored) == (SAT, nodes)
+        assert peak < bound, peak
+
     def test_deep_search_needs_no_recursion(self):
         # 1,199 edges placed one below the other: deeper than the recursion limit
         out = exists_rs(4000, 1, 1200)
@@ -278,18 +297,21 @@ class TestSearchSpace:
         assert (out.verdict, out.nodes_explored) == (UNSAT, nodes)
 
 
-def _masks(n, t, matchings):
-    """The masks a `_State` should hold for these matchings, rebuilt from scratch."""
-    incidence, nbr, members = [0] * n, [0] * n, [0] * t
+def _masks(n, t, matchings, closed=()):
+    """The masks a `_State` should hold for these matchings, the indices in `closed` closed,
+    rebuilt from scratch."""
+    apart, nbr, members = [0] * n, [0] * n, [0] * t
     for i, m in enumerate(matchings):
         for x, y in m:
-            incidence[x] |= 1 << i
-            incidence[y] |= 1 << i
             nbr[x] |= 1 << y
             nbr[y] |= 1 << x
             members[i] |= (1 << x) | (1 << y)
+    for j in closed:
+        for v in range(n):
+            if members[j] >> v & 1:
+                apart[v] |= members[j]
     used = max((y + 1 for m in matchings for _, y in m), default=0)
-    return incidence, nbr, members, used
+    return apart, nbr, members, used
 
 
 class TestStateOracle:
@@ -313,7 +335,7 @@ class TestStateOracle:
                 i, x, y, prev_used = added.pop()
                 state.remove(i, x, y, prev_used)
                 matchings[i].remove((x, y))
-                assert (state.incidence, state.nbr, state.members, state.used) == \
+                assert (state.apart, state.nbr, state.members, state.used) == \
                     _masks(n, t, matchings)
                 continue
             i = data.draw(st.integers(0, t - 1))
@@ -327,8 +349,41 @@ class TestStateOracle:
             if expected:
                 matchings[i].append((x, y))
                 added.append((i, x, y, prev_used))
-            assert (state.incidence, state.nbr, state.members, state.used) == \
+            assert (state.apart, state.nbr, state.members, state.used) == \
                 _masks(n, t, matchings)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_apart_tracks_the_closed_matchings(self, data):
+        # edges pushed and popped in the search's order: each joins M_{d // r} at
+        # depth d, the edge that fills a matching closes it, and popping that
+        # edge reopens it first
+        n = data.draw(st.integers(2, 9))
+        r = data.draw(st.integers(1, n // 2))
+        t = data.draw(st.integers(1, 4))
+        pairs = list(itertools.combinations(range(n), 2))
+        state = OracleState(n, t)
+        matchings = [[] for _ in range(t)]
+        placed = []                    # (i, x, y, prev_used, what `close` saved or None)
+        for _ in range(data.draw(st.integers(1, 60))):
+            if placed and (len(placed) == t * r or data.draw(st.booleans())):
+                i, x, y, prev_used, saved = placed.pop()
+                if saved is not None:
+                    state.reopen(saved)
+                state.remove(i, x, y, prev_used)
+                matchings[i].remove((x, y))
+            else:
+                i = len(placed) // r
+                x, y = data.draw(st.sampled_from(pairs))
+                prev_used = state.used
+                if not state.try_add(i, x, y):
+                    continue
+                matchings[i].append((x, y))
+                saved = state.close(i) if len(matchings[i]) == r else None
+                placed.append((i, x, y, prev_used, saved))
+            closed = [j for j in range(t) if len(matchings[j]) == r]
+            assert (state.apart, state.nbr, state.members, state.used) == \
+                _masks(n, t, matchings, closed)
 
 
 class TestMaxTOnGraph:

@@ -524,7 +524,11 @@ class TestMaxTOnGraphOracle:
 
 
 class TestRowMask:
-    """`_State.row_mask` against one `OracleState.try_add` per candidate."""
+    """`_State.row_mask` against one `OracleState.try_add` per candidate.
+
+    The state is drawn at random, then every matching but M_i is closed, which
+    is `row_mask`'s precondition.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -536,8 +540,11 @@ class TestRowMask:
         for _ in range(data.draw(st.integers(0, 30))):
             x, y = data.draw(st.sampled_from(pairs))
             state.try_add(data.draw(st.integers(0, t - 1)), x, y)
-        before = (list(state.incidence), list(state.nbr), list(state.members), state.used)
         i = data.draw(st.integers(0, t - 1))
+        for j in range(t):             # `row_mask`'s precondition
+            if j != i:
+                state.close(j)
+        before = (list(state.apart), list(state.nbr), list(state.members), state.used)
         blocked = state.members[i]     # B_i = V_i | N(V_i)
         for v in range(n):
             if state.members[i] >> v & 1:
@@ -552,7 +559,7 @@ class TestRowMask:
                             state.remove(i, x, y, prev_used)
                             expected |= 1 << y
                     assert state.row_mask(x, lo, hi, blocked) == expected, (i, x, lo, hi)
-        assert (state.incidence, state.nbr, state.members, state.used) == before
+        assert (state.apart, state.nbr, state.members, state.used) == before
 
 
 class TestCandidates:
@@ -561,7 +568,8 @@ class TestCandidates:
     The depth's candidates are the edges (x, y) after `lo` in lex order with
     x <= min(rows, top), top = min(u, n - 1), and y <= top in rows x < u or
     y <= min(u + 1, n - 1) in row u, u the smallest unused label; a candidate
-    passes when `OracleState.try_add` accepts it.
+    passes when `OracleState.try_add` accepts it.  As in `TestRowMask`, every
+    matching but M_i is closed before the check.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -575,13 +583,16 @@ class TestCandidates:
             x, y = data.draw(st.sampled_from(pairs))
             state.try_add(data.draw(st.integers(0, t - 1)), x, y)
         i = data.draw(st.integers(0, t - 1))
+        for j in range(t):             # the caller's precondition
+            if j != i:
+                state.close(j)
         lo = data.draw(st.none() | st.sampled_from(pairs))
         rows = data.draw(st.integers(0, n))
         blocked = state.members[i]     # B_i = V_i | N(V_i)
         for v in range(n):
             if state.members[i] >> v & 1:
                 blocked |= state.nbr[v]
-        before = (list(state.incidence), list(state.nbr), list(state.members), state.used)
+        before = (list(state.apart), list(state.nbr), list(state.members), state.used)
 
         u = state.used
         top = min(u, n - 1)
@@ -602,4 +613,4 @@ class TestCandidates:
         # each k runs up to its own candidate: the running sum is its place in the order
         assert list(itertools.accumulate(k for _, _, k in got[:-1])) == \
             [generated.index(c) + 1 for c in passing]
-        assert (state.incidence, state.nbr, state.members, state.used) == before
+        assert (state.apart, state.nbr, state.members, state.used) == before
