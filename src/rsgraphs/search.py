@@ -2,7 +2,7 @@
 
 `exists_rs` searches over decompositions directly: edges only ever enter the
 graph as members of some matching, so the search state needs only three
-tests per candidate edge (see `_State.row_mask`).  Each keeps every matching a
+tests per candidate edge (see `_candidates`).  Each keeps every matching a
 matching and induced in the current graph, and the other invariants follow:
 
   * if M_i is induced and owns edge (u, v), no other matching covers both u
@@ -36,11 +36,11 @@ that the fill replaced.  The generator walks the depth: rows x < u, u the
 smallest unused label, take labels y up to u; row u takes only u + 1, the
 pair of fresh labels.  The three tests fail for (x, y) exactly when x or y
 lies in B_i or y lies in some V_j with j in A_x, so a row x in B_i fails
-whole, and the passing y of any other row are one mask (`_State.row_mask`),
-walked by lowest set bit.  B_i is carried down the stack: a new matching
-starts from 0, and placing (x, y) in M_i adds N(x) | N(y), which hold y
-and x, except a seed label's partner in the pinned M_0, which stays out of
-`_State.nbr`: its pairs would take r^2 bits before node 1.
+whole, and the passing y of any other row are one mask, walked by lowest
+set bit.  B_i is carried down the stack: a new matching starts from 0, and
+placing (x, y) in M_i adds N(x) | N(y), which hold y and x, except a seed
+label's partner in the pinned M_0, which stays out of `_State.nbr`: its
+pairs would take r^2 bits before node 1.
 
 Lemma (the row mask is one AND).  Matchings open in order and each holds
 exactly r edges, so while M_i is open, M_0..M_{i-1} are complete and no
@@ -64,23 +64,34 @@ node budget stops at exactly its node, the clock is read at each multiple of
 `CLOCK_PERIOD` nodes below it, however many one jump crosses, and a zero
 budget or a deadline passed before node 1 stops at node 1.
 
-`max_t_on_graph` holds the pool of induced matchings once, as ascending
-tuples of indices into the sorted edge list.  `_cover` holds each pool
-matching and the used edges as int edge masks and branches on the lowest
-uncovered edge, the lowest zero bit of the used mask.  `_pack`
-holds, per depth, the mask of later pool indices disjoint from the chosen
-matchings and jumps to its lowest set bit, counting the skipped indices as
-nodes, as `exists_rs` does; it keeps the count of free edges for its bound.
-The pool of induced matchings is enumerated first, by a walk that carries
-the mask of later edges compatible with the matching so far and drops a
-branch once too few are left; it reads the clock every 4096 steps, so a
-time budget also bounds it.
+`max_t_on_graph` places the edges of a given graph G with the same loop,
+generator and stop rule, one depth per edge and M_i = depth // r, counting a
+node per candidate pair generated.  G's labels are not interchangeable, so
+no M_0 is pinned and the fresh-label rule is off (`used` = n).  A candidate
+must be an unused edge of G: `apart[x]` holds every other label, ~adj_G[x]
+with the y of each placed edge (x, y) ORed in.  B_i = V_i | N_G(V_i) comes
+from G, and a matching induced in G needs no A_x test.  Three facts keep it
+exact:
+  * the first edges of successive matchings increase, as in `exists_rs`:
+    any packing lists its matchings in that order;
+  * under `exact_cover`, the lowest unused edge of G is M_i's only first
+    edge: every edge of M_i..M_{t-1} comes at or after M_i's first edge, so
+    a higher one leaves the lowest unused edge uncovered;
+  * the room cap: the next edge (x, y) of M_i, which holds j edges, and
+    M_i's later edges have 2(r - j) distinct ends, all at or above x and
+    outside B_i, so x is at most the (2(r - j))-th highest label outside B_i.
+    The cap is `_candidates`' `rows`, so pairs past it are not generated.
+Packing keeps the longest completed prefix and stops at SAT once it holds
+floor(|E| / r) matchings; the free-edge bound i + floor((|E| - ir) / r) is
+that same number for every i, so it prunes nothing more.  The search holds
+no more than G's adjacency and one path: a budget bounds all of its work.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import repeat
 
 from .core import (
     Graph,
@@ -165,12 +176,13 @@ class _State:
 
     Every set is an int bitmask: `nbr[v]` holds the neighbours of v,
     `members[i]` the vertices of V_i and `apart[v]` the union of V_j over the
-    closed matchings j that cover v (module docstring).  The search calls
+    closed matchings j that cover v (module docstring; `max_t_on_graph` keeps
+    G's non-edges and used edges there instead).  The search calls
     `close` when an edge fills a matching and `reopen` when it pops that edge.
     A search that opens the matchings in order may start with one slot and
     append the next as it opens, so no memory grows with t before a node.
-    The three tests of `row_mask` keep each matching an induced matching of
-    the graph built so far, which is all the search has to maintain: the
+    The three tests of `_candidates` keep each matching an induced matching
+    of the graph built so far, which is all the search has to maintain: the
     caps on d_u + d_v and |V_i cap V_j| follow (module docstring).
     """
 
@@ -181,7 +193,7 @@ class _State:
         self.used = 0                  # labels 0..used-1 have appeared
 
     def add(self, i, x, y):
-        """Add edge (x, y) to matching i; the caller has made `row_mask`'s tests."""
+        """Add edge (x, y) to matching i; the caller has made `_candidates`' tests."""
         self.nbr[x] |= 1 << y
         self.nbr[y] |= 1 << x
         self.members[i] |= (1 << x) | (1 << y)
@@ -214,29 +226,22 @@ class _State:
         for v, old in saved:
             apart[v] = old
 
-    def row_mask(self, x, lo, hi, blocked):
-        """The y in lo..hi (x < lo <= hi + 1) for which edge (x, y) may join M_i, as a mask.
 
-        Precondition: every matching j != i that covers x is closed.  The
-        tests: no end in V_i (1) or N(V_i) (3), so M_i stays an induced
-        matching, which `blocked` = B_i = V_i | N(V_i) checks; and A_x & A_y = 0
-        (2), the edge inside no V_j, which fails exactly when y lies in some V_j
-        with j in A_x.  A row x outside B_i is outside V_i, so under the
-        precondition that union is `apart[x]`, and the mask is one AND.
-        `_candidates` computes it inline.
-        """
-        if blocked >> x & 1:
-            return 0
-        return ((2 << hi) - (1 << lo)) & ~(blocked | self.apart[x])
+_EXHAUSTED = repeat((None, None, 0))   # a depth with no candidates left
 
 
 def _candidates(state, n, lo, rows, blocked):
     """One depth's candidates: the edges (x, y) after `lo` in lex order with x <= `rows`.
 
-    Yields (x, y, k) for each that passes `row_mask`'s tests, k the candidates
+    Yields (x, y, k) for each that passes the three tests, k the candidates
     generated since the last yield, this one included, then (None, None, k)
-    for the rest.  The caller undoes its own placements before it resumes,
-    and has closed every matching before M_i, the one that the edges join.
+    for the rest.  The tests: no end in V_i (1) or N(V_i) (3), so M_i stays
+    an induced matching, which `blocked` = B_i = V_i | N(V_i) checks; and
+    A_x & A_y = 0 (2), the edge inside no V_j, which fails exactly when y
+    lies in some V_j with j in A_x.  The caller undoes its own placements
+    before it resumes, and has closed every matching before M_i, the one
+    that the edges join, so for a row x outside B_i that union is
+    `apart[x]` (module docstring) and the row's mask is one AND.
     """
     apart = state.apart
     u = state.used
@@ -249,7 +254,6 @@ def _candidates(state, n, lo, rows, blocked):
         # smallest unused labels (u, u + 1), which comes after lo as lo's labels are used
         hi = top if x < u else min(u + 1, n - 1)
         if y <= hi:
-            # `row_mask`, inline
             ok = 0 if blocked >> x & 1 else ((2 << hi) - (1 << y)) & ~(blocked | apart[x])
             while ok:
                 low = ok & -ok
@@ -378,160 +382,6 @@ def exists_rs(n, r, t, budget: Budget = Budget(), eq1_shortcut: bool = True,
     )
 
 
-def _enumerate_induced_matchings(g: Graph, r: int, deadline: float):
-    """g's sorted edge list, and all its induced matchings with exactly r edges.
-
-    Each matching is an ascending tuple of indices into the edge list.  None
-    once the `deadline` has passed.
-    """
-    edges = sorted(g.edges)
-    nbr = [0] * g.n
-    touch = [0] * g.n                  # edge-index mask of the edges at each vertex
-    for idx, (u, v) in enumerate(edges):
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-        touch[u] |= 1 << idx
-        touch[v] |= 1 << idx
-    # an edge may join a matching holding (u, v) iff it misses the closed
-    # neighbourhoods of u and v: no shared endpoint, no edge between
-    everything = (1 << len(edges)) - 1
-    compatible = []
-    for u, v in edges:
-        near = nbr[u] | nbr[v] | (1 << u) | (1 << v)
-        clash = 0
-        while near:
-            low = near & -near
-            clash |= touch[low.bit_length() - 1]
-            near ^= low
-        compatible.append(everything & ~clash)
-
-    out = []
-    cur = []
-    stack = []                         # the untried later candidates of each open depth
-    avail = everything                 # later edges compatible with all of cur
-    steps = 0
-    while True:
-        steps += 1
-        if not steps % CLOCK_PERIOD and time.monotonic() > deadline:
-            return None
-        if len(cur) == r:
-            out.append(tuple(cur))
-        elif avail.bit_count() >= r - len(cur):
-            low = avail & -avail
-            idx = low.bit_length() - 1
-            avail ^= low
-            stack.append(avail)
-            cur.append(idx)
-            avail &= compatible[idx]
-            continue
-        if not stack:
-            return edges, out
-        avail = stack.pop()
-        cur.pop()
-
-
-def _cover(edge_count, masks, by_edge, meter):
-    """Cover every edge by edge-disjoint pool matchings, branching on the lowest uncovered edge.
-
-    Returns (verdict, chosen pool indices, nodes).
-    """
-    full = (1 << edge_count) - 1
-    used = 0
-    chosen = []
-    stack = []                         # (candidates, next position) of each depth above
-    nodes = 0
-    limit = meter.limit
-    cands = None                       # candidates of the open depth, once picked
-    while used != full:
-        if cands is None:
-            low = ~used & (used + 1)   # the lowest uncovered edge
-            cands, pos = by_edge[low.bit_length() - 1], 0
-        if pos == len(cands):
-            if not stack:
-                return UNSAT, chosen, nodes
-            cands, pos = stack.pop()
-            used ^= masks[chosen.pop()]
-            continue
-        idx = cands[pos]
-        pos += 1
-        nodes += 1
-        if nodes >= limit:
-            stop = meter.stop(nodes)
-            if stop is not None:
-                return INDETERMINATE, chosen, stop
-            limit = meter.limit
-        if not used & masks[idx]:
-            stack.append((cands, pos))
-            chosen.append(idx)
-            used |= masks[idx]
-            cands = None
-    return SAT, chosen, nodes
-
-
-def _holders(pool, edge_count):
-    """For each edge index, the mask of the pool indices whose matching holds it.
-
-    Each mask is filled as a little-endian byte row and turned into an int
-    once, so the build costs edge_count * len(pool) / 8 bytes, not a big-int
-    shift and OR per pool entry.
-    """
-    rows = [bytearray((len(pool) + 7) >> 3) for _ in range(edge_count)]
-    for p, m in enumerate(pool):
-        byte, bit = p >> 3, 1 << (p & 7)
-        for e in m:
-            rows[e][byte] |= bit
-    return [int.from_bytes(row, "little") for row in rows]
-
-
-def _pack(pool, holders, r, meter):
-    """Branch and bound for the most edge-disjoint pool matchings, in pool order.
-
-    `pool[p]` lists the edge indices of pool matching p, `holders` is
-    `_holders(pool, edge_count)`.  Each depth holds `avail`, the mask
-    of its untried pool indices that share no edge with the chosen ones, and
-    takes its lowest set bit; the indices jumped over count as nodes, one per
-    pool index tried.  Returns (SAT or INDETERMINATE, best pool indices, nodes).
-    """
-    size = len(pool)
-    best = []
-    chosen = []
-    stack = []                         # (next pool index, avail) of each depth above
-    free = len(holders)                # edges not yet used
-    nodes = 0
-    limit = meter.limit
-    idx, avail = (0, (1 << size) - 1) if free >= r else (size, 0)
-    while True:
-        if avail:
-            low = avail & -avail
-            k = low.bit_length() - idx  # the pool indices idx..p tried, p the lowest in avail
-        else:
-            k = size - idx
-        if k and nodes + k >= limit:
-            stop = meter.stop(nodes + k)
-            if stop is not None:
-                return INDETERMINATE, best, stop
-            limit = meter.limit
-        nodes += k
-        if not avail:
-            if not stack:
-                return SAT, best, nodes
-            idx, avail = stack.pop()
-            chosen.pop()
-            free += r
-            continue
-        avail ^= low
-        idx += k
-        stack.append((idx, avail))
-        chosen.append(idx - 1)
-        for e in pool[idx - 1]:
-            avail &= ~holders[e]
-        free -= r
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(chosen) + free // r <= len(best):
-            idx, avail = size, 0       # bound: the rest cannot beat best
-
-
 def max_t_on_graph(g: Graph, r: int, budget: Budget = Budget(),
                    exact_cover: bool = False) -> SearchOutcome:
     """Pack as many edge-disjoint induced matchings of size r into g as possible.
@@ -539,41 +389,83 @@ def max_t_on_graph(g: Graph, r: int, budget: Budget = Budget(),
     With `exact_cover`, the union must equal E(g), forcing t = |E|/r; the
     procedure then decides decomposability.  Without it, the certificate's
     graph is the packed subgraph and the outcome carries the maximal t.
-    A deadline that passes while the pool of induced matchings is being
-    enumerated stops the procedure at node 1.
     """
     if r < 1:
         raise ParameterError("r must be >= 1")
     started = time.monotonic()
-    if exact_cover and len(g.edges) % r:
-        raise ParameterError(f"exact cover impossible: r = {r} does not divide |E| = {len(g.edges)}")
+    n, size = g.n, len(g.edges)
+    if exact_cover and size % r:
+        raise ParameterError(f"exact cover impossible: r = {r} does not divide |E| = {size}")
 
-    deadline = started + budget.max_seconds
-    found = _enumerate_induced_matchings(g, r, deadline)
-    meter = _Meter(budget.max_nodes, deadline)
-    if found is None:
-        verdict, chosen, nodes = INDETERMINATE, [], meter.stop(1)
-    else:
-        edges, pool = found
-        if exact_cover:
-            masks = [sum(1 << e for e in m) for m in pool]
-            by_edge = [[] for _ in edges]
-            for idx, m in enumerate(pool):
-                for e in m:
-                    by_edge[e].append(idx)
-            verdict, picked, nodes = _cover(len(edges), masks, by_edge, meter)
-        else:
-            holders = _holders(pool, len(edges))
-            verdict, picked, nodes = _pack(pool, holders, r, meter)
-        chosen = [[edges[e] for e in pool[idx]] for idx in picked]
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    state = _State(n, 0)
+    # (x, y) may join a matching only as an unused edge of g: apart[x] holds
+    # every other label, as the negative ~adj[x], no longer than adj[x]
+    state.apart = apart = [~a for a in adj]
+    state.used = n                     # g's labels are fixed: no fresh-label rule
+    meter = _Meter(budget.max_nodes, started + budget.max_seconds)
+
+    end = size - size % r              # the depth of floor(|E| / r) matchings, a SAT leaf
+    path = []                          # placed edges, one per depth d
+    stack = []                         # (candidates, B_i) of each depth below the open one
+    best = []                          # the longest completed prefix of path, for packing
+    nodes = 0
+    limit = meter.limit
+    d = 0
+    blocked = 0                        # B_i of depth d
+    everyone = (1 << n) - 1
+    candidates = None
+    while True:
+        if candidates is None:
+            if not d % r:              # M_i opens, M_0..M_{i-1} complete
+                if d > len(best):
+                    best = path[:]
+                if d == end:
+                    verdict = SAT
+                    break
+            # the room cap: the row x of the next edge leaves at least 2(r - j)
+            # labels outside B_i at or above x, j = d % r the edges M_i holds
+            room = everyone & ~blocked
+            for _ in range(2 * (r - d % r) - 1):
+                room ^= 1 << room.bit_length() >> 1
+            lo = path[d - 1] if d % r else path[d - r] if d else None
+            candidates = _candidates(state, n, lo, room.bit_length() - 1, blocked)
+        x, y, k = next(candidates)
+        if k and nodes + k >= limit:
+            stop = meter.stop(nodes + k)
+            if stop is not None:
+                nodes, verdict = stop, INDETERMINATE
+                break
+            limit = meter.limit
+        nodes += k
+        if x is None:
+            if not stack:
+                verdict = UNSAT if exact_cover else SAT
+                break
+            d -= 1
+            x, y = path.pop()
+            apart[x] ^= 1 << y
+            candidates, blocked = stack.pop()
+            continue
+        if exact_cover and not d % r:
+            candidates = _EXHAUSTED    # the lowest unused edge is M_i's only first edge
+        stack.append((candidates, blocked))
+        path.append((x, y))
+        apart[x] |= 1 << y
+        d += 1
+        blocked = blocked | adj[x] | adj[y] if d % r else 0
+        candidates = None
+
     note = budget.exhausted(meter.timed_out, nodes) if verdict == INDETERMINATE else ""
-
     certificate = achieved = None
     if verdict == SAT or not exact_cover:
         # a SAT cover's matchings cover E(g), so their edges rebuild g itself
-        certificate = _certified(MatchingDecomposition.from_matchings(g.n, chosen, r),
-                                 "max_t_on_graph")
-        achieved = len(chosen)
+        achieved = len(best) // r
+        certificate = _certified(MatchingDecomposition.from_matchings(
+            n, [best[j:j + r] for j in range(0, len(best), r)], r), "max_t_on_graph")
         if verdict == INDETERMINATE:
             note += f"; best found t = {achieved}"
     return SearchOutcome(verdict, certificate=certificate, nodes_explored=nodes,

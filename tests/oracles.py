@@ -1,7 +1,7 @@
 """Test-only references that the package no longer carries.
 
-The package places search edges only through `_State.row_mask`'s tests and
-`_State.add`; the tests that check `row_mask`, the search oracle and the
+The package places search edges only through `search._candidates`' tests and
+`_State.add`; the tests that check `_candidates`, the search oracle and the
 audit's random decompositions test one candidate at a time with
 `OracleState.try_add`, which reads the matchings covering a vertex off
 `_State.members` alone.  The package reads degrees off a decomposition's

@@ -218,7 +218,7 @@ UNREACHED = {
     "Graph": "the bench builds one (bench/workloads.py:217), and max_t_on_graph takes one",
     "DistanceCertificate": "distance_certificate's result; item 12 decides both",
     "distance_certificate": "the bench calls it (bench/workloads.py:139); item 12 decides it",
-    "max_t_on_graph": "the bench calls it (bench/workloads.py:229); item 10 decides it",
+    "max_t_on_graph": "the bench calls it; no subcommand takes a graph",
 }
 
 

@@ -3,7 +3,6 @@ cross-checks between the pruned and unpruned explorations, pinned node
 counts, and the incremental search state against the verifier."""
 
 import itertools
-import math
 import os
 import time
 import tracemalloc
@@ -21,6 +20,7 @@ from rsgraphs import (
     ResourceLimitError,
     SAT,
     UNSAT,
+    double_cover,
     emit_rsg,
     exists_rs,
     hypercube_rs,
@@ -31,7 +31,6 @@ from rsgraphs import (
 )
 from rsgraphs import core, search
 from rsgraphs.bounds import min_vertices
-from rsgraphs.search import _enumerate_induced_matchings
 from oracles import OracleState
 
 FAST = Budget(max_nodes=500_000, max_seconds=20.0)
@@ -286,6 +285,20 @@ class TestSearchSpace:
             else:
                 assert fields(out) == fields(full), max_nodes
 
+    @pytest.mark.parametrize("graph, r, exact_cover, verdict, t, nodes", [
+        ("petersen", 3, True, SAT, 5, 105),
+        ("petersen", 3, False, SAT, 5, 105),
+        ("q4aug", 4, True, SAT, 10, 914),
+        ("petersen-double-cover", 3, True, SAT, 10, 69_673),
+        ("petersen-double-cover", 3, False, SAT, 10, 309_934),
+    ])
+    def test_fixed_graph_node_count(self, graph, r, exact_cover, verdict, t, nodes):
+        g = {"petersen": lambda: kneser_rs(2).graph,
+             "q4aug": lambda: hypercube_rs(4, augmented=True).graph,
+             "petersen-double-cover": lambda: double_cover(kneser_rs(2)).graph}[graph]()
+        out = max_t_on_graph(g, r, exact_cover=exact_cover)
+        assert (out.verdict, out.t, out.nodes_explored) == (verdict, t, nodes)
+
     @pytest.mark.skipif(os.environ.get("RSG_SLOW_TESTS") != "1",
                         reason="minutes of search; set RSG_SLOW_TESTS=1")
     @pytest.mark.parametrize("kwargs, nodes", [
@@ -315,10 +328,10 @@ def _masks(n, t, matchings, closed=()):
 
 
 class TestStateOracle:
-    """The three tests of `_State.row_mask`, one candidate at a time, against the verifier.
+    """The three tests of `search._candidates`, one candidate at a time, against the verifier.
 
     `OracleState.try_add` makes the tests; the verifier is the package's root
-    of trust, and `TestRowMask` checks `row_mask` against `try_add`.
+    of trust, and `TestCandidates` checks `_candidates` against `try_add`.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -411,32 +424,23 @@ class TestMaxTOnGraph:
             assert out.verdict == INDETERMINATE
             assert out.nodes_explored == 1
 
-    def test_pool_enumeration_honours_time_budget(self):
-        # this graph has 6.4M induced matchings of size 4: the deadline must
-        # stop their enumeration, not wait for the first search node
+    def test_one_node_budget_bounds_all_the_work(self):
+        # this graph has 6.4M induced matchings of size 4; the search places
+        # edges one at a time, so it builds none of them before node 1
         g = hypercube_rs(6, augmented=True).graph
         for exact_cover in (False, True):
-            started = time.monotonic()
-            out = max_t_on_graph(g, 4, budget=Budget(max_nodes=1, max_seconds=0),
-                                 exact_cover=exact_cover)
-            assert time.monotonic() - started < 1.0
-            assert (out.verdict, out.nodes_explored) == (INDETERMINATE, 1)
-            assert out.note.startswith("time budget exhausted (0 s, 1 nodes)")
-
-    def test_pool_is_held_once(self):
-        # the search holds the enumerated pool as is, not a second copy of it
-        def peak(run):
             tracemalloc.start()
             try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
+                started = time.monotonic()
+                out = max_t_on_graph(g, 4, budget=Budget(max_nodes=1, max_seconds=100),
+                                     exact_cover=exact_cover)
+                elapsed = time.monotonic() - started
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-
-        g = hypercube_rs(5).graph
-        alone = peak(lambda: _enumerate_induced_matchings(g, 3, math.inf))
-        whole = peak(lambda: max_t_on_graph(g, 3, Budget(max_nodes=1, max_seconds=100)))
-        assert whole < 1.5 * alone
+            assert (out.verdict, out.nodes_explored) == (INDETERMINATE, 1)
+            assert out.note.startswith("node budget exhausted (1 nodes)")
+            assert elapsed < 1.0 and peak < 100 << 20, (elapsed, peak)
 
     def test_packing_on_petersen(self):
         out = max_t_on_graph(kneser_rs(2).graph, 3)

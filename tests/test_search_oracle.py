@@ -1,17 +1,21 @@
-"""The explicit-stack search against the recursive search it replaced.
+"""The explicit-stack searches against the recursive searches they replaced.
 
 `recursive_exists_rs`, `recursive_enumerate_induced_matchings` and
 `recursive_max_t_on_graph` are the package's earlier `exists_rs`,
 `_enumerate_induced_matchings` and `max_t_on_graph`, kept verbatim as
 test-only references (renamed, with `_Found` and `_BudgetExceeded` defined
-here).  They test every candidate edge with `OracleState.try_add` inside recursive
-`extend`, `cover` and `pack`.  The package must return the same verdict,
-node count, t and certificate bytes; its INDETERMINATE notes say which
-budget ran out, where the oracle's say only "budget exhausted".
+here).  `recursive_exists_rs` tests every candidate edge with
+`OracleState.try_add` inside a recursive `extend`, and `exists_rs` must
+return its verdict, node count and certificate bytes; its INDETERMINATE
+notes say which budget ran out, where the oracle's say only "budget
+exhausted".  `recursive_max_t_on_graph` enumerates every induced r-matching
+of g and covers or packs with them, counting one node per matching tried,
+where `max_t_on_graph` counts one per candidate edge: the two must agree on
+the verdict and t wherever both close, and a stopped packing's best t is at
+most a closed one's.
 """
 
 import itertools
-import math
 import random
 import time
 from fractions import Fraction
@@ -37,8 +41,8 @@ from rsgraphs import (
 )
 from rsgraphs import search
 from rsgraphs.bounds import max_r
-from rsgraphs.search import SearchOutcome, _enumerate_induced_matchings
-from oracles import OracleState
+from rsgraphs.search import SearchOutcome
+from oracles import OracleState, examples
 
 
 class _BudgetExceeded(Exception):
@@ -362,8 +366,9 @@ class TestTimeBudgetStops:
     @pytest.mark.parametrize("periods", [0, 1, 3])
     @pytest.mark.parametrize("exact_cover", [False, True])
     def test_max_t_on_graph(self, monkeypatch, exact_cover, periods):
-        # pools of under 4096 enumeration steps, so neither side reads the
-        # clock before the search; the cover takes 22,819 nodes to SAT
+        # both run past 16,384 nodes on either side: the package's cover takes
+        # 69,673 nodes to SAT, its packing over 10M to close, and the oracle's
+        # pools are under 4096 enumeration steps, so it reads no clock before its search
         if exact_cover:
             g = double_cover(kneser_rs(2)).graph
         else:
@@ -374,70 +379,56 @@ class TestTimeBudgetStops:
         monkeypatch.setitem(globals(), "time", _Clock(2 + periods))
         old = recursive_max_t_on_graph(g, 3, budget=budget, exact_cover=exact_cover)
         nodes = 4096 * (periods + 1)
-        assert _fields(new)[:3] == _fields(old)[:3] == (INDETERMINATE, nodes, old.t)
-        assert _fields(new)[4] == _fields(old)[4]
+        assert (new.verdict, new.nodes_explored) == (old.verdict, old.nodes_explored) == \
+            (INDETERMINATE, nodes)
         assert new.note.startswith(f"time budget exhausted (1 s, {nodes} nodes)")
 
 
-def per_index_pack(edge_count, r, masks, max_nodes, deadline):
-    """The package's earlier explicit-stack `_pack`, which tests each pool index in turn."""
-    best = []
-    chosen = []
-    stack = []
-    used = 0
-    free = edge_count
-    nodes = 0
-    size = len(masks)
-    idx = size if free // r <= 0 else 0
-    while True:
-        if idx == size:
-            if not stack:
-                return SAT, best, nodes, False
-            idx = stack.pop()
-            used ^= masks[chosen.pop()]
-            free += r
-            continue
-        nodes += 1
+def per_candidate_stop(candidates, max_nodes):
+    """Where a loop that counts `candidates` candidate edges one at a time stops: its node and
+    whether the clock stopped it, or (candidates, None) when it tests them all.  It reads the
+    clock as `max_t_on_graph` does: at its start, before node 1 and at each multiple of 4096."""
+    deadline = time.monotonic() + 1.0
+    if time.monotonic() >= deadline:
+        return 1, True
+    for nodes in range(1, candidates + 1):
         if nodes >= max_nodes:
-            return INDETERMINATE, best, nodes, False
+            return nodes, False
         if not nodes % 4096 and time.monotonic() > deadline:
-            return INDETERMINATE, best, nodes, True
-        m = masks[idx]
-        idx += 1
-        if used & m:
-            continue
-        stack.append(idx)
-        chosen.append(idx - 1)
-        used |= m
-        free -= r
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(chosen) + free // r <= len(best):
-            idx = size
+            return nodes, True
+    return candidates, None
 
 
 class TestPackJumps:
-    """`_pack` jumping over more than one multiple of 4096 blocked pool indices at once.
+    """`max_t_on_graph` packing across more than one multiple of 4096 failing candidates at once.
 
-    Pool 0 and the next 9,999 share edge 0, so once pool 0 is chosen the
-    next disjoint index is 10,000: one jump of 10,000 nodes, across the
-    clock reads at 4096 and 8192.  Each stop must land where the loop that
-    tests each index stops.
+    The graph on 150 vertices has two edges: (0, 1) and the 10,001st pair in
+    lex order.  Once (0, 1) opens M_0, every pair up to the other edge fails,
+    so `_candidates` reports 9,999 failing candidates and the passing one in
+    one step, across the clock reads at 4096 and 8192, and that edge fills
+    M_0: SAT with t = 1 at node 10,001.  Each stop must land where the loop
+    that counts each candidate in turn stops.
     """
 
-    POOL = [[0, 2]] + [[0, 3]] * 9_999 + [[1, 4], [2, 3]]
+    FAR = list(itertools.combinations(range(150), 2))[10_000]
 
     @pytest.mark.parametrize("reads", [0, 1, 2, 3, 10**6])
     @pytest.mark.parametrize("max_nodes", [0, 1, 2, 4096, 5_000, 8_192, 10_001, 10_002, 10**9])
     def test_stops_match_per_index_loop(self, monkeypatch, reads, max_nodes):
-        masks = [sum(1 << e for e in m) for m in self.POOL]
-        holders = search._holders(self.POOL, 5)
-        meter = search._Meter(max_nodes, time.monotonic() + 1.0)
+        g = Graph.from_edges(150, [(0, 1), self.FAR])
+        budget = Budget(max_nodes=max_nodes, max_seconds=1.0)
         monkeypatch.setattr(search, "time", _Clock(reads))
-        new = (*search._pack(self.POOL, holders, 2, meter), meter.timed_out)
+        out = max_t_on_graph(g, 2, budget=budget)
         monkeypatch.setitem(globals(), "time", _Clock(reads))
-        old = per_index_pack(5, 2, masks, max_nodes, 1.0)
-        assert new == old
+        nodes, timed_out = per_candidate_stop(10_001, max_nodes)
+        if timed_out is None:
+            assert (out.verdict, out.nodes_explored, out.t, out.note) == (SAT, nodes, 1, "")
+            assert out.certificate.graph == g
+        else:
+            which = f"time budget exhausted (1 s, {nodes} nodes)" if timed_out else \
+                f"node budget exhausted ({nodes} nodes)"
+            assert (out.verdict, out.nodes_explored, out.t, out.note) == \
+                (INDETERMINATE, nodes, 0, f"{which}; best found t = 0")
 
 
 class TestMeter:
@@ -493,22 +484,42 @@ def _random_graph(draw, n_max=9):
     return Graph.from_edges(n, edges)
 
 
+def _holds(g, r, out, exact_cover):
+    """`out`'s certificate, if any, verifies, lies in g, equals g under `exact_cover` and holds t
+    matchings of size r; only a cover that did not end SAT has none."""
+    cert = out.certificate
+    if cert is None:
+        assert exact_cover and out.verdict != SAT and out.t is None
+        return
+    assert verify_decomposition(cert).passed
+    assert (cert.t, cert.r) == (out.t, r)
+    assert cert.graph == g if exact_cover else cert.graph.edges <= g.edges
+
+
+def _agree(out, ref):
+    """Two runs on one input agree: closed runs on the verdict and t, and a stopped packing's best
+    t is at most a closed packing's t."""
+    closed = [run for run in (out, ref) if run.verdict != INDETERMINATE]
+    if len(closed) == 2:
+        assert (out.verdict, out.t) == (ref.verdict, ref.t)
+    elif closed and out.certificate is not None and ref.certificate is not None:
+        assert max(out.t, ref.t) == closed[0].t
+
+
 class TestMaxTOnGraphOracle:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(data=st.data())
     def test_random_graphs(self, data):
         g = _random_graph(data.draw)
         r = data.draw(st.integers(1, 4))
-        edges, pool = _enumerate_induced_matchings(g, r, math.inf)
-        assert [tuple(edges[e] for e in m) for m in pool] == \
-            recursive_enumerate_induced_matchings(g, r)
         budget = Budget(max_nodes=data.draw(st.sampled_from([1, 2, 3, 10, 100, 100_000])),
                         max_seconds=1e9)
-        assert _fields(max_t_on_graph(g, r, budget=budget)) == \
-            _oracle_fields(recursive_max_t_on_graph(g, r, budget=budget))
-        if len(g.edges) % r == 0:
-            assert _fields(max_t_on_graph(g, r, budget=budget, exact_cover=True)) == \
-                _oracle_fields(recursive_max_t_on_graph(g, r, budget=budget, exact_cover=True))
+        for exact_cover in (False, True) if len(g.edges) % r == 0 else (False,):
+            ref = recursive_max_t_on_graph(g, r, exact_cover=exact_cover)
+            assert ref.verdict != INDETERMINATE
+            out = max_t_on_graph(g, r, budget=budget, exact_cover=exact_cover)
+            _holds(g, r, out, exact_cover)
+            _agree(out, ref)
 
     @pytest.mark.parametrize("r, exact_cover, max_nodes", [
         (10, True, 100_000), (8, False, 50_000), (7, True, 3_000), (5, False, 4_096),
@@ -519,47 +530,9 @@ class TestMaxTOnGraphOracle:
         random.Random(5).shuffle(perm)
         g = Graph.from_edges(k3.n, [(perm[u], perm[v]) for u, v in k3.edges])
         budget = Budget(max_nodes=max_nodes, max_seconds=1e9)
-        assert _fields(max_t_on_graph(g, r, budget=budget, exact_cover=exact_cover)) == \
-            _oracle_fields(recursive_max_t_on_graph(g, r, budget=budget, exact_cover=exact_cover))
-
-
-class TestRowMask:
-    """`_State.row_mask` against one `OracleState.try_add` per candidate.
-
-    The state is drawn at random, then every matching but M_i is closed, which
-    is `row_mask`'s precondition.
-    """
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_row_mask_matches_try_add(self, data):
-        n = data.draw(st.integers(2, 10))
-        t = data.draw(st.integers(1, 5))
-        pairs = list(itertools.combinations(range(n), 2))
-        state = OracleState(n, t)
-        for _ in range(data.draw(st.integers(0, 30))):
-            x, y = data.draw(st.sampled_from(pairs))
-            state.try_add(data.draw(st.integers(0, t - 1)), x, y)
-        i = data.draw(st.integers(0, t - 1))
-        for j in range(t):             # `row_mask`'s precondition
-            if j != i:
-                state.close(j)
-        before = (list(state.apart), list(state.nbr), list(state.members), state.used)
-        blocked = state.members[i]     # B_i = V_i | N(V_i)
-        for v in range(n):
-            if state.members[i] >> v & 1:
-                blocked |= state.nbr[v]
-        for x in range(n - 1):
-            for lo in range(x + 1, n + 1):
-                for hi in range(lo - 1, n):
-                    expected = 0
-                    for y in range(lo, hi + 1):
-                        prev_used = state.used
-                        if state.try_add(i, x, y):
-                            state.remove(i, x, y, prev_used)
-                            expected |= 1 << y
-                    assert state.row_mask(x, lo, hi, blocked) == expected, (i, x, lo, hi)
-        assert (state.apart, state.nbr, state.members, state.used) == before
+        out = max_t_on_graph(g, r, budget=budget, exact_cover=exact_cover)
+        _holds(g, r, out, exact_cover)
+        _agree(out, recursive_max_t_on_graph(g, r, budget=budget, exact_cover=exact_cover))
 
 
 class TestCandidates:
@@ -568,8 +541,8 @@ class TestCandidates:
     The depth's candidates are the edges (x, y) after `lo` in lex order with
     x <= min(rows, top), top = min(u, n - 1), and y <= top in rows x < u or
     y <= min(u + 1, n - 1) in row u, u the smallest unused label; a candidate
-    passes when `OracleState.try_add` accepts it.  As in `TestRowMask`, every
-    matching but M_i is closed before the check.
+    passes when `OracleState.try_add` accepts it.  Every matching but M_i is
+    closed before the check, as the caller's precondition asks.
     """
 
     @settings(max_examples=300, deadline=None)
