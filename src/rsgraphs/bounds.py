@@ -220,13 +220,15 @@ class AuditReport:
         }
 
 
-def _bfs(nbrs, source):
-    """Distance from source to every vertex it reaches, in BFS discovery order."""
+def _bfs(nbrs, source, n=0):
+    """Distance from source to every vertex it reaches, in BFS order; with n > 0, on nbrs' double cover."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in nbrs[u]:
+        v, across = (u - n, 0) if u >= n else (u, n)    # u = v + side * n; every edge changes side
+        for w in nbrs[v]:
+            w += across
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -250,6 +252,29 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
         2-colours the graph.  If an edge uv joins two vertices at distance
         k, the shortest paths from the source to u and to v, closed by uv,
         form a closed walk of odd length 2k + 1, which holds an odd cycle.
+
+    The cover is never built: the input's H and its peel give the cover's F.
+
+        Lemma (lift).  Write (v, s) for the cover's vertex v + s*n, s in
+        {0, 1}.  The cover's F is the lift of the input's: (v, s) lies in it
+        exactly when v lies in the input's F, with F-neighbours (w, 1 - s)
+        for the input's F-neighbours w of v.
+        Proof.  (v, s) has the cover edges (v, s)(w, 1 - s), one for each
+        input edge vw, so its degree is d_v; each is an H edge exactly when
+        vw is, and (v, s) has v's H-degree.  The largest subgraph of H with
+        minimum degree >= t/8 is unique, since the union of two has minimum
+        degree >= t/8 too; let C be the input's and D the cover's.  The lift
+        of C has minimum degree >= t/8, so it lies in D.  The side swap
+        (v, s) -> (v, 1 - s) is an automorphism of the cover's H, so it maps
+        D to a subgraph of the same minimum degree, which is D again; so D is
+        the lift of P = {v : (v, 0) in D}.  Each (v, 0) in D has >= t/8
+        D-neighbours (w, 1), with w in P and vw an H edge, so P has minimum
+        degree >= t/8 and lies in C.  So D is the lift of C.
+
+    So the cover's F has 2|F| vertices and the input's minimum degree, and
+    its layers come from the one BFS routine walking (vertex, side) from
+    (min F, 0), the cover's first F vertex.  If F is bipartite its lift is
+    two copies of it, and the walk stays in one.
 
     Steps: (a) every edge has degree sum <= t + 1; (b) when r = n/4 exactly,
     2*E1 + E0 >= nt/4; (c) strip vertices of degree < t/8 from H, the
@@ -314,18 +339,14 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
     s_prime = Fraction(e1, n) if n else Fraction(0)
     threshold = Fraction(t, 8)
 
-    # H: edges with degree sum >= t, neighbour lists only for vertices with an
-    # H edge, taken from adj; then strip H-degree < t/8 in one peel.  Each
-    # removal lowers its neighbours' degrees, and a vertex joins the work list
-    # once, when its degree first drops below t/8, so the peel costs O(|H|).
-    # Whatever the order, what survives is the largest subgraph of H with
-    # minimum degree >= t/8, so F is the one a repeated sweep would leave.
-    h_adj = defaultdict(list)
-    for u, v in edges:
-        if len(adj[u]) + len(adj[v]) >= t:
-            for x, y in ((u, v + n_in), (v, u + n_in)) if doubled else ((u, v),):
-                h_adj[x].append(y)
-                h_adj[y].append(x)
+    # H: each list of adj filtered by degree sum >= t, kept for vertices with
+    # an H edge; then strip H-degree < t/8 in one peel.  Each removal lowers
+    # its neighbours' degrees, and a vertex joins the work list once, when its
+    # degree first drops below t/8, so the peel costs O(|H|).  What survives is
+    # the largest subgraph of H with minimum degree >= t/8 in any order, the F
+    # of a repeated sweep; on a cover its lift is the cover's F (the lift lemma).
+    h_adj = {u: hs for u, ws in adj.items()
+             if (hs := [w for w in ws if len(adj[w]) >= t - len(ws)])}
     h_deg = {v: len(ws) for v, ws in h_adj.items()}
     stripped = [v for v, d in h_deg.items() if 8 * d < t]
     for v in stripped:              # the list grows as the peel goes
@@ -333,13 +354,14 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
             h_deg[w] -= 1
             if 8 * h_deg[w] < t <= 8 * h_deg[w] + 8:
                 stripped.append(w)
-    alive = h_deg.keys() - stripped
-    nbrs = {v: [w for w in h_adj[v] if w in alive] for v in alive}
+    dead = set(stripped)
+    nbrs = h_adj if not dead else {             # F's lists are H's unless the peel removed a vertex
+        v: [w for w in ws if w not in dead] for v, ws in h_adj.items() if v not in dead}
     achieved = min(map(len, nbrs.values()), default=0)
 
     layers = []
     if nbrs:
-        sizes = Counter(_bfs(nbrs, min(nbrs)).values())
+        sizes = Counter(_bfs(nbrs, min(nbrs), n_in if doubled else 0).values())
         s_int = t // 8
         for i in range(max(sizes) + 1):
             floor_val = math.comb(s_int, i) if i <= s_int else 0
@@ -361,7 +383,7 @@ def expansion_audit(dec: MatchingDecomposition) -> AuditReport:
         edge_classes=classes,
         e1=e1, e0=e0, s=s, s_prime=s_prime,
         f_min_degree_threshold=threshold,
-        f_vertex_count=len(nbrs),
+        f_vertex_count=len(nbrs) * (1 + doubled),
         f_achieved_min_degree=achieved,
         assertions=assertions,
         bfs_violations=(),

@@ -23,9 +23,10 @@ from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rsgraphs import (
+    Graph,
     MatchingDecomposition,
     PreconditionError,
     ap_free_set,
@@ -197,8 +198,9 @@ def side_by_side(a, b):
 
 
 def sweep():
-    """The acceptance sweep (tests/test_acceptance.py) and its covers, by name, and one input
-    whose strip removes vertices: every built family is regular, so its F is all of H."""
+    """The acceptance sweep (tests/test_acceptance.py) and its covers, by name, one input
+    whose strip removes vertices (every built family is regular, so its F is all of H),
+    and one that is not bipartite while its F is."""
     base = (
         [(f"kneser{k}", lambda k=k: kneser_rs(k)) for k in range(1, 5)]
         + [(f"q{k}", lambda k=k: hypercube_rs(k)) for k in range(2, 11)]
@@ -211,6 +213,8 @@ def sweep():
         # t = 10: the draw's H peels away in a cascade, and q4aug's survives as F
         ("draw-beside-q4aug", lambda: side_by_side(
             random_decomposition(16, 3, 10, random.Random(2777)), hypercube_rs(4, augmented=True))),
+        # t = 6 on 9 vertices: the draw has an odd cycle, and its F is a 6-cycle
+        ("draw-bipartite-f", lambda: random_decomposition(9, 2, 11, random.Random(717))),
     ]
     return dict(base + covers + extra)
 
@@ -248,9 +252,40 @@ class TestSweep:
         h_adj, _ = per_source_core(audited.graph, degrees(audited.graph), dec.t)
         assert 0 < report.f_vertex_count < sum(map(bool, h_adj))
 
+    def test_a_bipartite_f_splits_on_the_cover(self):
+        # the cover's F is two copies of the input's, and the BFS reaches one
+        dec = SWEEP["draw-bipartite-f"]()
+        report = expansion_audit(dec)
+        assert report.doubled and is_bipartite(dec.graph) is None
+        _, alive = per_source_core(dec.graph, degrees(dec.graph), dec.t)
+        f_edges = [(u, v) for u, v in dec.graph.edges if u in alive and v in alive]
+        assert is_bipartite(Graph.from_edges(dec.n, f_edges)) is not None
+        assert 2 * sum(row.size for row in report.layers) == report.f_vertex_count == 2 * len(alive)
+
     def test_kneser5(self):
         dec = kneser_rs(5)
         assert expansion_audit(dec).to_dict() == per_source_audit(dec).to_dict()
+
+
+class TestLiftLemma:
+    """A non-bipartite input audits as its double cover, which `expansion_audit`
+    reads off the input's own H and peel (the lift lemma in its docstring).
+    `double_cover` labels (v, 1) as v + n, as the audit's walk does."""
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(n=st.integers(2, 16), data=st.data(), seed=st.integers(0, 2 ** 32))
+    def test_the_input_audits_as_its_cover(self, n, data, seed):
+        # a drawn seed: st.randoms draws every shuffle through hypothesis, which
+        # tripled this test's time; t >= 3, as two matchings make only paths and
+        # even cycles, which are bipartite
+        r = data.draw(st.integers(1, n // 2))
+        dec = random_decomposition(n, r, data.draw(st.integers(3, 12)), random.Random(seed))
+        assert verify_decomposition(dec).passed
+        report = expansion_audit(dec).to_dict()
+        assume(report["doubled"])
+        cover = expansion_audit(double_cover(dec)).to_dict()
+        assert not cover["doubled"]
+        assert report == {**cover, "doubled": True}
 
 
 class TestRandomDecompositions:
